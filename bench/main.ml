@@ -331,106 +331,21 @@ let print_demux_note micro =
         old_ns new_ns facility_flows (old_ns /. new_ns)
   | _ -> ()
 
-(* E-F5 sharded vs sequential: the largest sweep point, run whole on
-   one engine and cut at its WAN-class links onto 4 domains.  The
-   results must match field for field; the gate holds the sharded
-   wall-clock to the sequential one (near-linear scaling needs real
-   cores — this machine may have one — but the barrier overhead must
-   never make sharding a pessimization). *)
-let run_sharded_facility () =
-  let flows = 1000 in
-  let shards = 4 in
-  let config =
-    {
-      Mmt_facility.Scenario.default with
-      Mmt_facility.Scenario.flows;
-      duration = Units.Time.ms 3.;
-    }
-  in
-  let time f =
-    let started = Unix.gettimeofday () in
-    let result = f () in
-    (result, Unix.gettimeofday () -. started)
-  in
-  let seq, seq_wall = time (fun () -> Mmt_facility.Scenario.run config) in
-  let sh, sh_wall =
-    time (fun () -> Mmt_facility.Scenario.run ~shards config)
-  in
-  let identical =
-    seq.Mmt_facility.Scenario.summary = sh.Mmt_facility.Scenario.summary
-    && seq.Mmt_facility.Scenario.samples = sh.Mmt_facility.Scenario.samples
-    && seq.Mmt_facility.Scenario.sim_time = sh.Mmt_facility.Scenario.sim_time
-    && seq.Mmt_facility.Scenario.events = sh.Mmt_facility.Scenario.events
-  in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "sharded E-F5 (%d flows): sequential %.2f s, %d shards %.2f s (%.2fx), \
-     %d core(s), results %s\n"
-    flows seq_wall shards sh_wall (seq_wall /. sh_wall) cores
-    (if identical then "identical" else "DIFFER");
-  (flows, shards, cores, seq_wall, sh_wall, identical)
-
-(* Allocation audit for the sharded runner: a barrier crossing must
-   not allocate.  Two idle components trade 10k windows with almost no
-   events, so per-window allocation on this domain is the barrier
-   machinery's own (the one-off Domain.spawn cost amortizes away). *)
-let check_barrier_allocation () =
-  let windows = 10_000 in
-  let build topo =
-    let a = Mmt_sim.Topology.add_node topo ~name:"a" in
-    let b = Mmt_sim.Topology.add_node topo ~name:"b" in
-    ignore
-      (Mmt_sim.Topology.connect topo ~src:a ~dst:b
-         ~rate:(Units.Rate.gbps 10.) ~propagation:(Units.Time.ms 2.) ());
-    ignore
-      (Mmt_sim.Topology.connect topo ~src:b ~dst:a
-         ~rate:(Units.Rate.gbps 10.) ~propagation:(Units.Time.ms 2.) ());
-    (* One no-op event per 5 ms on each shard: every window moves the
-       clock, none moves a packet. *)
-    let ea = Mmt_sim.Topology.node_engine topo a in
-    let eb = Mmt_sim.Topology.node_engine topo b in
-    for i = 0 to windows - 1 do
-      let at = Units.Time.of_int_ns (i * 5_000_000) in
-      ignore (Mmt_sim.Engine.schedule ea ~at ignore);
-      ignore (Mmt_sim.Engine.schedule eb ~at ignore)
-    done
-  in
-  let make () =
-    match Mmt_sim.Shard.build ~shards:2 build with
-    | _, (), Some runner -> runner
-    | _, (), None -> failwith "bench: barrier audit fell back to sequential"
-  in
-  Mmt_sim.Shard.run (make ()) (* warm: domain and allocator startup *);
-  let runner = make () in
-  (* Counters read around the run only — construction may allocate,
-     the window loop may not (Domain.spawn's one-off cost amortizes
-     over the 10k windows). *)
-  let before = Gc.minor_words () in
-  Mmt_sim.Shard.run runner;
-  let after = Gc.minor_words () in
-  let words_per_window = (after -. before) /. float_of_int windows in
-  Printf.printf "barrier crossing allocation: %.3f minor words/window %s\n"
-    words_per_window
-    (if words_per_window < 0.5 then "(allocation-free)" else "(ALLOCATES)");
-  words_per_window
-
 (* Forward-path cost: the ring-buffer packet path end to end.  A
    steady-state send -> link -> deliver loop over ring-slot packets:
    each iteration acquires a slot (recycled frame), pushes it down a
-   pooled link, and the delivery retires it back into the ring.  The
-   per-packet wall-clock must stay within 2x the raw engine event cost
-   and the loop must not touch the minor heap. *)
-let forward_path_measure ~fusing =
+   pooled link, and the delivery retires it back into the ring.  Each
+   hop is two engine events (serialize, propagate); the gate bounds the
+   per-packet wall-clock in raw engine events, and the loop must not
+   touch the minor heap. *)
+let check_forward_path () =
   let engine = Mmt_sim.Engine.create () in
   let ring = Mmt_sim.Ring.create () in
   let pool = Mmt_sim.Ring.pool ring in
-  let delivered = ref 0 in
   let link =
     Mmt_sim.Link.create ~engine ~name:"fwd" ~rate:(Units.Rate.gbps 100.)
-      ~propagation:(Units.Time.us 1.) ~pool ~ring ~fusing
-      ~deliver:(fun p ->
-        incr delivered;
-        Mmt_sim.Ring.in_packet_done ring p)
+      ~propagation:(Units.Time.us 1.) ~pool ~ring
+      ~deliver:(fun p -> Mmt_sim.Ring.in_packet_done ring p)
       ()
   in
   let forward i =
@@ -472,110 +387,17 @@ let forward_path_measure ~fusing =
       float_of_int pstats.Mmt_sim.Pool.recycled
       /. float_of_int pstats.Mmt_sim.Pool.acquired
   in
-  (ns, words, rstats, recycle_ratio, !delivered, Mmt_sim.Link.stats link)
-
-let check_forward_path () =
-  let f_ns, f_words, f_ring, f_recycle, f_delivered, f_stats =
-    forward_path_measure ~fusing:true
-  in
-  let u_ns, u_words, _, _, u_delivered, u_stats =
-    forward_path_measure ~fusing:false
-  in
-  (* The CLI-level byte-identity of fused vs unfused runs is covered by
-     the test suite; here the two loops just ran the same traffic, so
-     their ledgers must agree exactly. *)
-  let identical = f_delivered = u_delivered && f_stats = u_stats in
   Printf.printf
-    "forward path fused (ring slot -> link -> deliver -> retire): %.0f ns, \
-     %.3f minor words/packet %s\n"
-    f_ns f_words
-    (if f_words < 0.5 then "(allocation-free)" else "(ALLOCATES)");
-  Printf.printf
-    "forward path unfused: %.0f ns, %.3f minor words/packet %s; ledgers %s\n"
-    u_ns u_words
-    (if u_words < 0.5 then "(allocation-free)" else "(ALLOCATES)")
-    (if identical then "identical" else "DIFFER");
+    "forward path (ring slot -> link -> deliver -> retire): %.0f ns, %.3f \
+     minor words/packet %s\n"
+    ns words
+    (if words < 0.5 then "(allocation-free)" else "(ALLOCATES)");
   Printf.printf
     "forward-path ring: %d slots, %d acquires, %d retired, %d overflow; pool \
      recycle ratio %.3f\n"
-    f_ring.Mmt_sim.Ring.capacity f_ring.Mmt_sim.Ring.acquired
-    f_ring.Mmt_sim.Ring.retired f_ring.Mmt_sim.Ring.overflow f_recycle;
-  (f_ns, f_words, f_ring, f_recycle, u_ns, u_words, identical)
-
-(* Where the per-hop nanoseconds go: each component of the forward path
-   measured in isolation with the same timed-loop method.  The residual
-   against the fused total is the link bookkeeping proper (stats,
-   transmit chain, flight queue, dispatch). *)
-let check_forward_breakdown ~forward_ns () =
-  let n = 200_000 in
-  let time f =
-    let started = Unix.gettimeofday () in
-    f n;
-    (Unix.gettimeofday () -. started) *. 1e9 /. float_of_int n
-  in
-  let engine = Mmt_sim.Engine.create () in
-  let heap_loop k =
-    for i = 0 to k - 1 do
-      ignore
-        (Mmt_sim.Engine.schedule engine ~at:(Units.Time.of_int_ns i) ignore);
-      Mmt_sim.Engine.run engine
-    done
-  in
-  heap_loop 10_000 (* warm *);
-  let heap_ns = time heap_loop in
-  let ring = Mmt_sim.Ring.create () in
-  let slot_loop k =
-    for i = 0 to k - 1 do
-      Mmt_sim.Ring.in_packet_done ring
-        (Mmt_sim.Ring.in_packet ring ~id:i ~born:Units.Time.zero 1024)
-    done
-  in
-  slot_loop 10_000;
-  let slot_ns = time slot_loop in
-  let queue =
-    Mmt_sim.Queue_model.droptail ~capacity:(Units.Size.mib 4) ()
-  in
-  let qp = Mmt_sim.Ring.in_packet ring ~id:0 ~born:Units.Time.zero 1024 in
-  let queue_loop k =
-    for _ = 1 to k do
-      ignore (Mmt_sim.Queue_model.enqueue queue ~now:Units.Time.zero qp);
-      ignore (Mmt_sim.Queue_model.poll queue ~now:Units.Time.zero)
-    done
-  in
-  queue_loop 10_000;
-  let queue_ns = time queue_loop in
-  Mmt_sim.Ring.in_packet_done ring qp;
-  let loss =
-    Mmt_sim.Loss.bernoulli ~drop:0.001 ~corrupt:0.001
-      ~rng:(Mmt_util.Rng.create ~seed:7L)
-  in
-  let loss_loop k =
-    for _ = 1 to k do
-      ignore (Mmt_sim.Loss.decide loss)
-    done
-  in
-  loss_loop 10_000;
-  let loss_ns = time loss_loop in
-  (* The fused hop pays for two event executions (stage + final); the
-     perfect loss model of the forward link draws nothing, so the loss
-     line is informative rather than a component of the total. *)
-  let accounted = (2. *. heap_ns) +. slot_ns +. queue_ns in
-  let residual = Stdlib.max 0. (forward_ns -. accounted) in
-  Printf.printf "forward-path breakdown (per hop, fused total %.0f ns):\n"
-    forward_ns;
-  Printf.printf "  heap ops (2 events: stage + final): %.1f ns\n"
-    (2. *. heap_ns);
-  Printf.printf "  ring slot acquire + retire: %.1f ns\n" slot_ns;
-  Printf.printf "  queue enqueue + poll: %.1f ns\n" queue_ns;
-  Printf.printf "  link bookkeeping residual: %.1f ns\n" residual;
-  Printf.printf "  (bernoulli loss draw, when impaired: %.1f ns)\n" loss_ns;
-  [
-    ("heap_ops_2_events", 2. *. heap_ns);
-    ("ring_slot_cycle", slot_ns);
-    ("queue_enqueue_poll", queue_ns);
-    ("link_bookkeeping_residual", residual);
-    ("loss_draw_bernoulli", loss_ns);
-  ]
+    rstats.Mmt_sim.Ring.capacity rstats.Mmt_sim.Ring.acquired
+    rstats.Mmt_sim.Ring.retired rstats.Mmt_sim.Ring.overflow recycle_ratio;
+  (ns, words, rstats, recycle_ratio)
 
 (* E-F4 pilot allocation audit: the whole pilot (senders, links,
    rewriter, INT path, receiver, event builder) with pools on vs off.
@@ -765,19 +587,10 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
-    ~barrier_words ~forward ~breakdown ~pilot_audit ~sweep =
+let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
+    ~pilot_audit ~sweep =
   let results, sequential_wall, parallel, _ = sweep in
-  let sh_flows, sh_shards, sh_cores, sh_seq_wall, sh_wall, sh_identical =
-    sharded
-  in
-  let ( fwd_ns,
-        fwd_words,
-        (fwd_ring : Mmt_sim.Ring.stats),
-        fwd_recycle,
-        fwd_unfused_ns,
-        fwd_unfused_words,
-        fwd_identical ) =
+  let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
   in
   let pa_pooled, pa_plain, pa_events, pa_delivered, pa_ring, pa_recycle =
@@ -811,23 +624,7 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
   Buffer.add_string buf
     (Printf.sprintf "    \"pool_recycle_ratio\": %.4f,\n" fwd_recycle);
   Buffer.add_string buf
-    (Printf.sprintf "    \"ns_per_packet_unfused\": %.1f,\n" fwd_unfused_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"alloc_minor_words_per_packet_unfused\": %.3f,\n"
-       fwd_unfused_words);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"fused_unfused_identical\": %b,\n" fwd_identical);
-  Buffer.add_string buf
     (Printf.sprintf "    \"ring\": %s\n" (ring_json fwd_ring));
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"forward_breakdown_ns\": {\n";
-  let nb = List.length breakdown in
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %.1f%s\n" (json_escape name) ns
-           (if i = nb - 1 then "" else ",")))
-    breakdown;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"pilot_audit\": {\n";
   Buffer.add_string buf
@@ -859,19 +656,6 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
         (Printf.sprintf "    \"%s\": %.1f%s\n" (json_escape name) ns
            (if i = n - 1 then "" else ",")))
     micro;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"sharded\": {\n";
-  Buffer.add_string buf (Printf.sprintf "    \"flows\": %d,\n" sh_flows);
-  Buffer.add_string buf (Printf.sprintf "    \"shards\": %d,\n" sh_shards);
-  Buffer.add_string buf (Printf.sprintf "    \"cores\": %d,\n" sh_cores);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"sequential_wall_s\": %.3f,\n" sh_seq_wall);
-  Buffer.add_string buf (Printf.sprintf "    \"sharded_wall_s\": %.3f,\n" sh_wall);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"results_identical\": %b,\n" sh_identical);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"barrier_alloc_minor_words_per_window\": %.3f\n"
-       barrier_words);
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"sweep\": {\n";
   Buffer.add_string buf
@@ -920,24 +704,17 @@ let run json jobs quota limit =
   print_demux_note micro;
   let micro = micro @ [ facility_per_event () ] in
   print_newline ();
-  let sharded = run_sharded_facility () in
-  let barrier_words = check_barrier_allocation () in
-  print_newline ();
   let forward = check_forward_path () in
-  let forward_ns, _, _, _, _, _, _ = forward in
-  let breakdown = check_forward_breakdown ~forward_ns () in
   print_newline ();
   let pilot_audit = check_pilot_allocation () in
   print_newline ();
   let alloc_words = check_schedule_allocation () in
   Option.iter
     (fun path ->
-      write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~sharded
-        ~barrier_words ~forward ~breakdown ~pilot_audit ~sweep)
+      write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
+        ~pilot_audit ~sweep)
     json;
   let _, _, _, all_ok = sweep in
-  let _, _, _, _, _, sharded_identical = sharded in
-  let all_ok = all_ok && sharded_identical in
   if all_ok then begin
     print_endline "ALL SHAPE CHECKS PASSED";
     0

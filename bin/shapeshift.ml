@@ -126,17 +126,6 @@ let pilot_cmd =
       & info [ "int" ]
           ~doc:"Stamp in-band telemetry along the path and print the per-hop breakdown.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Cut the topology at its WAN links and run the pieces on \
-             $(docv) domains; 0 picks the machine's recommended count.  \
-             Deterministic: the results are byte-identical to the \
-             sequential run (which remains the default, and the \
-             fallback when the topology yields fewer than two pieces).")
-  in
   let no_pool =
     Arg.(
       value & flag
@@ -146,18 +135,8 @@ let pilot_cmd =
              Pooling changes the allocator only: the results are \
              byte-identical either way.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops (every hop schedules a serialize \
-             event followed by a propagate event, as before PR 9).  \
-             Fusing changes event mechanics only: the results are \
-             byte-identical either way.")
-  in
   let run profile fragments loss corrupt researchers deadline_ms seed int_flag
-      shards no_pool no_fuse =
+      no_pool =
     let config =
       {
         Mmt_pilot.Pilot.default_config with
@@ -171,18 +150,7 @@ let pilot_cmd =
         seed;
       }
     in
-    if shards < 0 then begin
-      Printf.eprintf "shapeshift pilot: --shards must be 0 (auto) or positive\n";
-      2
-    end
-    else begin
-    let shards =
-      if shards = 0 then Mmt_util.Task_pool.recommended_jobs () else shards
-    in
-    let pilot =
-      Mmt_pilot.Pilot.build ~shards ~pooling:(not no_pool)
-        ~fusing:(not no_fuse) config
-    in
+    let pilot = Mmt_pilot.Pilot.build ~pooling:(not no_pool) config in
     Mmt_pilot.Pilot.run pilot;
     let r = Mmt_pilot.Pilot.results pilot in
     let receiver = r.Mmt_pilot.Pilot.receiver in
@@ -215,8 +183,6 @@ let pilot_cmd =
         row (Printf.sprintf "researcher %d delivered" i)
           (string_of_int stats.Mmt.Receiver.delivered))
       r.Mmt_pilot.Pilot.researcher_stats;
-    if shards > 1 then
-      row "shards engaged" (string_of_int (Mmt_pilot.Pilot.nshards pilot));
     Table.print table;
     Option.iter
       (fun collector ->
@@ -224,13 +190,12 @@ let pilot_cmd =
         print_string (Mmt_int.Collector.render collector))
       (Mmt_pilot.Pilot.int_collector pilot);
     if receiver.Mmt.Receiver.delivered = r.Mmt_pilot.Pilot.emitted then 0 else 1
-    end
   in
   Cmd.v
     (Cmd.info "pilot" ~doc:"Run the Fig. 4 pilot topology with custom parameters.")
     Term.(
       const run $ profile_arg $ fragments $ loss $ corrupt $ researchers
-      $ deadline_ms $ seed $ int_flag $ shards $ no_pool $ no_fuse)
+      $ deadline_ms $ seed $ int_flag $ no_pool)
 
 (* `shapeshift telemetry` ---------------------------------------------------- *)
 
@@ -401,16 +366,8 @@ let chaos_cmd =
   let show_log =
     Arg.(value & flag & info [ "log" ] ~doc:"Print the applied-fault log.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops.  Fusing changes event mechanics \
-             only: the outcomes are byte-identical either way.")
-  in
-  let print_outcome name (params : Mmt_pilot.Chaos_run.params) show_log fusing =
-    let o = Mmt_pilot.Chaos_run.run ~fusing params in
+  let print_outcome name (params : Mmt_pilot.Chaos_run.params) show_log =
+    let o = Mmt_pilot.Chaos_run.run params in
     let module C = Mmt_pilot.Chaos_run in
     let table =
       Table.create
@@ -457,7 +414,7 @@ let chaos_cmd =
         print_newline ());
     o.C.violations = []
   in
-  let run list_flag scenario fragments show_log no_fuse =
+  let run list_flag scenario fragments show_log =
     let scenarios = Mmt_experiments.Chaos.scenarios in
     if list_flag then begin
       List.iter (fun (name, _) -> print_endline name) scenarios;
@@ -494,7 +451,7 @@ let chaos_cmd =
                   | Some n ->
                       { params with Mmt_pilot.Chaos_run.fragment_count = n }
                 in
-                print_outcome name params show_log (not no_fuse) && ok)
+                print_outcome name params show_log && ok)
               true selected
           in
           if ok then 0 else 1
@@ -505,7 +462,7 @@ let chaos_cmd =
          "Run the fault-injection series: kill buffers, flip header bits on \
           the wire, flap links, blackhole adverts — and check the delivery \
           invariants.")
-    Term.(const run $ list_flag $ scenario $ fragments $ show_log $ no_fuse)
+    Term.(const run $ list_flag $ scenario $ fragments $ show_log)
 
 (* `shapeshift campaign` ----------------------------------------------------- *)
 
@@ -660,19 +617,6 @@ let facility_cmd =
              self-contained deterministic simulation, so the report is \
              byte-identical to the sequential sweep.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Additionally parallelize $(i,within) each point: cut the \
-             facility topology at its WAN-class links (the metro uplinks \
-             and the shared WAN) and run the detector halls on $(docv) \
-             domains; 0 picks the machine's recommended count.  Composes \
-             with --jobs, and like it changes no byte of the report.  \
-             Prefer --jobs when there are many points and --shards when \
-             one huge point dominates.")
-  in
   let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"Simulation seed.") in
   let duration_ms =
     Arg.(
@@ -700,40 +644,12 @@ let facility_cmd =
              Pooling changes the allocator only: the report is \
              byte-identical either way.")
   in
-  let no_fuse =
-    Arg.(
-      value & flag
-      & info [ "no-fuse" ]
-          ~doc:
-            "Disable fused link hops (two engine events per hop, as \
-             before PR 9).  Fusing changes event mechanics only: the \
-             report is byte-identical either way.")
-  in
-  let gc_minor_kb =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-minor-kb" ] ~docv:"KIB"
-          ~doc:
-            "Per-domain minor-heap size in KiB for the run (restored \
-             afterwards).  Bigger minor heaps amortize OCaml 5's \
-             stop-the-world minor collections across shard windows.")
-  in
-  let run min_flows max_flows jobs shards seed duration_ms loss plan no_pool
-      no_fuse gc_minor_kb =
+  let run min_flows max_flows jobs seed duration_ms loss plan no_pool =
     if jobs < 0 then begin
       Printf.eprintf "shapeshift facility: --jobs must be 0 (auto) or positive\n";
       2
     end
-    else if shards < 0 then begin
-      Printf.eprintf
-        "shapeshift facility: --shards must be 0 (auto) or positive\n";
-      2
-    end
     else begin
-      let shards =
-        if shards = 0 then Mmt_util.Task_pool.recommended_jobs () else shards
-      in
       let base =
         {
           Scenario.default with
@@ -755,19 +671,9 @@ let facility_cmd =
           end
           else begin
             let points = Mmt_facility.Sweep.log_points ~lo:min_flows ~hi:max_flows () in
-            let gc =
-              Option.map
-                (fun kb ->
-                  {
-                    Mmt_sim.Shard.minor_heap_kb = Some kb;
-                    space_overhead = None;
-                  })
-                gc_minor_kb
-            in
             let output, ok =
-              Mmt_experiments.Facility.report ~jobs ~shards
-                ~pooling:(not no_pool) ~fusing:(not no_fuse) ?gc ~base ~points
-                ()
+              Mmt_experiments.Facility.report ~jobs ~pooling:(not no_pool) ~base
+                ~points ()
             in
             print_string output;
             print_newline ();
@@ -782,8 +688,8 @@ let facility_cmd =
           mixed-kind elephant flows through an aggregation tree and one \
           shared WAN bottleneck.")
     Term.(
-      const run $ min_flows $ max_flows $ jobs $ shards $ seed $ duration_ms
-      $ loss $ plan $ no_pool $ no_fuse $ gc_minor_kb)
+      const run $ min_flows $ max_flows $ jobs $ seed $ duration_ms $ loss
+      $ plan $ no_pool)
 
 (* `shapeshift trace` ----------------------------------------------------------- *)
 

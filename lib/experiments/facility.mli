@@ -7,23 +7,18 @@
 
 val report :
   ?jobs:int ->
-  ?shards:int ->
   ?pooling:bool ->
-  ?fusing:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
   ?base:Mmt_facility.Scenario.config ->
   ?points:int list ->
   unit ->
   string * bool
 (** Render the sweep (optionally across domains — [jobs] parallelizes
-    over sweep points, [shards] parallelizes within each point; output
-    is byte-identical to the sequential run either way) plus the shape
-    checks.  [pooling], [fusing] (both default on) and [gc] pass
-    through to every
-    point's {!Mmt_facility.Scenario.run} — neither changes a byte of
-    output.  The determinism check re-runs the first point on a plain
-    sequential engine, so a sharded sweep is cross-checked against
-    sequential execution on every invocation. *)
+    over sweep points; output is byte-identical to the sequential run)
+    plus the shape checks.  [pooling] (default on) passes through to
+    every point's {!Mmt_facility.Scenario.run} without changing a byte
+    of output.  The determinism check re-runs the first point.  With a
+    single point the fan-in scaling row is reported as info, since
+    there is nothing to compare. *)
 
 val run : unit -> string * bool
 (** The registry entry: [report] with the default configuration. *)

@@ -15,10 +15,8 @@ open Mmt_util
    emission window — a guaranteed later sequenced arrival that flushes
    gap detection on every flow, whatever the workload shape did.
 
-   Trials run on the plain sequential engine ([Shard.build ~shards:1])
-   because the injector schedules against a single engine; campaign
-   parallelism comes from running whole trials on sibling domains, not
-   from sharding inside one trial. *)
+   Campaign parallelism comes from running whole trials on sibling
+   domains. *)
 
 type config = {
   scenario : Scenario.config;
@@ -110,11 +108,9 @@ let run config plan =
           ~seq:((flow * flow_key_stride) + seq)
     | None -> ()
   in
-  let topo, (built : Scenario.built), runner =
-    Mmt_sim.Shard.build ~shards:1 (Scenario.build ~on_deliver s)
-  in
-  assert (runner = None);
-  let engine = Mmt_sim.Topology.engine topo in
+  let engine = Mmt_sim.Engine.create () in
+  let topo = Mmt_sim.Topology.create ~engine () in
+  let built = Scenario.build ~on_deliver s topo in
   let injector = Mmt_fault.Injector.of_topology topo in
   Mmt_fault.Injector.arm injector plan;
   (* Tail probes: one extra sequenced frame per flow, after emission

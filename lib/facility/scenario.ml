@@ -84,8 +84,8 @@ let nominal_rate config = function
    rewriters and retransmission buffers for its block at a site-edge
    switch, joined to the shared facility edge by a metro-distance
    uplink.  The metro hop is WAN-class by the simulator's standards
-   (>= {!Mmt_sim.Link.cut_threshold}), which is exactly what lets the
-   sharded runner put every hall on its own domain. *)
+   (>= {!Mmt_sim.Link.cut_threshold}), so its deliveries use the
+   boundary key lane. *)
 let metro_propagation = Units.Time.ms 2.
 
 let site_spans config =
@@ -238,21 +238,16 @@ type built = {
   senders : Mmt.Sender.t Flow_table.t;
 }
 
-(* Construct the whole facility inside [topo].  This same function
-   serves the sequential engine and every sharded configuration: the
-   topology decides which engine each node lives on
-   ({!Mmt_sim.Topology.node_engine}), and each component is attached
-   to its own node's engine.  Identical construction order across
-   modes is what pins down identical cut-edge ids and identical
-   per-engine scheduling order — the byte-identity the E-F5
-   determinism tests check. *)
+(* Construct the whole facility inside [topo], every component on the
+   topology's engine.  Construction order fixes the cut-edge ids and
+   the scheduling order, so equal configs run byte-identically. *)
 let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
-  (* Shard-local packet arenas: every router, switch and element on a
-     node recycles through that node's shard ring. *)
-  let node_ring node =
-    Mmt_sim.Topology.ring_of_shard topo (Mmt_sim.Topology.shard_of_node topo node)
-  in
-  let node_pool node = Option.map Mmt_sim.Ring.pool (node_ring node) in
+  let engine = Mmt_sim.Topology.engine topo in
+  let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
+  (* Every router, switch and element recycles through the topology's
+     packet ring. *)
+  let ring = Mmt_sim.Topology.ring topo in
+  let pool = Option.map Mmt_sim.Ring.pool ring in
   let spans = site_spans config in
   let nsites = Array.length spans in
   let site_of = Array.make config.flows 0 in
@@ -271,8 +266,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   done;
 
   (* Nodes, site-major: a hall's sources, aggregation tree and
-     site-edge switch are one cut component; the shared edge and the
-     sink side follow. *)
+     site-edge switch; the shared edge and the sink side follow. *)
   let placeholder = Mmt_sim.Node.create ~name:"_" in
   let sources = Array.make config.flows placeholder in
   let sedges = Array.make nsites placeholder in
@@ -414,21 +408,15 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
      retransmission buffers live at their flow's hall, demultiplexed
      by flow id in O(1).  Retransmissions and rewritten traffic ride
      the metro uplink; the facility edge forwards them onto the WAN. *)
-  let sedge_ids =
-    Array.init nsites (fun s -> Mmt_sim.Topology.id_source topo sedges.(s))
-  in
   let buffers =
     Flow_table.init ~flows:config.flows (fun f ->
-        let s = site_of.(f) in
-        let engine = Mmt_sim.Topology.node_engine topo sedges.(s) in
         let router =
           Mmt_pilot.Router.create
-            ~default:(Mmt_sim.Link.send metro_up.(s))
-            ?ring:(node_ring sedges.(s))
-            ()
+            ~default:(Mmt_sim.Link.send metro_up.(site_of.(f)))
+            ?ring ()
         in
         let env =
-          Mmt_pilot.Router.env router ~engine ~fresh_id:sedge_ids.(s)
+          Mmt_pilot.Router.env router ~engine ~fresh_id
             ~local_ip:(Address.buffer_ip f)
         in
         Mmt.Buffer_host.create ~env ~capacity:config.buffer_capacity ())
@@ -444,7 +432,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         in
         let buffer = Option.get (Flow_table.get buffers f) in
         Mmt_innet.Mode_rewriter.create ~mode
-          ?pool:(node_pool sedges.(site_of.(f)))
+          ?pool
           ~on_rewrite:(fun ~seq ~born frame ->
             match seq with
             | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -453,10 +441,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   let ingress_handlers =
     Flow_table.init ~flows:config.flows (fun f ->
-        let s = site_of.(f) in
-        let engine = Mmt_sim.Topology.node_engine topo sedges.(s) in
-        let uplink = metro_up.(s) in
-        let ring = node_ring sedges.(s) in
+        let uplink = metro_up.(site_of.(f)) in
         let element =
           Mmt_innet.Mode_rewriter.element (Option.get (Flow_table.get rewriters f))
         in
@@ -490,10 +475,9 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
           | _ -> None)
     in
     ignore
-      (Mmt_innet.Switch.attach
-         ~engine:(Mmt_sim.Topology.node_engine topo sedges.(s))
-         ~node:sedges.(s) ~profile:Mmt_innet.Switch.tofino2
-         ?ring:(node_ring sedges.(s)) ~elements:[] ~route:sedge_route ())
+      (Mmt_innet.Switch.attach ~engine ~node:sedges.(s)
+         ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+         ~route:sedge_route ())
   done;
 
   (* Facility edge: rewritten site traffic goes out the WAN; NAKs
@@ -510,10 +494,9 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         | _ -> None)
   in
   let _edge_in_switch =
-    Mmt_innet.Switch.attach
-      ~engine:(Mmt_sim.Topology.node_engine topo edge_in)
-      ~node:edge_in ~profile:Mmt_innet.Switch.tofino2
-      ?ring:(node_ring edge_in) ~elements:[] ~route:edge_in_route ()
+    Mmt_innet.Switch.attach ~engine ~node:edge_in
+      ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+      ~route:edge_in_route ()
   in
 
   (* Facility edge (sink side): route each flow to its sink host. *)
@@ -527,29 +510,20 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         | _ -> None)
   in
   let _edge_out_switch =
-    Mmt_innet.Switch.attach
-      ~engine:(Mmt_sim.Topology.node_engine topo edge_out)
-      ~node:edge_out ~profile:Mmt_innet.Switch.tofino2
-      ?ring:(node_ring edge_out) ~elements:[] ~route:edge_out_route ()
+    Mmt_innet.Switch.attach ~engine ~node:edge_out
+      ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+      ~route:edge_out_route ()
   in
 
   (* Receivers: one per flow, on the flow's sink host; NAKs and other
      control ride the clean reverse WAN back to the edge. *)
-  let sink_ids =
-    Array.init config.sinks (fun m -> Mmt_sim.Topology.id_source topo sinks.(m))
-  in
   let receivers =
     Flow_table.init ~flows:config.flows (fun f ->
-        let sink = f mod config.sinks in
-        let engine = Mmt_sim.Topology.node_engine topo sinks.(sink) in
         let router =
-          Mmt_pilot.Router.create
-            ~default:(Mmt_sim.Link.send wan_reverse)
-            ?ring:(node_ring sinks.(sink))
-            ()
+          Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_reverse) ?ring ()
         in
         let env =
-          Mmt_pilot.Router.env router ~engine ~fresh_id:sink_ids.(sink)
+          Mmt_pilot.Router.env router ~engine ~fresh_id
             ~local_ip:(Address.flow_ip f)
         in
         Mmt.Receiver.create ~env
@@ -566,7 +540,6 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   Array.iter
     (fun sink_node ->
-      let ring = node_ring sink_node in
       let retire packet =
         match ring with
         | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
@@ -591,16 +564,12 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   let sender_slots = Array.make config.flows None in
   let workloads =
     Flow_table.init ~flows:config.flows (fun f ->
-        let engine = Mmt_sim.Topology.node_engine topo sources.(f) in
         let router =
-          Mmt_pilot.Router.create
-            ~default:(Mmt_sim.Link.send source_links.(f))
-            ?ring:(node_ring sources.(f))
-            ()
+          Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send source_links.(f))
+            ?ring ()
         in
         let env =
-          Mmt_pilot.Router.env router ~engine
-            ~fresh_id:(Mmt_sim.Topology.id_source topo sources.(f))
+          Mmt_pilot.Router.env router ~engine ~fresh_id
             ~local_ip:(Address.source_ip f)
         in
         let sender =
@@ -634,35 +603,17 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   { workloads; receivers; buffers; rewriters; senders }
 
-let run ?(shards = 1) ?(pooling = true) ?(fusing = true) ?gc config =
+let run ?(pooling = true) config =
   if config.flows < 1 then invalid_arg "Scenario.run: flows must be positive";
   if config.sinks < 1 then invalid_arg "Scenario.run: sinks must be positive";
-  let topo, { workloads; receivers; buffers; _ }, runner =
-    Mmt_sim.Shard.build ~shards ~pooling ~fusing (build config)
-  in
+  let engine = Mmt_sim.Engine.create () in
+  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
+  let { workloads; receivers; buffers; _ } = build config topo in
   (* Run to quiescence; the cap is a safety bound well past the worst
      NAK-retry chain, not a working deadline. *)
-  let until = Units.Time.add config.duration (Units.Time.seconds 1.) in
-  let events =
-    match runner with
-    | None ->
-        let engine = Mmt_sim.Topology.engine topo in
-        (match gc with
-        | None -> Mmt_sim.Engine.run ~until engine
-        | Some tuning ->
-            (* Same GC parameters a sharded run's domains would get,
-               restored afterwards. *)
-            let saved = Gc.get () in
-            Fun.protect
-              ~finally:(fun () -> Gc.set saved)
-              (fun () ->
-                Mmt_sim.Shard.apply_gc tuning;
-                Mmt_sim.Engine.run ~until engine));
-        Mmt_sim.Engine.processed engine
-    | Some r ->
-        Mmt_sim.Shard.run ~until ?gc r;
-        Mmt_sim.Shard.events r
-  in
+  Mmt_sim.Engine.run ~until:(Units.Time.add config.duration (Units.Time.seconds 1.))
+    engine;
+  let events = Mmt_sim.Engine.processed engine in
 
   let samples =
     Array.init config.flows (fun f ->

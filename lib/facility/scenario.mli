@@ -15,11 +15,7 @@
     Everything is derived from the config (including every [Rng]
     stream), so equal configs produce byte-identical topologies and
     reports — the property the E-F5 sweep's sequential-vs-parallel
-    check rests on.  The metro uplinks are WAN-class by the
-    simulator's cut rule ({!Mmt_sim.Link.cut_threshold}), so [run
-    ~shards] can put every hall, the facility edge and the sink side
-    on their own domains ({!Mmt_sim.Shard}) with byte-identical
-    results. *)
+    check rests on. *)
 
 open Mmt_util
 
@@ -93,9 +89,8 @@ val build :
   config ->
   Mmt_sim.Topology.t ->
   built
-(** Construct the whole facility inside the given topology — the build
-    function handed to {!Mmt_sim.Shard.build} (or run against a plain
-    sequential topology).  [on_deliver] observes every application
+(** Construct the whole facility inside the given topology, every
+    component on its engine.  [on_deliver] observes every application
     delivery with the flow id and the frame's sequence number (as
     carried by the MMT header; [None] for unsequenced frames); the
     default observer does nothing.  Construction order is identical
@@ -109,35 +104,16 @@ type result = {
       (** first-to-last arrival span across all flows — the goodput
           window (the engine clock is pinned to the drain cap by
           [run ~until], so it can't serve as one) *)
-  events : int;  (** engine events processed, summed over shards *)
+  events : int;  (** engine events processed *)
 }
 
-val run :
-  ?shards:int ->
-  ?pooling:bool ->
-  ?fusing:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
-  config ->
-  result
-(** Build the scenario on fresh engines, run it to completion (with a
+val run : ?pooling:bool -> config -> result
+(** Build the scenario on a fresh engine, run it to completion (with a
     one-second drain cap past [duration] as a safety bound), and read
     the metrics back from the endpoints' own statistics.
 
-    [shards] (default 1) asks for domain-per-shard parallel execution
-    via {!Mmt_sim.Shard}: the topology is cut at its WAN-class links
-    (metro uplinks and the WAN itself) and the halls run in parallel.
-    Results are byte-identical at every shard count — [run ~shards:n]
-    changes wall-clock time, never the simulation.  Counts above the
-    number of cut components fold back; [shards <= 1] runs the plain
-    sequential engine.
-
-    [fusing] (default [true]) collapses uncongested hops into single
-    engine events ({!Mmt_sim.Link.create}); [fusing:false] opts out,
-    with byte-identical results either way.
-    [pooling] (default [true]) gives every shard a preallocated packet
+    [pooling] (default [true]) gives the topology a preallocated packet
     {!Mmt_sim.Ring} through which the whole forwarding path recycles
     records and frames; [pooling:false] opts out (pure-GC allocation).
     Either setting produces byte-identical results — pooling changes
-    the allocator, never a field value.  [gc] applies per-domain GC
-    tuning for the duration of the run (sequential runs apply it to
-    the calling domain and restore the previous settings). *)
+    the allocator, never a field value. *)

@@ -13,19 +13,12 @@ val log_points : ?lo:int -> ?hi:int -> unit -> int list
 
 val run :
   ?jobs:int ->
-  ?shards:int ->
   ?pooling:bool ->
-  ?fusing:bool ->
-  ?gc:Mmt_sim.Shard.gc_tuning ->
   base:Scenario.config ->
   points:int list ->
   unit ->
   (int * Scenario.result) list
 (** One scenario per point, [base] with [flows] overridden.  [jobs]
     (default 1) caps the extra domains engaged; 0 asks for the
-    machine's recommended count.  [shards] (default 1) additionally
-    parallelizes {e within} each point via {!Scenario.run} — the two
-    axes compose, and neither changes a byte of output.  Prefer
-    [jobs] when there are many points and [shards] when one huge
-    point dominates.  [pooling], [fusing] and [gc] pass through to
+    machine's recommended count.  [pooling] passes through to
     {!Scenario.run} for every point. *)

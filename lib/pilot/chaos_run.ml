@@ -116,10 +116,10 @@ let snoop_element (point : buffer_point) =
         Mmt_innet.Element.Forward packet);
   }
 
-let run ?(pooling = true) ?(fusing = true) p =
+let run ?(pooling = true) p =
   let engine = Mmt_sim.Engine.create () in
   let trace = Mmt_sim.Trace.create ~capacity:10_000 () in
-  let topo = Mmt_sim.Topology.create ~engine ~pooling ~fusing () in
+  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:p.seed in
   let loss_rng = Rng.split rng in

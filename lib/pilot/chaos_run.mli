@@ -80,10 +80,8 @@ type outcome = {
   receiver : Mmt.Receiver.stats;
 }
 
-val run : ?pooling:bool -> ?fusing:bool -> params -> outcome
-(** Execute the plan.  [fusing] (default on) toggles the fused hop
-    ({!Mmt_sim.Link.create}); either setting yields byte-identical
-    outcomes.  [pooling] (default on) toggles the packet rings
+val run : ?pooling:bool -> params -> outcome
+(** Execute the plan.  [pooling] (default on) toggles the packet rings
     behind the topology's links; the outcome is byte-identical either
     way — the E-R1 differential test holds the scenario fixed and
     flips only this switch. *)

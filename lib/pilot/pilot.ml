@@ -63,7 +63,6 @@ type int_state = {
 type t = {
   config : config;
   engine : Mmt_sim.Engine.t;
-  runner : Mmt_sim.Shard.t option;
   topo : Mmt_sim.Topology.t;
   sender : Mmt.Sender.t;
   workloads : Mmt_daq.Workload.t list;
@@ -109,12 +108,10 @@ let receiver_config config =
     expected_total = Some (config.fragment_count * max 1 config.slices);
   }
 
-(* Build the pilot against whatever topology it is given — a plain
-   single-engine one or a sharded one.  Every component schedules on
-   its own node's engine ({!Mmt_sim.Topology.node_engine}) and draws
-   packet ids from its node's allocator, so the same function serves
-   both the sequential path and {!Mmt_sim.Shard.build}'s two passes. *)
-let construct config topo =
+let build ?(pooling = true) config =
+  let engine = Mmt_sim.Engine.create () in
+  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
+  let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:config.seed in
   let loss_rng_a = Rng.split rng in
   let loss_rng_b = Rng.split rng in
@@ -129,17 +126,10 @@ let construct config topo =
     List.init config.researchers (fun i ->
         Mmt_sim.Topology.add_node topo ~name:(Printf.sprintf "researcher%d" i))
   in
-  let e_sensor = Mmt_sim.Topology.node_engine topo sensor in
-  let e_d1 = Mmt_sim.Topology.node_engine topo dtn1 in
-  let e_sw = Mmt_sim.Topology.node_engine topo tofino in
-  let e_d2 = Mmt_sim.Topology.node_engine topo dtn2 in
-  (* Each host hands its shard's packet ring to its router, switch and
-     elements, so every retirement point recycles into the right
-     domain-local arena. *)
-  let node_ring node =
-    Mmt_sim.Topology.ring_of_shard topo (Mmt_sim.Topology.shard_of_node topo node)
-  in
-  let node_pool node = Option.map Mmt_sim.Ring.pool (node_ring node) in
+  (* Every host hands the topology's packet ring to its router, switch
+     and elements, so every retirement point recycles into it. *)
+  let ring = Mmt_sim.Topology.ring topo in
+  let pool = Option.map Mmt_sim.Ring.pool ring in
 
   (* Links.  Data direction carries the WAN impairments; the control
      (reverse) direction is clean, NAK retries cover the rest. *)
@@ -211,7 +201,7 @@ let construct config topo =
       let sink =
         Mmt_int.Sink.create ~node_id:3
           ~emit:(Mmt_int.Collector.add collector)
-          ?pool:(node_pool dtn2) ()
+          ?pool ()
       in
       Some { collector; dtn1_stamper; tofino_stamper; sink }
   in
@@ -222,16 +212,14 @@ let construct config topo =
   in
 
   (* DTN 1: buffer host + mode-0 -> mode-1 rewriter. *)
-  let router_d1 = Router.create ?ring:(node_ring dtn1) () in
+  let router_d1 = Router.create ?ring () in
   Router.add router_d1 Address.dtn2_ip (Mmt_sim.Link.send d1_to_sw);
   Router.add router_d1 Address.sensor_ip (Mmt_sim.Link.send d1_to_s);
   List.iteri
     (fun i _ -> Router.add router_d1 (Address.researcher_ip i) (Mmt_sim.Link.send d1_to_sw))
     researchers;
   let env_d1 =
-    Router.env router_d1 ~engine:e_d1
-      ~fresh_id:(Mmt_sim.Topology.id_source topo dtn1)
-      ~local_ip:Address.dtn1_ip
+    Router.env router_d1 ~engine ~fresh_id ~local_ip:Address.dtn1_ip
   in
   let buffer =
     Mmt.Buffer_host.create ~env:env_d1 ~capacity:(Units.Size.mib 256)
@@ -250,7 +238,7 @@ let construct config topo =
       ~re_encap:
         (Mmt.Encap.Over_ipv4
            { src = Address.dtn1_ip; dst = Address.dtn2_ip; dscp = 0; ttl = 64 })
-      ?pool:(node_pool dtn1)
+      ?pool
       ~on_rewrite:(fun ~seq ~born frame ->
         match seq with
         | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -270,8 +258,8 @@ let construct config topo =
     | None -> None
   in
   let dtn1_switch =
-    Mmt_innet.Switch.attach ~engine:e_d1 ~node:dtn1 ~profile:p.Profile.nic
-      ?ring:(node_ring dtn1)
+    Mmt_innet.Switch.attach ~engine ~node:dtn1 ~profile:p.Profile.nic
+      ?ring
       ~elements:
         (Mmt_innet.Mode_rewriter.element rewriter
         :: int_element (fun state -> state.dtn1_stamper))
@@ -280,7 +268,7 @@ let construct config topo =
 
   (* Tofino2: age tracking, optional duplication / back-pressure /
      in-network timeliness. *)
-  let router_sw = Router.create ?ring:(node_ring tofino) () in
+  let router_sw = Router.create ?ring () in
   Router.add router_sw Address.dtn1_ip (Mmt_sim.Link.send sw_to_d1);
   Router.add router_sw Address.dtn2_ip (Mmt_sim.Link.send sw_to_d2);
   Router.add router_sw Address.sensor_ip (Mmt_sim.Link.send sw_to_d1);
@@ -288,9 +276,7 @@ let construct config topo =
     (fun i link -> Router.add router_sw (Address.researcher_ip i) (Mmt_sim.Link.send link))
     researcher_links;
   let env_sw =
-    Router.env router_sw ~engine:e_sw
-      ~fresh_id:(Mmt_sim.Topology.id_source topo tofino)
-      ~local_ip:(Mmt_frame.Addr.Ip.of_octets 10 0 2 1)
+    Router.env router_sw ~engine ~fresh_id ~local_ip:(Mmt_frame.Addr.Ip.of_octets 10 0 2 1)
   in
   let age_tracker = Mmt_innet.Age_tracker.create () in
   let timeliness =
@@ -347,19 +333,17 @@ let construct config topo =
     | None -> None
   in
   let tofino_switch =
-    Mmt_innet.Switch.attach ~engine:e_sw ~node:tofino ~profile:p.Profile.switch
-      ?ring:(node_ring tofino) ~elements:tofino_elements ~route:tofino_route ()
+    Mmt_innet.Switch.attach ~engine ~node:tofino ~profile:p.Profile.switch
+      ?ring ~elements:tofino_elements ~route:tofino_route ()
   in
 
   (* DTN 2: the receiving endpoint (mode 3 timeliness check happens in
      the receiver). *)
-  let router_d2 = Router.create ?ring:(node_ring dtn2) () in
+  let router_d2 = Router.create ?ring () in
   Router.add router_d2 Address.dtn1_ip (Mmt_sim.Link.send d2_to_sw);
   Router.add router_d2 Address.sensor_ip (Mmt_sim.Link.send d2_to_sw);
   let env_d2 =
-    Router.env router_d2 ~engine:e_d2
-      ~fresh_id:(Mmt_sim.Topology.id_source topo dtn2)
-      ~local_ip:Address.dtn2_ip
+    Router.env router_d2 ~engine ~fresh_id ~local_ip:Address.dtn2_ip
   in
   let event_builder =
     Mmt_daq.Event_builder.create
@@ -373,12 +357,12 @@ let construct config topo =
         | Ok fragment ->
             ignore
               (Mmt_daq.Event_builder.add event_builder
-                 ~now:(Mmt_sim.Engine.now e_d2) fragment)
+                 ~now:(Mmt_sim.Engine.now engine) fragment)
         | Error _ -> ())
   in
   let to_receiver packet =
     ignore
-      (Mmt_sim.Engine.schedule_after e_d2 ~delay:p.Profile.host_overhead
+      (Mmt_sim.Engine.schedule_after engine ~delay:p.Profile.host_overhead
          (fun () -> Mmt.Receiver.on_packet receiver packet))
   in
   (match int_state with
@@ -386,8 +370,8 @@ let construct config topo =
       (* The smartNIC hosts the INT sink: strip the stack and digest it
          before the packet crosses into the host. *)
       ignore
-        (Mmt_innet.Switch.attach ~engine:e_d2 ~node:dtn2 ~profile:p.Profile.nic
-           ?ring:(node_ring dtn2)
+        (Mmt_innet.Switch.attach ~engine ~node:dtn2 ~profile:p.Profile.nic
+           ?ring
            ~elements:[ Mmt_int.Sink.element state.sink ]
            ~route:(fun _packet -> Some to_receiver)
            ())
@@ -400,16 +384,13 @@ let construct config topo =
         (* Keep the historic drop-silently default but recycle the
            dropped packet (same unrouted accounting either way). *)
         let default =
-          match node_ring node with
+          match ring with
           | Some ring -> fun packet -> Mmt_sim.Ring.in_packet_done ring packet
           | None -> ignore
         in
-        let router = Router.create ~default ?ring:(node_ring node) () in
+        let router = Router.create ~default ?ring () in
         let env =
-          Router.env router
-            ~engine:(Mmt_sim.Topology.node_engine topo node)
-            ~fresh_id:(Mmt_sim.Topology.id_source topo node)
-            ~local_ip:(Address.researcher_ip i)
+          Router.env router ~engine ~fresh_id ~local_ip:(Address.researcher_ip i)
         in
         let r =
           Mmt.Receiver.create ~env
@@ -423,14 +404,9 @@ let construct config topo =
 
   (* Sensor: mode-0 sender fed by the DAQ workload. *)
   let router_s =
-    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ?ring:(node_ring sensor)
-      ()
+    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ?ring ()
   in
-  let env_s =
-    Router.env router_s ~engine:e_sensor
-      ~fresh_id:(Mmt_sim.Topology.id_source topo sensor)
-      ~local_ip:Address.sensor_ip
-  in
+  let env_s = Router.env router_s ~engine ~fresh_id ~local_ip:Address.sensor_ip in
   let sender =
     Mmt.Sender.create ~env:env_s
       {
@@ -445,7 +421,6 @@ let construct config topo =
         padding = 0;
       }
   in
-  let sensor_ring = node_ring sensor in
   Mmt_sim.Node.set_handler sensor (fun packet ->
       (if not packet.Mmt_sim.Packet.corrupted then
          match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
@@ -460,7 +435,7 @@ let construct config topo =
                  in
                  Mmt.Sender.on_control sender header payload));
       (* The sensor consumes whatever reaches it (control + strays). *)
-      match sensor_ring with
+      match ring with
       | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
       | None -> ());
 
@@ -480,7 +455,7 @@ let construct config topo =
   let until = Units.Time.scale interval (float_of_int (config.fragment_count - 1)) in
   let workloads =
     List.init (max 1 config.slices) (fun slice ->
-        Mmt_daq.Workload.start ~engine:e_sensor
+        Mmt_daq.Workload.start ~engine
           ~rng:(Rng.split workload_rng)
           (workload_config slice)
           ~emit:(fun fragment ->
@@ -490,8 +465,7 @@ let construct config topo =
 
   {
     config;
-    engine = Mmt_sim.Topology.engine topo;
-    runner = None;
+    engine;
     topo;
     sender;
     workloads;
@@ -510,37 +484,7 @@ let construct config topo =
     int_state;
   }
 
-let build ?(shards = 1) ?(pooling = true) ?(fusing = true) config =
-  let _topo, t, runner =
-    Mmt_sim.Shard.build ~shards ~pooling ~fusing (construct config)
-  in
-  { t with runner }
-
-let run ?gc t =
-  match t.runner with
-  | Some runner -> Mmt_sim.Shard.run ?gc runner
-  | None -> (
-      match gc with
-      | None -> Mmt_sim.Engine.run t.engine
-      | Some tuning ->
-          let saved = Gc.get () in
-          Fun.protect
-            ~finally:(fun () -> Gc.set saved)
-            (fun () ->
-              Mmt_sim.Shard.apply_gc tuning;
-              Mmt_sim.Engine.run t.engine))
-
-let nshards t =
-  match t.runner with Some runner -> Mmt_sim.Shard.nshards runner | None -> 1
-
-(* End-of-run clock.  [Engine.now] is unusable in sharded mode (window
-   caps advance each shard's clock past its last event), so both paths
-   read the last executed event's timestamp — identical values, by the
-   determinism contract. *)
-let finished_at t =
-  match t.runner with
-  | Some runner -> Mmt_sim.Shard.last_event_at runner
-  | None -> Mmt_sim.Engine.last_event_at t.engine
+let run t = Mmt_sim.Engine.run t.engine
 
 type results = {
   emitted : int;
@@ -562,7 +506,7 @@ type results = {
 }
 
 let results t =
-  let finished_at = finished_at t in
+  let finished_at = Mmt_sim.Engine.last_event_at t.engine in
   ignore (Mmt_daq.Event_builder.sweep t.event_builder ~now:finished_at);
   {
     emitted =
@@ -593,9 +537,7 @@ let config (t : t) = t.config
 let engine (t : t) = t.engine
 
 let ring_stats (t : t) =
-  List.filter_map
-    (fun shard -> Option.map Mmt_sim.Ring.stats (Mmt_sim.Topology.ring_of_shard t.topo shard))
-    (List.init (Mmt_sim.Topology.nshards t.topo) Fun.id)
+  Option.to_list (Option.map Mmt_sim.Ring.stats (Mmt_sim.Topology.ring t.topo))
 
 let int_collector (t : t) =
   Option.map (fun state -> state.collector) t.int_state

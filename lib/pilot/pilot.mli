@@ -58,30 +58,13 @@ val default_config : config
 
 type t
 
-val build : ?shards:int -> ?pooling:bool -> ?fusing:bool -> config -> t
-(** Construct the pilot.  [shards] (default 1) asks for domain-per-core
-    parallel execution: the topology is cut at its WAN links (all at or
-    above {!Mmt_sim.Link.cut_threshold}) and the resulting components —
-    {e sensor+DTN 1}, {e switch}, {e DTN 2}, and each researcher — are
-    spread over up to [shards] engines via {!Mmt_sim.Shard.build}.
-    Results are byte-identical to the sequential run.  Falls back to
-    sequential when [shards < 2] or the cut yields fewer than two
-    components (e.g. a sub-millisecond [wan_rtt]).  [fusing] (default
-    [true]) lets uncongested intra-site hops collapse into single
-    engine events ({!Mmt_sim.Link.create}); [fusing:false] is the
-    [--no-fuse] differential switch — both settings produce
-    byte-identical results.  [pooling] (default
-    [true]) gives every shard a packet {!Mmt_sim.Ring}; [pooling:false]
-    opts out — either way the results are byte-identical. *)
+val build : ?pooling:bool -> config -> t
+(** Construct the pilot on a fresh engine.  [pooling] (default [true])
+    gives the topology a packet {!Mmt_sim.Ring}; [pooling:false] opts
+    out — either way the results are byte-identical. *)
 
-val run : ?gc:Mmt_sim.Shard.gc_tuning -> t -> unit
-(** Drive the simulation to quiescence — on one engine, or on one
-    domain per shard when [build] was given [~shards].  [gc] applies
-    per-domain GC tuning for the duration of the run (restored
-    afterwards on the calling domain). *)
-
-val nshards : t -> int
-(** Engines actually engaged: 1 after a sequential fallback. *)
+val run : t -> unit
+(** Drive the simulation to quiescence. *)
 
 type results = {
   emitted : int;  (** across all slices *)
@@ -109,13 +92,11 @@ val researcher_receivers : t -> Mmt.Receiver.t list
 val config : t -> config
 
 val engine : t -> Mmt_sim.Engine.t
-(** Shard 0's engine.  Sequential builds have exactly one engine, so
-    callers that schedule extra probes here should build without
-    [~shards]. *)
 
 val ring_stats : t -> Mmt_sim.Ring.stats list
-(** Per-shard packet-ring statistics (recycle ratios for the bench
-    report); empty when built with [~pooling:false]. *)
+(** The packet ring's statistics (recycle ratios for the bench
+    report) as a one-element list; empty when built with
+    [~pooling:false]. *)
 
 val int_nodes : (int * string) list
 (** INT node ids used by the topology: dtn1 = 1, tofino2 = 2,

@@ -11,7 +11,7 @@ type t
 
 val create :
   ?default:(Mmt_sim.Packet.t -> unit) -> ?ring:Mmt_sim.Ring.t -> unit -> t
-(** [ring] is the host's shard-local packet ring: packets with no
+(** [ring] is the topology's packet ring: packets with no
     route and no default sink retire into it (the router was their
     last holder), and {!env} hands it to the endpoints living on the
     host. *)

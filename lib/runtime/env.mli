@@ -4,7 +4,7 @@
     baselines) are written against this capability record instead of a
     concrete topology: a clock and timers from the simulation engine,
     an IP-addressed send primitive, fresh packet identities, and — when
-    the topology pools — the host's shard-local packet {!Mmt_sim.Ring}.
+    the topology pools — the topology's packet {!Mmt_sim.Ring}.
     The pilot layer constructs one per host from a
     {!Mmt_sim.Topology}. *)
 
@@ -20,7 +20,7 @@ type t = {
           dropped by the implementation. *)
   fresh_id : unit -> int;  (** Fresh packet identity. *)
   ring : Mmt_sim.Ring.t option;
-      (** The shard-local packet ring: new packets take slots from it
+      (** The topology's packet ring: new packets take slots from it
           and consumed packets retire into it.  [None] (pooling off)
           falls back to plain heap packets everywhere. *)
 }

@@ -53,31 +53,14 @@ type t = {
      go stale. *)
   mutable cache_at : int;
   mutable cache_tail : int;
-  (* Staged (two-phase) events.  A staged entry fires twice from one
-     heap slot: when it first reaches the root its callback runs *in
-     place* -- the entry is not popped -- and may call advance_current
-     to re-arm the same entry at a later instant with a freshly drawn
-     sequence number and a new callback.  The re-key is one sift-down
-     instead of the pop + push + slot-recycle a second event would
-     cost, and because the sequence number is drawn at the stage
-     instant, the (at, seq) keys the heap sees are exactly those of
-     the two-event schedule.  [staging] guards advance_current;
-     [adv_at] < 0 after the callback returns means the event dies. *)
-  mutable s_staged : bool array;
-  mutable staging : bool;
-  mutable adv_at : int;
-  mutable adv_seq : int;
-  mutable adv_fn : unit -> unit;
 }
 
 (* The (at, seq) key space is split into two lanes.  Ordinary events
    draw seq from a counter starting at [boundary_seq_limit], so any
    caller-supplied key below the limit sorts ahead of every ordinary
    event at the same instant.  Boundary links (see {!Link}) use that
-   low lane with keys derived from (edge id, per-edge FIFO seq) — a
-   total order both the sequential engine and the sharded runner
-   ({!Shard}) can compute identically, which is what makes sharded
-   execution byte-for-byte equal to sequential execution. *)
+   low lane with keys derived from (edge id, per-edge FIFO seq), which
+   fixes how same-instant WAN deliveries tie-break. *)
 let boundary_seq_limit = 1 lsl 60
 
 type handle = int
@@ -118,11 +101,6 @@ let create () =
     cancelled_in_heap = 0;
     cache_at = min_int;
     cache_tail = -1;
-    s_staged = Array.make cap false;
-    staging = false;
-    adv_at = -1;
-    adv_seq = 0;
-    adv_fn = no_fn;
   }
 
 let now t : Units.Time.t = Units.Time.of_int_ns t.clock
@@ -182,9 +160,6 @@ let grow t =
   t.s_fn <- fns;
   t.s_gen <- extend_int t.s_gen 0;
   t.s_next <- extend_int t.s_next (-1);
-  let staged = Array.make cap false in
-  Array.blit t.s_staged 0 staged 0 old;
-  t.s_staged <- staged;
   t.s_free <- extend_int t.s_free 0;
   for i = old to cap - 1 do
     t.s_free.(i) <- (if i = cap - 1 then t.free_head else i + 1)
@@ -206,7 +181,6 @@ let free_slot t slot =
   t.s_gen.(slot) <- (t.s_gen.(slot) + 1) land gen_mask;
   t.s_fn.(slot) <- no_fn;
   t.s_next.(slot) <- -1;
-  t.s_staged.(slot) <- false;
   t.s_free.(slot) <- t.free_head;
   t.free_head <- slot
 
@@ -249,33 +223,6 @@ let schedule t ~at fn =
 
 let schedule_after t ~delay fn =
   schedule t ~at:(Units.Time.add (now t) delay) fn
-
-(* A staged entry must stay individually addressable by the heap -- its
-   re-key moves only itself -- so it neither joins an equal-time chain
-   nor registers as the chain cache's tail (chain members ride their
-   head's key, which advancing would drag along with it). *)
-let schedule_staged t ~at fn =
-  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let handle = schedule_keyed t ~at ~seq fn in
-  t.s_staged.(handle lsr 31) <- true;
-  handle
-
-(* The sequence number is drawn here, at call time, not when [step]
-   applies the re-key after the callback returns: the callback may go
-   on to schedule further events (the link's transmit chain does), and
-   those must draw later numbers -- exactly as if the advance had been
-   an ordinary [schedule] at this point in the callback. *)
-let advance_current t ~at fn =
-  if not t.staging then
-    invalid_arg "Engine.advance_current: no staged event is executing";
-  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  t.adv_at <- at;
-  t.adv_seq <- seq;
-  t.adv_fn <- fn
 
 let schedule_boundary t ~at ~key fn =
   if key < 0 || key >= boundary_seq_limit then
@@ -372,76 +319,34 @@ let pending t = t.live
 let processed t = t.processed
 let last_event_at t = Units.Time.of_int_ns t.last_at
 
-let next_event_ns t = if t.size = 0 then max_int else t.h_at.(0)
-
 (* Top-level recursion (not a local [rec] closure): [step] and [run]
    sit on the per-event hot path, and a closure capturing [t] would be
    allocated on every call. *)
 let rec step t =
   if t.size = 0 then false
   else begin
-    let slot = t.h_slot.(0) in
-    if t.s_staged.(slot) && t.s_fn.(slot) != cancelled_fn then begin
-      (* Stage phase: run the callback with the entry still at the
-         root.  Nothing the callback is allowed to do can displace it:
-         ordinary schedules carry later sequence numbers at this or a
-         later instant, and staged callbacks must neither schedule
-         boundary events for the current instant nor cancel (a
-         compaction would rebuild the heap under us). *)
-      let at = t.h_at.(0) in
-      t.clock <- at;
-      t.last_at <- at;
-      t.processed <- t.processed + 1;
-      t.s_staged.(slot) <- false;
-      t.staging <- true;
-      t.adv_at <- -1;
-      (t.s_fn.(slot)) ();
-      t.staging <- false;
-      assert (t.h_slot.(0) = slot);
-      if t.adv_at >= 0 then begin
-        (* Re-arm in place.  The new key is a later (at, seq), so one
-           sift-down restores heap order; and the advanced entry holds
-           the newest sequence number at its instant, making it a
-           valid equal-time chain tail for subsequent schedules. *)
-        t.s_fn.(slot) <- t.adv_fn;
-        t.adv_fn <- no_fn;
-        t.h_at.(0) <- t.adv_at;
-        t.h_seq.(0) <- t.adv_seq;
-        sift_down t 0;
-        t.cache_at <- t.adv_at;
-        t.cache_tail <- slot
-      end
-      else begin
-        t.live <- t.live - 1;
-        ignore (pop t);
-        free_slot t slot
-      end;
-      true
+    let at = t.h_at.(0) in
+    let slot = take_root t in
+    let fn = t.s_fn.(slot) in
+    if fn == cancelled_fn then begin
+      t.cancelled_in_heap <- t.cancelled_in_heap - 1;
+      free_slot t slot;
+      step t
     end
     else begin
-      let at = t.h_at.(0) in
-      let slot = take_root t in
-      let fn = t.s_fn.(slot) in
-      if fn == cancelled_fn then begin
-        t.cancelled_in_heap <- t.cancelled_in_heap - 1;
-        free_slot t slot;
-        step t
-      end
-      else begin
-        t.clock <- at;
-        t.last_at <- at;
-        t.live <- t.live - 1;
-        t.processed <- t.processed + 1;
-        free_slot t slot;
-        fn ();
-        true
-      end
+      t.clock <- at;
+      t.last_at <- at;
+      t.live <- t.live - 1;
+      t.processed <- t.processed + 1;
+      free_slot t slot;
+      fn ();
+      true
     end
   end
 
 (* The run loop inlines [step]'s dispatch rather than calling it: the
-   root peek, the cancelled check and the staged check would otherwise
-   each be done twice per event.  Behaviour is identical. *)
+   root peek and the cancelled check would otherwise each be done
+   twice per event.  Behaviour is identical. *)
 let rec run_loop t limit =
   if t.size > 0 then begin
     let slot = t.h_slot.(0) in
@@ -455,39 +360,13 @@ let rec run_loop t limit =
     else begin
       let at = t.h_at.(0) in
       if at <= limit then begin
-        if t.s_staged.(slot) then begin
-          t.clock <- at;
-          t.last_at <- at;
-          t.processed <- t.processed + 1;
-          t.s_staged.(slot) <- false;
-          t.staging <- true;
-          t.adv_at <- -1;
-          fn ();
-          t.staging <- false;
-          if t.adv_at >= 0 then begin
-            t.s_fn.(slot) <- t.adv_fn;
-            t.adv_fn <- no_fn;
-            t.h_at.(0) <- t.adv_at;
-            t.h_seq.(0) <- t.adv_seq;
-            sift_down t 0;
-            t.cache_at <- t.adv_at;
-            t.cache_tail <- slot
-          end
-          else begin
-            t.live <- t.live - 1;
-            ignore (pop t);
-            free_slot t slot
-          end
-        end
-        else begin
-          ignore (take_root t);
-          t.clock <- at;
-          t.last_at <- at;
-          t.live <- t.live - 1;
-          t.processed <- t.processed + 1;
-          free_slot t slot;
-          fn ()
-        end;
+        ignore (take_root t);
+        t.clock <- at;
+        t.last_at <- at;
+        t.live <- t.live - 1;
+        t.processed <- t.processed + 1;
+        free_slot t slot;
+        fn ();
         run_loop t limit
       end
     end
@@ -537,5 +416,3 @@ let run ?until t =
   match until with
   | None -> run_ns t max_int
   | Some l -> run_ns t (Units.Time.to_ns l)
-
-let run_until t ~until = run_ns t (Units.Time.to_ns until)

@@ -11,13 +11,10 @@
     they were scheduled.  Boundary events ({!schedule_boundary}) carry
     a caller-chosen key below that counter's floor, so at any given
     instant every boundary event fires before every ordinary event,
-    ordered among themselves by key alone.  The point of the low lane:
-    a boundary key is derived from data both the sequential engine and
-    the sharded runner ({!Shard}) compute identically — (cut-edge id,
-    per-edge FIFO sequence) — whereas the ordinary counter reflects
-    global scheduling order, which only exists in a single-engine run.
-    This is what makes a sharded run byte-identical to a sequential
-    one.
+    ordered among themselves by key alone.  {!Link} uses the low lane
+    for WAN-class links, keyed by (cut-edge id, per-edge FIFO
+    sequence), which fixes how their deliveries tie-break against
+    other events at the same instant.
 
     The queue is a structure-of-arrays binary heap: timestamps and
     sequence numbers live in parallel [int] arrays, callbacks in one
@@ -66,32 +63,6 @@ val schedule : t -> at:Units.Time.t -> (unit -> unit) -> handle
 
 val schedule_after : t -> delay:Units.Time.t -> (unit -> unit) -> handle
 
-val schedule_staged : t -> at:Units.Time.t -> (unit -> unit) -> handle
-(** A {e staged} (two-phase) event: one heap entry that can fire twice.
-    At [at] the callback runs with the entry still at the heap root —
-    it may call {!advance_current} to re-arm the very same entry at a
-    later instant with a new callback; if it does not, the entry dies
-    as a normal one-shot event.  The fused link hop ({!Link}) is the
-    client: serialize + propagate become one scheduled entry, saving a
-    push, a pop and a slot recycle per hop, while the (time, sequence)
-    keys the heap orders on are exactly those the two-event schedule
-    would have produced — so fused execution order is byte-identical.
-
-    Constraints on the staged callback (it runs in place, with the
-    entry still occupying the root): it must not cancel events (a
-    compaction would rebuild the heap around the in-flight root) and
-    must not schedule boundary events for the current instant (their
-    low-lane keys would displace the root).  Ordinary {!schedule} /
-    {!schedule_after} calls are fine. *)
-
-val advance_current : t -> at:Units.Time.t -> (unit -> unit) -> unit
-(** Re-arm the staged event whose callback is currently executing: the
-    same heap entry becomes a pending event at [at] (clamped to now)
-    running the new callback, under a sequence number drawn at this
-    call — the exact number an ordinary [schedule] here would have
-    drawn, which is what keeps fused and unfused runs identical.
-    @raise Invalid_argument outside a staged callback. *)
-
 val boundary_seq_limit : int
 (** Exclusive upper bound of the boundary lane: every
     {!schedule_boundary} key lies in [\[0, boundary_seq_limit)], and
@@ -103,9 +74,7 @@ val schedule_boundary : t -> at:Units.Time.t -> key:int -> (unit -> unit) -> han
     scheduled for [at], and boundary events at the same instant fire
     in increasing [key] order.  Keys must be unique per (engine,
     instant) — {!Link} guarantees this by packing (cut-edge id,
-    per-edge FIFO sequence) into the key.  Used by boundary links in
-    sequential runs and by the sharded runner's mailbox injection, so
-    both produce the same execution order.
+    per-edge FIFO sequence) into the key.
     @raise Invalid_argument if [key] is outside the boundary lane. *)
 
 val cancel : t -> handle -> unit
@@ -125,25 +94,14 @@ val processed : t -> int
 val last_event_at : t -> Units.Time.t
 (** Timestamp of the most recently executed event (zero before any
     event has run).  Unlike {!now}, this is never advanced by
-    [run ~until]'s clock clamp, so it reads the same whether the run
-    was windowed by the sharded runner or executed in one piece. *)
-
-val next_event_ns : t -> int
-(** Nanosecond timestamp of the earliest queued entry, or [max_int]
-    when the queue is empty.  The root may be a cancelled entry, in
-    which case this is a lower bound on the next live event — still
-    safe for the sharded runner's conservative window computation,
-    which only ever needs "no event runs before this time". *)
+    [run ~until]'s clock clamp, so it marks when the simulated work
+    actually ended. *)
 
 val run : ?until:Units.Time.t -> t -> unit
 (** Execute events in order until the queue empties, or until the next
     event lies strictly beyond [until] (clock then advances to [until]).
     Re-entrant scheduling from inside events is the normal mode of
     operation. *)
-
-val run_until : t -> until:Units.Time.t -> unit
-(** [run ~until] without the option box: the sharded runner calls this
-    once per time window, and a barrier crossing must not allocate. *)
 
 val step : t -> bool
 (** Execute exactly one event; [false] when the queue is empty. *)

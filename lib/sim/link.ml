@@ -25,11 +25,8 @@ type stats = {
 (* Links whose propagation is at least this long are "boundary" links:
    their deliveries are scheduled in the engine's boundary sequence
    lane under a (cut-edge id, FIFO seq) key instead of the global
-   scheduling counter.  The threshold marks where the sharded runner
-   may cut a topology — the propagation delay is then the conservative
-   lookahead that makes cross-shard windows safe — and boundary links
-   use the keyed lane in *every* mode, sharded or not, so that
-   same-instant tie-breaking is identical everywhere. *)
+   scheduling counter, which fixes how same-instant WAN deliveries
+   tie-break against everything else. *)
 let cut_threshold = Units.Time.ms 1.
 
 let dummy_packet = Packet.create ~id:(-1) ~born:Units.Time.zero Pool.retired
@@ -53,13 +50,10 @@ type t = {
   deliver : Packet.t -> unit;
   boundary : int; (* cut-edge id, or -1 for an ordinary link *)
   mutable next_eseq : int; (* per-edge FIFO sequence for boundary keys *)
-  mutable exit : (at:Units.Time.t -> key:int -> Packet.t -> unit) option;
   mutable transmitting : bool;
   mutable serializing : Packet.t; (* the packet on the transmitter *)
   mutable on_serialized : unit -> unit; (* preallocated; set in create *)
   mutable on_propagated : unit -> unit; (* preallocated; set in create *)
-  mutable on_staged : unit -> unit; (* preallocated; set in create *)
-  fusable : bool; (* hops may fuse: fusing enabled and ordinary lane *)
   (* In-flight circular FIFO.  Propagation is constant per link and
      engine time is monotonic, so deliveries complete in the order
      serializations complete: the delivery closures can be one shared
@@ -125,7 +119,8 @@ let flight_pop t =
   t.flight_len <- t.flight_len - 1;
   packet
 
-let deliver_now t packet =
+let propagated t =
+  let packet = flight_pop t in
   t.delivered <- t.delivered + 1;
   t.delivered_bytes <-
     t.delivered_bytes + Units.Size.to_bytes (Packet.wire_size packet);
@@ -140,20 +135,13 @@ let deliver_after_propagation t packet =
   end
   else begin
     (* Boundary link: the delivery key is (cut-edge id, per-edge FIFO
-       sequence) — data that does not depend on which engine runs the
-       delivery, so a sequential run and a sharded run order
-       same-instant deliveries identically.  When a shard runner has
-       installed an exit hook the packet leaves through its mailbox
-       instead of this engine's heap; the receiving shard re-schedules
-       it under the same (at, key). *)
+       sequence), so same-instant deliveries fire ahead of ordinary
+       events, in edge-creation order. *)
     let at = Units.Time.add (Engine.now t.engine) t.propagation in
     let key = (t.boundary lsl 40) lor t.next_eseq in
     t.next_eseq <- t.next_eseq + 1;
-    match t.exit with
-    | Some exit -> exit ~at ~key packet
-    | None ->
-        flight_push t packet;
-        ignore (Engine.schedule_boundary t.engine ~at ~key t.on_propagated)
+    flight_push t packet;
+    ignore (Engine.schedule_boundary t.engine ~at ~key t.on_propagated)
   end
 
 let serialization_time t packet =
@@ -173,18 +161,7 @@ let start_serializing t packet =
   t.serializing <- packet;
   let serialization = serialization_time t packet in
   t.busy <- Units.Time.add t.busy serialization;
-  if t.fusable then
-    (* Fused hop: one staged engine event covers serialization and
-       propagation.  Its stage phase runs [staged_serialized] — the
-       serialize-time semantics, verbatim — and re-arms the same
-       heap entry as the propagate event instead of scheduling a
-       second one. *)
-    ignore
-      (Engine.schedule_staged t.engine
-         ~at:(Units.Time.add (Engine.now t.engine) serialization)
-         t.on_staged)
-  else
-    ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
+  ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
 
 let transmit_next t =
   let packet = Queue_model.poll t.queue ~now:(Engine.now t.engine) in
@@ -226,59 +203,9 @@ let serialized t =
          | Some _ | None -> deliver_after_propagation t packet));
   transmit_next t
 
-let propagated t = deliver_now t (flight_pop t)
-
-(* Stage phase of a fused hop: [serialized] verbatim, except that a
-   surviving packet re-arms the staged event as the propagate event
-   ([Engine.advance_current]) instead of scheduling a fresh one.  The
-   advance draws its sequence number at this instant — exactly where
-   [deliver_after_propagation] would have drawn it — and every other
-   decision (up check, loss draw, tamper, observer, stats, the tail
-   call into [transmit_next]) runs here at serialize-completion time
-   with current link state, so a fused run is byte-identical to an
-   unfused one under faults, impairment, and tracing alike.  Only
-   ordinary-lane links fuse, so the boundary branch of
-   [deliver_after_propagation] is never bypassed. *)
-let advance_propagation t packet =
-  flight_push t packet;
-  Engine.advance_current t.engine
-    ~at:(Units.Time.add (Engine.now t.engine) t.propagation)
-    t.on_propagated
-
-let staged_serialized t =
-  let packet = t.serializing in
-  t.serializing <- dummy_packet;
-  t.transmitted <- t.transmitted + 1;
-  observe t Transmitted packet;
-  (if not t.up then begin
-     t.fault_drops <- t.fault_drops + 1;
-     observe t Fault_dropped packet;
-     retire t packet
-   end
-   else
-     match Loss.decide t.loss with
-     | Loss.Drop ->
-         t.loss_drops <- t.loss_drops + 1;
-         observe t Loss_dropped packet;
-         retire t packet
-     | Loss.Corrupt ->
-         packet.Packet.corrupted <- true;
-         t.corrupted <- t.corrupted + 1;
-         observe t Corrupted packet;
-         advance_propagation t packet
-     | Loss.Deliver -> (
-         match t.tamper with
-         | Some tamper when tamper packet ->
-             t.tampered <- t.tampered + 1;
-             observe t Corrupted packet;
-             advance_propagation t packet
-         | Some _ | None -> advance_propagation t packet));
-  transmit_next t
-
 let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
     ?(queue = Queue_model.droptail ~capacity:(Units.Size.mib 4) ())
-    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ?(fusing = true)
-    ~deliver () =
+    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
   let t =
     {
       engine;
@@ -293,16 +220,10 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
       deliver;
       boundary;
       next_eseq = 0;
-      exit = None;
       transmitting = false;
       serializing = dummy_packet;
       on_serialized = ignore;
       on_propagated = ignore;
-      on_staged = ignore;
-      (* Fusion never touches the boundary key lane: a cut edge's
-         deliveries must carry the (edge id, FIFO seq) key in every
-         mode. *)
-      fusable = fusing && boundary < 0;
       flight = Array.make 16 dummy_packet;
       flight_head = 0;
       flight_len = 0;
@@ -324,7 +245,6 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
   in
   t.on_serialized <- (fun () -> serialized t);
   t.on_propagated <- (fun () -> propagated t);
-  t.on_staged <- (fun () -> staged_serialized t);
   t
 
 let send t packet =
@@ -354,12 +274,6 @@ let name t = t.name
 let rate t = t.rate
 let propagation t = t.propagation
 let queue t = t.queue
-let is_boundary t = t.boundary >= 0
-let boundary_id t = t.boundary
-let set_boundary_exit t exit =
-  if t.boundary < 0 then
-    invalid_arg ("Link.set_boundary_exit: " ^ t.name ^ " is not a boundary link");
-  t.exit <- exit
 let is_up t = t.up
 let set_up t up = t.up <- up
 let set_rate t rate = t.rate <- rate

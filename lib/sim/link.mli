@@ -9,10 +9,8 @@
     {e boundary} links: the topology gives each a cut-edge id, and
     their deliveries are scheduled in the engine's boundary sequence
     lane ({!Engine.schedule_boundary}) under a key packed from
-    (cut-edge id, per-edge FIFO sequence).  That keyed order is
-    mode-independent, which is what lets the sharded runner
-    ({!Shard}) cut a topology at these links and still reproduce the
-    sequential run byte for byte. *)
+    (cut-edge id, per-edge FIFO sequence), so at any instant their
+    deliveries fire before ordinary events, in edge-creation order. *)
 
 open Mmt_util
 
@@ -43,9 +41,8 @@ type stats = {
 
 val cut_threshold : Units.Time.t
 (** Propagation delay (1 ms) at or above which a link is treated as a
-    boundary link.  Anything this slow dwarfs intra-site switching
-    latencies, so cutting a topology there gives the sharded runner a
-    conservative lookahead window that costs nothing in fidelity. *)
+    boundary link: anything this slow is WAN-class, dwarfing
+    intra-site switching latencies. *)
 
 val create :
   engine:Engine.t ->
@@ -58,7 +55,6 @@ val create :
   ?ring:Ring.t ->
   ?observer:(event -> Packet.t -> unit) ->
   ?boundary:int ->
-  ?fusing:bool ->
   deliver:(Packet.t -> unit) ->
   unit ->
   t
@@ -73,21 +69,10 @@ val create :
     assigns ids in creation order to every link at or above
     {!cut_threshold}.
 
-    [fusing] (default [true]) enables the fused hop: each packet's
-    serialize and propagate events collapse into a single {e staged}
-    engine event ({!Engine.schedule_staged}).  Its stage phase fires
-    at serialize-completion time and runs the serialize-time semantics
-    verbatim — up check, loss draw, tamper, observer callbacks, stats,
-    and the tail poll for the next packet — then re-arms the same heap
-    entry as the propagate event instead of scheduling a second one,
-    saving a heap push, a pop and a slot recycle per hop.  Every
-    decision still executes at the same instant with the same link
-    state and the same sequence-number draws as the two-event path, so
-    fused and unfused runs are byte-identical under congestion,
-    faults, impairment, and tracing alike.  Boundary cut edges never
-    fuse: their deliveries must carry the boundary-lane key in every
-    mode.  [fusing:false] opts out entirely (the [--no-fuse]
-    differential switch). *)
+    Every hop is two engine events: a serialize event when the packet
+    leaves the transmitter (up check, loss draw, tamper, observer
+    callbacks, stats, and the poll for the next packet), then a
+    propagate event that hands the packet to [deliver]. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue for transmission; drops (with accounting) if the queue is
@@ -102,12 +87,9 @@ val queue : t -> Queue_model.t
 
     The fault-injection layer ({!Mmt_fault}) drives links through
     these; all default to the healthy state, in which the link
-    behaves exactly as it always did.  The hooks need no special
-    handling for fused hops: a fused hop's serialize-time decisions
-    run inside the staged event at serialize-completion time, reading
-    link state {e then} — so a hook firing mid-hop is observed by
-    in-flight packets exactly as the two-event path would observe it,
-    and a brown-out produces the identical ledger either way. *)
+    behaves exactly as it always did.  Up state and the tamperer are
+    read when a packet finishes serializing, so a hook that fires
+    while a packet is on the transmitter applies to that packet. *)
 
 val is_up : t -> bool
 
@@ -127,34 +109,6 @@ val set_tamper : t -> (Packet.t -> bool) option -> unit
     loss model.  Returning [true] means it mutated the frame's bytes
     in place; the packet is delivered (the corrupted oracle flag is
     NOT set — detection must come from checksums). *)
-
-(** {2 Sharding hooks}
-
-    Used by {!Shard} to route a boundary link's deliveries through a
-    cross-shard mailbox; plain sequential runs never touch these. *)
-
-val is_boundary : t -> bool
-(** Whether the link's propagation reached {!cut_threshold} at
-    construction (equivalently: it holds a cut-edge id). *)
-
-val boundary_id : t -> int
-(** The link's cut-edge id, or [-1] for an ordinary link. *)
-
-val set_boundary_exit :
-  t -> (at:Units.Time.t -> key:int -> Packet.t -> unit) option -> unit
-(** Install (or clear) the exit hook.  With a hook installed, packets
-    finishing propagation are handed to it — carrying the same arrival
-    time and boundary-lane key a sequential run would have scheduled —
-    instead of entering this engine's heap.  The sharded runner's hook
-    pushes into the edge's mailbox; the receiving shard re-schedules
-    under the identical [(at, key)] via {!deliver_now}.
-    @raise Invalid_argument on a non-boundary link. *)
-
-val deliver_now : t -> Packet.t -> unit
-(** Complete a delivery immediately: account it, bump the packet's hop
-    count, notify the observer, and invoke the delivery callback.
-    Only the sharded runner calls this, from the boundary event it
-    schedules on the receiving shard's engine. *)
 
 val stats : t -> stats
 val utilization : t -> over:Units.Time.t -> float

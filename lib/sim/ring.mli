@@ -19,10 +19,10 @@
       Holding a reference after that point is a use-after-free bug:
       the slot's [gen] was bumped and the record will be rewritten by
       a future acquire.  Double-done is a counted no-op.
-    - A slot must never cross a shard boundary: domains own disjoint
-      rings.  {!detach} converts a slot packet into a floating record
-      (the frame travels, the slot frees immediately) right before a
-      mailbox push.
+    - A slot never leaves its ring.  {!detach} converts a slot packet
+      into a floating record (the frame travels, the slot frees
+      immediately) for a packet handed to a holder outside the ring's
+      ownership protocol.
 
     Every operation falls back gracefully: past [max_slots] the ring
     hands out floating heap records (counted in [overflow]), and
@@ -40,7 +40,7 @@ type stats = {
   retired : int;  (** Total {!in_packet_done} retirements. *)
   double_done : int;  (** Redundant/stale retirements (no-ops). *)
   overflow : int;  (** Acquires served as floating records. *)
-  detached : int;  (** Slot packets converted for shard crossing. *)
+  detached : int;  (** Slot packets converted by {!detach}. *)
 }
 
 val create : ?slots:int -> ?max_slots:int -> ?pool:Pool.t -> unit -> t
@@ -73,7 +73,6 @@ val in_packet_done : t -> Packet.t -> unit
 
 val detach : t -> Packet.t -> Packet.t
 (** [detach t p] frees [p]'s slot and returns a floating record that
-    adopts [p]'s frame — used when a packet leaves this ring's domain
-    through a shard mailbox.  Identity on already-floating packets. *)
+    adopts [p]'s frame.  Identity on already-floating packets. *)
 
 val stats : t -> stats

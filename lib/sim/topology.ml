@@ -1,126 +1,54 @@
 open Mmt_util
 
 type t = {
-  engines : Engine.t array;
-  assign : (string -> int) option; (* node name -> shard; None = all on 0 *)
+  engine : Engine.t;
   trace : Trace.t option;
-  fusing : bool; (* links created through this topology may fuse hops *)
-  pools : Pool.t option array; (* per shard, same length as [engines] *)
-  rings : Ring.t option array; (* per shard, same length as [engines] *)
-  next_ids : int array; (* per-shard packet-id counters *)
+  pool : Pool.t option;
+  ring : Ring.t option;
+  mutable next_id : int;
   node_by_name : (string, Node.t) Hashtbl.t;
-  shard_by_name : (string, int) Hashtbl.t;
   mutable node_order : Node.t list; (* reversed *)
   mutable link_order : Link.t list; (* reversed *)
-  mutable edge_order : (Node.t * Node.t * Link.t) list; (* reversed *)
   mutable next_boundary : int;
 }
 
-let make ~engines ~assign ~trace ~fusing ~pools ~rings =
+(* Pooling is the default: unless the caller opts out (or supplied its
+   own ring), the topology gets a packet ring whose embedded pool also
+   serves the copy paths that only want frames. *)
+let create ~engine ?trace ?pool ?ring ?(pooling = true) () =
+  let ring =
+    match ring with
+    | Some _ -> ring
+    | None -> if pooling then Some (Ring.create ?pool ()) else None
+  in
+  let pool = match ring with Some r -> Some (Ring.pool r) | None -> pool in
   {
-    engines;
-    assign;
+    engine;
     trace;
-    fusing;
-    pools;
-    rings;
-    next_ids = Array.make (Array.length engines) 0;
+    pool;
+    ring;
+    next_id = 0;
     node_by_name = Hashtbl.create 16;
-    shard_by_name = Hashtbl.create 16;
     node_order = [];
     link_order = [];
-    edge_order = [];
     next_boundary = 0;
   }
 
-(* Pooling is the default: unless the caller opts out (or supplied its
-   own ring), every shard gets a packet ring whose embedded pool also
-   serves the copy paths that only want frames. *)
-let ring_for ~pooling ~ring ~pool =
-  match ring with
-  | Some _ -> ring
-  | None -> if pooling then Some (Ring.create ?pool ()) else None
-
-let pool_behind ~ring ~pool =
-  match ring with Some r -> Some (Ring.pool r) | None -> pool
-
-let create ~engine ?trace ?pool ?ring ?(pooling = true) ?(fusing = true) () =
-  let ring = ring_for ~pooling ~ring ~pool in
-  let pool = pool_behind ~ring ~pool in
-  make ~engines:[| engine |] ~assign:None ~trace ~fusing ~pools:[| pool |]
-    ~rings:[| ring |]
-
-let create_sharded ~engines ~assign ?pools ?rings ?(pooling = true)
-    ?(fusing = true) () =
-  if Array.length engines = 0 then
-    invalid_arg "Topology.create_sharded: no engines";
-  let n = Array.length engines in
-  let pools =
-    match pools with
-    | Some pools ->
-        if Array.length pools <> n then
-          invalid_arg "Topology.create_sharded: one pool per engine required";
-        Array.map Option.some pools
-    | None -> Array.make n None
-  in
-  let rings =
-    match rings with
-    | Some rings ->
-        if Array.length rings <> n then
-          invalid_arg "Topology.create_sharded: one ring per engine required";
-        Array.map Option.some rings
-    | None ->
-        Array.init n (fun i -> ring_for ~pooling ~ring:None ~pool:pools.(i))
-  in
-  let pools =
-    Array.init n (fun i -> pool_behind ~ring:rings.(i) ~pool:pools.(i))
-  in
-  make ~engines ~assign:(Some assign) ~trace:None ~fusing ~pools ~rings
-
-let engine t = t.engines.(0)
-let nshards t = Array.length t.engines
+let engine t = t.engine
 let trace t = t.trace
-let pool t = t.pools.(0)
-let pool_of_shard t shard = t.pools.(shard)
-let ring t = t.rings.(0)
-let ring_of_shard t shard = t.rings.(shard)
+let pool t = t.pool
+let ring t = t.ring
 
-let shard_of_node t node =
-  match t.assign with
-  | None -> 0
-  | Some _ -> Hashtbl.find t.shard_by_name (Node.name node)
-
-let node_engine t node = t.engines.(shard_of_node t node)
-
-(* Packet ids are unique across shards by construction — shard [s]
-   draws from the residue class [s mod nshards] — and each counter is
-   touched only by the domain running that shard.  The values differ
-   between a 1-shard and an N-shard run of the same scenario, which is
-   fine because ids are pure identity: nothing in the protocol stack
-   or the reports orders on them. *)
-let fresh_id_for t shard =
-  let n = t.next_ids.(shard) in
-  t.next_ids.(shard) <- n + 1;
-  (n * Array.length t.engines) + shard
-
-let fresh_packet_id t = fresh_id_for t 0
-
-let id_source t node =
-  let shard = shard_of_node t node in
-  fun () -> fresh_id_for t shard
+let fresh_packet_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
 
 let add_node t ~name =
   if Hashtbl.mem t.node_by_name name then
     invalid_arg ("Topology.add_node: duplicate node " ^ name);
   let node = Node.create ~name in
   Hashtbl.replace t.node_by_name name node;
-  (match t.assign with
-  | None -> ()
-  | Some assign ->
-      let shard = assign name in
-      if shard < 0 || shard >= Array.length t.engines then
-        invalid_arg ("Topology.add_node: shard out of range for " ^ name);
-      Hashtbl.replace t.shard_by_name name shard);
   t.node_order <- node :: t.node_order;
   node
 
@@ -131,35 +59,24 @@ let find_node t name =
 
 let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   let name = Node.name src ^ "->" ^ Node.name dst in
-  let shard = shard_of_node t src in
-  let engine = t.engines.(shard) in
   (* Boundary ids are assigned in creation order to every link at or
-     above the cut threshold, in every mode — identical construction
-     order therefore yields identical delivery keys, sharded or not. *)
+     above the cut threshold. *)
   let boundary =
     if Units.Time.(propagation >= Link.cut_threshold) then begin
       let id = t.next_boundary in
       t.next_boundary <- id + 1;
       id
     end
-    else begin
-      if shard_of_node t dst <> shard then
-        invalid_arg
-          ("Topology.connect: " ^ name
-         ^ " crosses shards below the cut threshold");
-      -1
-    end
+    else -1
   in
   let observer =
-    Option.map (fun trace -> Trace.observer trace ~engine ~link:name) t.trace
+    Option.map (fun trace -> Trace.observer trace ~engine:t.engine ~link:name) t.trace
   in
   let link =
-    Link.create ~engine ~name ~rate ~propagation ?loss ?queue
-      ?pool:t.pools.(shard) ?ring:t.rings.(shard) ?observer ~boundary
-      ~fusing:t.fusing ~deliver:(Node.handle dst) ()
+    Link.create ~engine:t.engine ~name ~rate ~propagation ?loss ?queue
+      ?pool:t.pool ?ring:t.ring ?observer ~boundary ~deliver:(Node.handle dst) ()
   in
   t.link_order <- link :: t.link_order;
-  t.edge_order <- (src, dst, link) :: t.edge_order;
   link
 
 let duplex t ~a ~b ~rate ~propagation ?loss_ab ?loss_ba ?queue_ab ?queue_ba () =
@@ -169,4 +86,3 @@ let duplex t ~a ~b ~rate ~propagation ?loss_ab ?loss_ba ?queue_ab ?queue_ba () =
 
 let links t = List.rev t.link_order
 let nodes t = List.rev t.node_order
-let edges t = List.rev t.edge_order

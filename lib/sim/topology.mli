@@ -1,19 +1,12 @@
-(** Topology construction: nodes wired by links, plus shared identity
-    allocation for packets.
+(** Topology construction: nodes wired by links on one engine, plus
+    shared identity allocation for packets.
 
     Topologies in this reproduction are the paper's: linear
     sensor → DTN → switch → DTN chains with optional fan-out to
     downstream researchers (Fig. 1, Fig. 4), and the facility
-    generator's multi-site fan-in trees.
-
-    A topology can span several engines.  {!create} is the ordinary
-    single-engine form; {!create_sharded} places every node on one of
-    N engines (one per shard) and every link on its source node's
-    engine.  Links at or above {!Link.cut_threshold} receive a
-    cut-edge id in creation order — in {e every} mode, so their
-    keyed delivery order is identical whether the topology runs on one
-    engine or many — and they are the only links allowed to cross
-    shards. *)
+    generator's multi-site fan-in trees.  Links at or above
+    {!Link.cut_threshold} receive a cut-edge id in creation order,
+    which keys their same-instant delivery order. *)
 
 open Mmt_util
 
@@ -25,7 +18,6 @@ val create :
   ?pool:Pool.t ->
   ?ring:Ring.t ->
   ?pooling:bool ->
-  ?fusing:bool ->
   unit ->
   t
 (** When [trace] is given, every link created through this topology
@@ -35,67 +27,23 @@ val create :
     retires the packets it drops into it; {!pool} then exposes the
     ring's embedded frame pool for copy paths.  [pooling:false]
     restores the legacy behaviour: no ring, and frames recycle only
-    when an explicit [pool] was given.  Fusing is likewise on by
-    default: links collapse uncongested hops into single engine events
-    (see {!Link.create}); [fusing:false] opts every link out — the
-    [--no-fuse] differential switch. *)
-
-val create_sharded :
-  engines:Engine.t array ->
-  assign:(string -> int) ->
-  ?pools:Pool.t array ->
-  ?rings:Ring.t array ->
-  ?pooling:bool ->
-  ?fusing:bool ->
-  unit ->
-  t
-(** A topology spread over one engine per shard.  [assign] maps a node
-    name to its shard (consulted once, at {!add_node}).  Each shard
-    gets its own packet ring (default) or pool, so no allocation state
-    is shared between domains — slots must never cross a shard
-    boundary ({!Ring.detach}).  Tracing is unavailable in sharded
-    mode.
-    @raise Invalid_argument if [engines] is empty or [pools]/[rings]
-    has a different length. *)
+    when an explicit [pool] was given. *)
 
 val engine : t -> Engine.t
-(** Shard 0's engine — the only engine of a {!create}d topology. *)
-
-val nshards : t -> int
-
-val node_engine : t -> Node.t -> Engine.t
-(** The engine of the shard [node] lives on.  Components attached to
-    [node] must schedule their events here. *)
-
-val shard_of_node : t -> Node.t -> int
-
 val trace : t -> Trace.t option
+
 val pool : t -> Pool.t option
-(** Shard 0's frame pool, if any (a ring's embedded pool when the
+(** The topology's frame pool, if any (a ring's embedded pool when the
     topology owns a ring). *)
 
-val pool_of_shard : t -> int -> Pool.t option
-
 val ring : t -> Ring.t option
-(** Shard 0's packet ring, if any. *)
-
-val ring_of_shard : t -> int -> Ring.t option
+(** The topology's packet ring, if any. *)
 
 val fresh_packet_id : t -> int
-(** Unique (per topology) packet identity, drawn from shard 0's
-    counter.  Sequential callers use this; sharded construction sites
-    use {!id_source} so each domain draws from its own counter. *)
-
-val id_source : t -> Node.t -> unit -> int
-(** [id_source t node] is an allocator of topology-unique packet ids
-    safe to call from [node]'s shard: shard [s] draws ids in the
-    residue class [s mod nshards], so no counter is shared between
-    domains.  Ids are pure identity — nothing orders on them — so the
-    different numbering of a sharded run does not affect reports. *)
+(** Unique (per topology) packet identity, counting up from 0. *)
 
 val add_node : t -> name:string -> Node.t
-(** @raise Invalid_argument on duplicate names, or (sharded) when
-    [assign] returns an out-of-range shard. *)
+(** @raise Invalid_argument on duplicate names. *)
 
 val find_node : t -> string -> Node.t
 (** @raise Not_found for unknown names. *)
@@ -111,12 +59,8 @@ val connect :
   unit ->
   Link.t
 (** Unidirectional [src -> dst] link delivering into [dst]'s handler.
-    The link lives on [src]'s engine.  Links with [propagation] at or
-    above {!Link.cut_threshold} are created as boundary links with the
-    next cut-edge id.
-    @raise Invalid_argument if [src] and [dst] sit on different shards
-    and [propagation] is below the cut threshold — only WAN-class
-    links may cross shards. *)
+    Links with [propagation] at or above {!Link.cut_threshold} are
+    created as boundary links with the next cut-edge id. *)
 
 val duplex :
   t ->
@@ -137,8 +81,3 @@ val links : t -> Link.t list
 
 val nodes : t -> Node.t list
 (** All nodes in creation order. *)
-
-val edges : t -> (Node.t * Node.t * Link.t) list
-(** All links with their endpoints, in creation order.  The sharded
-    runner walks this to find the cut edges whose mailboxes it must
-    wire. *)

@@ -379,88 +379,64 @@ let test_chaos_pooling_byte_identical () =
   Alcotest.(check bool) "outcomes identical with pools on and off" true
     (pooled = plain)
 
-let test_chaos_fusing_byte_identical () =
-  (* Fused hops collapse serialize + propagate into one staged engine
-     event.  Under an E-R1-style plan — element death, wire tampering
-     on a specific link, random loss — every loss draw, tamper
-     decision and recovery race must still land on the same packet at
-     the same instant, so the outcome record must be field-for-field
-     identical with fusing off. *)
-  let p =
-    C.params ~fragment_count:1200
-      ~plan:
-        (Fault.Plan.make
-           [
-             Fault.Plan.event ~at:(ms 2.) (Fault.Plan.Fail_element "buffer-a");
-             Fault.Plan.event ~at:(ms 3.)
-               (Fault.Plan.Corrupt_headers
-                  { link = "buffer-b->sink"; probability = 0.01; bits = 2 });
-             Fault.Plan.event ~at:(ms 20.)
-               (Fault.Plan.Stop_corrupting "buffer-b->sink");
-             Fault.Plan.event ~at:(ms 40.)
-               (Fault.Plan.Restart_element "buffer-a");
-           ])
+(* Fault hooks firing mid-hop ---------------------------------------------- *)
+
+let test_fault_hooks_mid_hop () =
+  (* Up state and the tamperer are read when a packet finishes
+     serializing, so a hook that fires while a packet is on the
+     transmitter applies to that packet, and a downed link destroys
+     what leaves the wire.  Timeline (1000 B at 0.8 Gbps = 10 us on the
+     wire, 20 us propagation): p1 starts at 0, a tamperer lands at 5 us
+     and must hit it at 10 us; p2 starts at 12 us (tamperer already
+     cleared), the link goes down at 15 us and must destroy p2 at the
+     wire at 22 us; p3 starts after recovery and survives; p4 starts
+     after a rate degrade and serializes at the new rate.  A second
+     link goes down at 30 us while p5, serialized at 20 us, is still
+     propagating: packets already in flight are past the wire and
+     arrive. *)
+  let engine = Sim.Engine.create () in
+  let delivered = ref 0 in
+  let link =
+    Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 0.8)
+      ~propagation:(us 20.)
+      ~deliver:(fun _ -> incr delivered)
       ()
   in
-  let fused = C.run p in
-  let unfused = C.run ~fusing:false p in
-  Alcotest.(check (list string)) "no invariant violations (fused)" []
-    fused.C.violations;
-  Alcotest.(check bool) "outcomes identical with fusing on and off" true
-    (fused = unfused)
-
-(* Fault hooks firing mid-hop on a fused link ----------------------------- *)
-
-let test_fault_hooks_mid_fused_hop () =
-  (* A fused hop's serialize-time decisions run inside the staged
-     event at serialize-completion time, reading link state then — so
-     a fault hook firing while a packet is on the transmitter must be
-     observed by that in-flight packet exactly as the two-event path
-     observes it.  Timeline (1000 B at 0.8 Gbps = 10 us on the wire):
-     p1 starts at 0, a tamperer lands at 5 us and must hit it at
-     10 us; p2 starts at 12 us (tamperer already cleared), the link
-     goes down at 15 us and must destroy p2 at the wire at 22 us;
-     p3 starts after recovery and survives; p4 starts after a rate
-     degrade and serializes at the new rate. *)
-  let run ~fusing =
-    let engine = Sim.Engine.create () in
-    let delivered = ref 0 in
-    let link =
-      Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 0.8)
-        ~propagation:(us 20.) ~fusing
-        ~deliver:(fun _ -> incr delivered)
-        ()
-    in
-    let at t fn = ignore (Sim.Engine.schedule engine ~at:t fn) in
-    at (us 0.) (fun () -> Sim.Link.send link (mk_packet ~id:1 1000));
-    at (us 5.) (fun () -> Sim.Link.set_tamper link (Some (fun _ -> true)));
-    at (us 12.) (fun () ->
-        Sim.Link.set_tamper link None;
-        Sim.Link.send link (mk_packet ~id:2 1000));
-    at (us 15.) (fun () -> Sim.Link.set_up link false);
-    at (us 25.) (fun () -> Sim.Link.set_up link true);
-    at (us 26.) (fun () -> Sim.Link.send link (mk_packet ~id:3 1000));
-    at (us 40.) (fun () -> Sim.Link.set_rate link (Units.Rate.gbps 0.4));
-    at (us 41.) (fun () -> Sim.Link.send link (mk_packet ~id:4 1000));
-    Sim.Engine.run engine;
-    (Sim.Link.stats link, Sim.Engine.processed engine, !delivered)
+  let in_flight = ref 0 in
+  let flight_link =
+    Sim.Link.create ~engine ~name:"f" ~rate:(Units.Rate.gbps 0.8)
+      ~propagation:(us 20.)
+      ~deliver:(fun _ -> incr in_flight)
+      ()
   in
-  let f_stats, f_processed, f_delivered = run ~fusing:true in
-  let u_stats, u_processed, u_delivered = run ~fusing:false in
-  Alcotest.(check bool) "full stats identical fused vs unfused" true
-    (f_stats = u_stats);
-  Alcotest.(check int) "engine event counts identical" u_processed f_processed;
-  Alcotest.(check int) "deliveries identical" u_delivered f_delivered;
-  Alcotest.(check int) "tamperer hit the in-flight packet" 1
-    f_stats.Sim.Link.tampered;
-  Alcotest.(check int) "downed wire destroyed the in-flight packet" 1
-    f_stats.Sim.Link.fault_drops;
-  Alcotest.(check int) "survivors delivered" 3 f_delivered;
-  (* p4 serialized at the degraded rate: its 20 us on the wire is in
-     [busy], which the stats identity above already pinned; make the
-     absolute value explicit too (10 + 10 + 10 + 20 us). *)
+  let at t fn = ignore (Sim.Engine.schedule engine ~at:t fn) in
+  at (us 0.) (fun () -> Sim.Link.send link (mk_packet ~id:1 1000));
+  at (us 5.) (fun () -> Sim.Link.set_tamper link (Some (fun _ -> true)));
+  at (us 10.) (fun () -> Sim.Link.send flight_link (mk_packet ~id:5 1000));
+  at (us 12.) (fun () ->
+      Sim.Link.set_tamper link None;
+      Sim.Link.send link (mk_packet ~id:2 1000));
+  at (us 15.) (fun () -> Sim.Link.set_up link false);
+  at (us 25.) (fun () -> Sim.Link.set_up link true);
+  at (us 26.) (fun () -> Sim.Link.send link (mk_packet ~id:3 1000));
+  at (us 30.) (fun () -> Sim.Link.set_up flight_link false);
+  at (us 40.) (fun () -> Sim.Link.set_rate link (Units.Rate.gbps 0.4));
+  at (us 41.) (fun () -> Sim.Link.send link (mk_packet ~id:4 1000));
+  Sim.Engine.run engine;
+  let stats = Sim.Link.stats link in
+  Alcotest.(check int) "tamperer hit the packet on the transmitter" 1
+    stats.Sim.Link.tampered;
+  Alcotest.(check int) "downed wire destroyed the packet on the transmitter" 1
+    stats.Sim.Link.fault_drops;
+  Alcotest.(check int) "survivors delivered" 3 !delivered;
+  Alcotest.(check int) "all four serialized" 4 stats.Sim.Link.transmitted;
+  (* p4 serialized at the degraded rate: 10 + 10 + 10 + 20 us. *)
   Alcotest.(check bool) "busy reflects the degraded rate" true
-    (Units.Time.equal f_stats.Sim.Link.busy (us 50.))
+    (Units.Time.equal stats.Sim.Link.busy (us 50.));
+  Alcotest.(check int) "packet in flight when the link went down arrives" 1
+    !in_flight;
+  Alcotest.(check int) "no fault drop for the in-flight packet" 0
+    (Sim.Link.stats flight_link).Sim.Link.fault_drops
 
 (* E-R1 determinism ------------------------------------------------------- *)
 
@@ -506,10 +482,8 @@ let suite =
       test_chaos_empty_plan_is_faultless;
     Alcotest.test_case "chaos pool-on/off byte-identical" `Slow
       test_chaos_pooling_byte_identical;
-    Alcotest.test_case "chaos fuse-on/off byte-identical" `Slow
-      test_chaos_fusing_byte_identical;
-    Alcotest.test_case "fault hooks land mid-fused-hop" `Quick
-      test_fault_hooks_mid_fused_hop;
+    Alcotest.test_case "fault hooks land mid-hop" `Quick
+      test_fault_hooks_mid_hop;
     Alcotest.test_case "E-R1 deterministic across domains" `Slow
       test_er1_deterministic_across_domains;
   ]

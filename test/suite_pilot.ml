@@ -71,31 +71,6 @@ let test_pilot_determinism () =
     || r1.Mmt_pilot.Pilot.receiver.Mmt.Receiver.gaps_detected
        <> r3.Mmt_pilot.Pilot.receiver.Mmt.Receiver.gaps_detected)
 
-let test_pilot_sharded_identical () =
-  (* The full results record — receiver, buffer, switch, link and
-     researcher stats, goodput, finished_at — must match the sequential
-     run field for field at every shard count.  Loss + researchers +
-     backpressure pushes NAKs, retransmissions, duplicates and pace
-     signals across every cut edge. *)
-  let config =
-    quick_pilot ~fragment_count:400 ~wan_loss:0.01 ~researchers:2
-      ~backpressure:true ~seed:9L ()
-  in
-  let _p, seq = run config in
-  List.iter
-    (fun shards ->
-      let pilot = Mmt_pilot.Pilot.build ~shards config in
-      Mmt_pilot.Pilot.run pilot;
-      let sh = Mmt_pilot.Pilot.results pilot in
-      Alcotest.(check bool)
-        (Printf.sprintf "shards=%d: results identical" shards)
-        true (seq = sh);
-      Alcotest.(check int)
-        (Printf.sprintf "shards=%d: engines engaged" shards)
-        shards
-        (Mmt_pilot.Pilot.nshards pilot))
-    [ 2; 3; 4 ]
-
 let test_pilot_duplication_to_researchers () =
   let _pilot, r = run (quick_pilot ~researchers:2 ~wan_loss:0. ~wan_corrupt:0. ()) in
   Alcotest.(check int) "two researcher stats" 2
@@ -269,7 +244,6 @@ let suite =
     Alcotest.test_case "pilot in-network mode changes" `Slow test_pilot_mode_changes_in_network;
     Alcotest.test_case "pilot lossless clean" `Slow test_pilot_lossless_is_clean;
     Alcotest.test_case "pilot determinism" `Slow test_pilot_determinism;
-    Alcotest.test_case "pilot sharded identical" `Slow test_pilot_sharded_identical;
     Alcotest.test_case "pilot duplication" `Slow test_pilot_duplication_to_researchers;
     Alcotest.test_case "pilot deadline budget" `Slow test_pilot_deadline_budget;
     Alcotest.test_case "pilot fabric vs physical" `Slow test_pilot_fabric_profile_slower;

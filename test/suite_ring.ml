@@ -1,7 +1,6 @@
 (* The preallocated packet ring: slot recycling, the in_packet /
    in_packet_done ownership protocol, growth and overflow fallback,
-   detach for shard crossings, and an aliasing fuzz in the style of
-   suite_sharded's differential checks. *)
+   detach, and an aliasing fuzz. *)
 open Mmt_util
 module Ring = Mmt_sim.Ring
 module Pool = Mmt_sim.Pool
@@ -86,7 +85,7 @@ let test_growth_and_overflow () =
   List.iter (Ring.in_packet_done ring) live;
   Alcotest.(check int) "all retired" 0 (Ring.stats ring).Ring.in_use
 
-let test_detach_for_shard_crossing () =
+let test_detach () =
   let ring = Ring.create ~slots:4 () in
   let p = Ring.in_packet ring ~id:7 ~born:(Units.Time.us 3.) 48 in
   Bytes.fill (Packet.frame p) 0 48 'z';
@@ -193,7 +192,7 @@ let suite =
     Alcotest.test_case "growth doubles, overflow floats" `Quick
       test_growth_and_overflow;
     Alcotest.test_case "detach frees the slot, keeps the frame" `Quick
-      test_detach_for_shard_crossing;
+      test_detach;
     Alcotest.test_case "alloc adopts and recycles the frame" `Quick
       test_alloc_adopts_frame;
     Alcotest.test_case "clone copies contents and metadata" `Quick

@@ -27,7 +27,6 @@ let () =
       ("fault", Suite_fault.suite);
       ("campaign", Suite_campaign.suite);
       ("fuzz", Suite_fuzz.suite);
-      ("sharded", Suite_sharded.suite);
       ("experiments", Suite_experiments.suite);
       ("facility", Suite_facility.suite);
     ]

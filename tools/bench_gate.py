@@ -4,27 +4,18 @@
 Compares a fresh `bench --json` run against the committed baseline and
 fails (exit 1) when any shared micro-benchmark slowed down by more than
 RATIO, when the parallel sweep is slower than the sequential one (the
-regression this gate exists to keep out), when `Engine.schedule` or a
-shard barrier crossing started allocating, when the sharded E-F5 run
-stops being byte-identical to the sequential one, or when sharded
-execution is slower than the machine can excuse: on a box with at
-least as many cores as shards it must beat sequential (with headroom);
-on a smaller box OCaml's stop-the-world minor collections serialize
-the domains, so only a sanity bound applies.
+regression this gate exists to keep out), or when `Engine.schedule`
+started allocating.
 
-The ring-buffer packet path (PR 8) adds two more families of checks:
+The ring-buffer packet path adds two more families of checks:
 
 - `forward`: the steady-state slot -> link -> deliver -> retire path
   must stay allocation-free on the minor heap and must cost at most
   FORWARD_FACTOR raw engine events per packet (both numbers come from
   the *same* run, so the ratio is robust to box speed), and must not
-  regress against the committed baseline by more than RATIO.  Since
-  the fused link hop (PR 9) the forward path runs one staged engine
-  event per hop instead of two, which is what pays for the tightened
-  FORWARD_FACTOR; the bench also runs the same traffic with fusing
-  off, and the gate requires the two ledgers identical and the
-  unfused path allocation-free as well.
-- `pilot_audit`: over the E-F4 pilot window the per-shard ring must
+  regress against the committed baseline by more than RATIO.  Each hop
+  is two engine events (serialize, propagate).
+- `pilot_audit`: over the E-F4 pilot window the packet ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
   never observe a stale/double `in_packet_done`, and pooling must not
@@ -41,8 +32,6 @@ import sys
 RATIO = 1.5  # fail when current > baseline * RATIO + SLACK_NS
 SLACK_NS = 25.0  # absolute headroom so sub-50ns ops don't flap on noise
 SWEEP_HEADROOM = 1.15  # parallel may not exceed sequential by more than this
-SHARDED_HEADROOM = 1.15  # sharded vs sequential, when cores >= shards
-SHARDED_SANITY = 6.0  # sharded vs sequential, when the box is core-starved
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
 POOLED_HEADROOM = 1.25  # pooled pilot minor words vs plain allocator
@@ -89,49 +78,12 @@ def main() -> int:
             f"Engine.schedule allocates ({alloc:.2f} minor words/event)"
         )
 
-    sharded = current.get("sharded", {})
-    if sharded.get("results_identical") is False:
-        failures.append("sharded E-F5 results differ from sequential")
-    seq_wall = sharded.get("sequential_wall_s")
-    sh_wall = sharded.get("sharded_wall_s")
-    if seq_wall is not None and sh_wall is not None:
-        cores = sharded.get("cores", 1)
-        shards = sharded.get("shards", 0)
-        if cores >= shards:
-            if sh_wall > seq_wall * SHARDED_HEADROOM:
-                failures.append(
-                    f"sharded E-F5 {sh_wall:.2f} s slower than sequential "
-                    f"{seq_wall:.2f} s with {cores} cores for {shards} shards"
-                )
-        elif sh_wall > seq_wall * SHARDED_SANITY:
-            failures.append(
-                f"sharded E-F5 {sh_wall:.2f} s exceeds the core-starved "
-                f"sanity bound ({SHARDED_SANITY}x sequential "
-                f"{seq_wall:.2f} s on {cores} core(s))"
-            )
-    barrier = sharded.get("barrier_alloc_minor_words_per_window")
-    if barrier is not None and barrier >= 0.5:
-        failures.append(
-            f"shard barrier crossing allocates "
-            f"({barrier:.2f} minor words/window)"
-        )
-
     forward = current.get("forward", {})
     fwd_ns = forward.get("ns_per_packet")
     fwd_words = forward.get("alloc_minor_words_per_packet")
     if fwd_words is not None and fwd_words >= 0.5:
         failures.append(
             f"forward path allocates ({fwd_words:.2f} minor words/packet)"
-        )
-    unfused_words = forward.get("alloc_minor_words_per_packet_unfused")
-    if unfused_words is not None and unfused_words >= 0.5:
-        failures.append(
-            f"unfused forward path allocates "
-            f"({unfused_words:.2f} minor words/packet)"
-        )
-    if forward.get("fused_unfused_identical") is False:
-        failures.append(
-            "fused forward-path ledger differs from the unfused one"
         )
     event_ns = cur_micro.get("E-A3/engine schedule+run event")
     if fwd_ns is not None and event_ns is not None:
