@@ -126,17 +126,7 @@ let pilot_cmd =
       & info [ "int" ]
           ~doc:"Stamp in-band telemetry along the path and print the per-hop breakdown.")
   in
-  let no_pool =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Disable the preallocated packet rings (pure-GC allocation).  \
-             Pooling changes the allocator only: the results are \
-             byte-identical either way.")
-  in
-  let run profile fragments loss corrupt researchers deadline_ms seed int_flag
-      no_pool =
+  let run profile fragments loss corrupt researchers deadline_ms seed int_flag =
     let config =
       {
         Mmt_pilot.Pilot.default_config with
@@ -150,7 +140,7 @@ let pilot_cmd =
         seed;
       }
     in
-    let pilot = Mmt_pilot.Pilot.build ~pooling:(not no_pool) config in
+    let pilot = Mmt_pilot.Pilot.build config in
     Mmt_pilot.Pilot.run pilot;
     let r = Mmt_pilot.Pilot.results pilot in
     let receiver = r.Mmt_pilot.Pilot.receiver in
@@ -195,7 +185,7 @@ let pilot_cmd =
     (Cmd.info "pilot" ~doc:"Run the Fig. 4 pilot topology with custom parameters.")
     Term.(
       const run $ profile_arg $ fragments $ loss $ corrupt $ researchers
-      $ deadline_ms $ seed $ int_flag $ no_pool)
+      $ deadline_ms $ seed $ int_flag)
 
 (* `shapeshift telemetry` ---------------------------------------------------- *)
 
@@ -635,16 +625,7 @@ let facility_cmd =
             "Print the static topology plan for $(docv) flows and exit \
              without simulating.")
   in
-  let no_pool =
-    Arg.(
-      value & flag
-      & info [ "no-pool" ]
-          ~doc:
-            "Disable the preallocated packet rings (pure-GC allocation).  \
-             Pooling changes the allocator only: the report is \
-             byte-identical either way.")
-  in
-  let run min_flows max_flows jobs seed duration_ms loss plan no_pool =
+  let run min_flows max_flows jobs seed duration_ms loss plan =
     if jobs < 0 then begin
       Printf.eprintf "shapeshift facility: --jobs must be 0 (auto) or positive\n";
       2
@@ -671,10 +652,7 @@ let facility_cmd =
           end
           else begin
             let points = Mmt_facility.Sweep.log_points ~lo:min_flows ~hi:max_flows () in
-            let output, ok =
-              Mmt_experiments.Facility.report ~jobs ~pooling:(not no_pool) ~base
-                ~points ()
-            in
+            let output, ok = Mmt_experiments.Facility.report ~jobs ~base ~points () in
             print_string output;
             print_newline ();
             if ok then 0 else 1
@@ -689,7 +667,7 @@ let facility_cmd =
           shared WAN bottleneck.")
     Term.(
       const run $ min_flows $ max_flows $ jobs $ seed $ duration_ms $ loss
-      $ plan $ no_pool)
+      $ plan)
 
 (* `shapeshift trace` ----------------------------------------------------------- *)
 
@@ -706,6 +684,7 @@ let trace_cmd =
     let engine = Mmt_sim.Engine.create () in
     let trace = Mmt_sim.Trace.create () in
     let topo = Mmt_sim.Topology.create ~engine ~trace () in
+    let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let rng = Rng.create ~seed:2L in
     let src = Mmt_sim.Topology.add_node topo ~name:"sensor" in
@@ -729,20 +708,21 @@ let trace_cmd =
       Mmt_sim.Topology.connect topo ~src:dst ~dst:buf ~rate
         ~propagation:(Units.Time.ms 2.) ()
     in
-    let router_b = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send b_to_d) () in
+    let router_b = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send b_to_d) ~ring () in
     let env_b = Mmt_pilot.Router.env router_b ~engine ~fresh_id ~local_ip:buf_ip in
     let buffer = Mmt.Buffer_host.create ~env:env_b ~capacity:(Units.Size.mib 16) () in
     let mode = Mmt.Mode.make ~name:"wan" ~reliable:buf_ip ~age_budget_us:50_000 () in
     let rewriter =
       Mmt_innet.Mode_rewriter.create ~mode
         ~re_encap:(Mmt.Encap.Over_ipv4 { src = buf_ip; dst = dst_ip; dscp = 0; ttl = 64 })
+        ~pool:(Mmt_sim.Ring.pool ring)
         ~on_rewrite:(fun ~seq ~born frame ->
           Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq ~born frame) seq)
         ()
     in
     let _sw =
       Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.alveo_smartnic
-        ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
+        ~ring ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
         ~route:(fun packet ->
           match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
           | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, off)
@@ -754,7 +734,7 @@ let trace_cmd =
           | _ -> Some (Mmt_sim.Link.send b_to_d))
         ()
     in
-    let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) () in
+    let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) ~ring () in
     let env_d = Mmt_pilot.Router.env router_d ~engine ~fresh_id ~local_ip:dst_ip in
     let receiver =
       Mmt.Receiver.create ~env:env_d
@@ -768,7 +748,7 @@ let trace_cmd =
         ~deliver:(fun _ _ -> ())
     in
     Mmt_sim.Node.set_handler dst (Mmt.Receiver.on_packet receiver);
-    let router_s = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send s_to_b) () in
+    let router_s = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send s_to_b) ~ring () in
     let env_s = Mmt_pilot.Router.env router_s ~engine ~fresh_id ~local_ip:src_ip in
     let sender =
       Mmt.Sender.create ~env:env_s

@@ -22,6 +22,7 @@ let reading_size = 512
 let () =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:13L in
   let gateway = Mmt_sim.Topology.add_node topo ~name:"gateway" in
@@ -88,7 +89,7 @@ let () =
 
   (* Gateway: feed TCP receivers; aggregate completed readings into MMT
      fragments toward the facility. *)
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) () in
+  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) ~ring () in
   let env_gw = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:gateway_ip in
   let buffer = Mmt.Buffer_host.create ~env:env_gw ~capacity:(Units.Size.mib 64) () in
   let experiment = Mmt.Experiment_id.make ~experiment:20 ~slice:0 in
@@ -96,7 +97,7 @@ let () =
     Mmt.Mode.make ~name:"osmotic/wan" ~reliable:gateway_ip ~age_budget_us:100_000 ()
   in
   let rewriter =
-    Mmt_innet.Mode_rewriter.create ~mode:wan_mode
+    Mmt_innet.Mode_rewriter.create ~mode:wan_mode ~pool:(Mmt_sim.Ring.pool ring)
       ~on_rewrite:(fun ~seq ~born frame ->
         match seq with
         | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -124,7 +125,7 @@ let () =
     match rewrite_element.Mmt_innet.Element.process ~now:(Mmt_sim.Engine.now engine) packet with
     | Mmt_innet.Element.Forward p -> env_gw_send dst p
     | Mmt_innet.Element.Replicate ps -> List.iter (env_gw_send dst) ps
-    | Mmt_innet.Element.Discard _ -> ()
+    | Mmt_innet.Element.Discard _ -> Mmt_sim.Ring.in_packet_done ring packet
   in
   let env_rewriting = { env_gw with Mmt_runtime.Env.send = send_via_rewriter } in
   let mmt_sender = Mmt.Sender.create ~env:env_rewriting (Mmt.Sender.config mmt_sender) in
@@ -191,7 +192,9 @@ let () =
     connections;
 
   (* Facility receiver. *)
-  let router_fac = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_back) () in
+  let router_fac =
+    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_back) ~ring ()
+  in
   let env_fac = Mmt_pilot.Router.env router_fac ~engine ~fresh_id ~local_ip:facility_ip in
   let receiver =
     Mmt.Receiver.create ~env:env_fac

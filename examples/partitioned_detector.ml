@@ -17,6 +17,7 @@ let facility_ip = Addr.Ip.of_octets 10 3 0 2
 let () =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let detector = Mmt_sim.Topology.add_node topo ~name:"detector" in
   let facility = Mmt_sim.Topology.add_node topo ~name:"facility" in
@@ -24,7 +25,7 @@ let () =
     Mmt_sim.Topology.connect topo ~src:detector ~dst:facility
       ~rate:(Units.Rate.gbps 100.) ~propagation:(Units.Time.us 10.) ()
   in
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send daq_link) () in
+  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send daq_link) ~ring () in
   let env = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:detector_ip in
   let dune_experiment = Mmt_daq.Experiment.find Mmt_daq.Experiment.Dune in
 
@@ -52,7 +53,7 @@ let () =
   let complete_events = ref [] in
   let per_slice = Hashtbl.create 8 in
   Mmt_sim.Node.set_handler facility (fun packet ->
-      match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
+      (match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
       | Error _ -> ()
       | Ok (_encap, mmt_frame) -> (
           match Mmt.Header.decode_bytes mmt_frame with
@@ -74,6 +75,8 @@ let () =
                    with
                   | Some event -> complete_events := event :: !complete_events
                   | None -> ()))));
+      (* The facility is the packet's last holder. *)
+      Mmt_sim.Ring.in_packet_done ring packet);
 
   (* Each slice digitizes the same trigger cadence; per-slice LArTPC
      waveform payloads differ (different wires saw different charge). *)

@@ -33,6 +33,7 @@ let deadline_of packet =
 let run ~deadline_aware =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let telescope = Mmt_sim.Topology.add_node topo ~name:"telescope" in
   let archive = Mmt_sim.Topology.add_node topo ~name:"archive" in
@@ -49,7 +50,7 @@ let run ~deadline_aware =
   ignore
     (Mmt_sim.Topology.connect topo ~src:archive ~dst:telescope ~rate:link_rate
        ~propagation:(Units.Time.ms 5.) ());
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) () in
+  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) ~ring () in
   let env = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:telescope_ip in
   let vera_rubin = Mmt_daq.Experiment.find Mmt_daq.Experiment.Vera_rubin in
   let bulk_sender =
@@ -90,8 +91,9 @@ let run ~deadline_aware =
     }
   in
   let env_archive =
-    Mmt_pilot.Router.env (Mmt_pilot.Router.create ~default:ignore ()) ~engine ~fresh_id
-      ~local_ip:archive_ip
+    Mmt_pilot.Router.env
+      (Mmt_pilot.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ())
+      ~engine ~fresh_id ~local_ip:archive_ip
   in
   let bulk_rx = Mmt.Receiver.create ~env:env_archive (receiver_config bulk_count)
       ~deliver:(fun _ _ -> ()) in
@@ -99,13 +101,13 @@ let run ~deadline_aware =
       ~deliver:(fun _ _ -> ()) in
   Mmt_sim.Node.set_handler archive (fun packet ->
       match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-      | Error _ -> ()
+      | Error _ -> Mmt_sim.Ring.in_packet_done ring packet
       | Ok (_encap, off) -> (
           match Mmt.Header.decode_bytes ~off (Mmt_sim.Packet.frame packet) with
           | Ok header when Mmt.Experiment_id.slice header.Mmt.Header.experiment = 1 ->
               Mmt.Receiver.on_packet alert_rx packet
           | Ok _ -> Mmt.Receiver.on_packet bulk_rx packet
-          | Error _ -> ()));
+          | Error _ -> Mmt_sim.Ring.in_packet_done ring packet));
   (* Offered load: bulk at 12 Gbps (oversubscribing the 10 GbE WAN for a
      burst, as the nightly transfer does), alerts at their 5.4 Gbps
      burst shape scaled down. *)

@@ -12,19 +12,17 @@ type t = {
   env : Mmt_runtime.Env.t;
   buffer : Retx_buffer.t;
   upstream : Addr.Ip.t option;
-  pool : Mmt_sim.Pool.t option;
   mutable naks_received : int;
   mutable frames_resent : int;
   mutable escalated : int;
   mutable unserviceable : int;
 }
 
-let create ~env ~capacity ?upstream ?pool () =
+let create ~env ~capacity ?upstream () =
   {
     env;
     buffer = Retx_buffer.create ~capacity;
     upstream;
-    pool;
     naks_received = 0;
     frames_resent = 0;
     escalated = 0;
@@ -39,28 +37,11 @@ let resend t ~requester (entry : Retx_buffer.entry) =
   let src = entry.Retx_buffer.frame in
   let len = Bytes.length src in
   let packet =
-    match t.env.Mmt_runtime.Env.ring with
-    | Some ring ->
-        let p =
-          Mmt_sim.Ring.in_packet ring
-            ~id:(t.env.Mmt_runtime.Env.fresh_id ())
-            ~born:entry.Retx_buffer.born len
-        in
-        Bytes.blit src 0 (Mmt_sim.Packet.frame p) 0 len;
-        p
-    | None ->
-        let frame =
-          match t.pool with
-          | None -> Bytes.copy src
-          | Some pool ->
-              let out = Mmt_sim.Pool.acquire pool len in
-              Bytes.blit src 0 out 0 len;
-              out
-        in
-        Mmt_sim.Packet.create
-          ~id:(t.env.Mmt_runtime.Env.fresh_id ())
-          ~born:entry.Retx_buffer.born frame
+    Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
+      ~id:(t.env.Mmt_runtime.Env.fresh_id ())
+      ~born:entry.Retx_buffer.born len
   in
+  Bytes.blit src 0 (Mmt_sim.Packet.frame packet) 0 len;
   t.frames_resent <- t.frames_resent + 1;
   t.env.Mmt_runtime.Env.send requester packet
 

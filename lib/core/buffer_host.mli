@@ -27,11 +27,9 @@ val create :
   env:Mmt_runtime.Env.t ->
   capacity:Units.Size.t ->
   ?upstream:Addr.Ip.t ->
-  ?pool:Mmt_sim.Pool.t ->
   unit ->
   t
-(** With [pool], resent frames are copied into pool-acquired buffers
-    instead of fresh allocations. *)
+(** Resent frames are copied into slots of the environment's ring. *)
 
 val store : t -> seq:int -> born:Mmt_util.Units.Time.t -> bytes -> unit
 (** Record a frame as forwarded downstream under sequence [seq].  The

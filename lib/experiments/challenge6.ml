@@ -84,6 +84,7 @@ let experiment = Mmt.Experiment_id.make ~experiment:2 ~slice:0
 let payload_alerts () =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:77L in
   let detector = Mmt_sim.Topology.add_node topo ~name:"detector" in
@@ -103,7 +104,9 @@ let payload_alerts () =
     Mmt_sim.Topology.connect topo ~src:dpu ~dst:rubin ~rate
       ~propagation:(Units.Time.ms 20.) ()
   in
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send dpu_to_sink) () in
+  let router =
+    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send dpu_to_sink) ~ring ()
+  in
   Mmt_pilot.Router.add router rubin_ip (Mmt_sim.Link.send dpu_to_rubin);
   let env_dpu = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:dpu_ip in
   let generator =
@@ -118,7 +121,7 @@ let payload_alerts () =
   let p4_refused =
     match
       Mmt_innet.Switch.attach ~engine ~node:(Mmt_sim.Topology.add_node topo ~name:"p4")
-        ~profile:Mmt_innet.Switch.tofino2
+        ~profile:Mmt_innet.Switch.tofino2 ~ring
         ~elements:[ Mmt_innet.Alert_generator.element generator ]
         ~route:(fun _ -> None)
         ()
@@ -129,17 +132,19 @@ let payload_alerts () =
   (* ...but the Alveo-class DPU can. *)
   let _dpu_switch =
     Mmt_innet.Switch.attach ~engine ~node:dpu ~profile:Mmt_innet.Switch.alveo_smartnic
-      ~allow_payload:true
+      ~allow_payload:true ~ring
       ~elements:[ Mmt_innet.Alert_generator.element generator ]
       ~route:(fun _ -> Some (Mmt_sim.Link.send dpu_to_sink))
       ()
   in
   let sink_count = ref 0 in
-  Mmt_sim.Node.set_handler sink (fun _ -> incr sink_count);
+  Mmt_sim.Node.set_handler sink (fun packet ->
+      incr sink_count;
+      Mmt_sim.Ring.in_packet_done ring packet);
   let alerts = ref [] in
   Mmt_sim.Node.set_handler rubin (fun packet ->
       let frame = Mmt_sim.Packet.frame packet in
-      match Mmt.Encap.strip frame with
+      (match Mmt.Encap.strip frame with
       | Error _ -> ()
       | Ok (_encap, mmt) -> (
           match Mmt.Header.decode_bytes mmt with
@@ -155,6 +160,7 @@ let payload_alerts () =
                    as fragment) ->
                   alerts := (Mmt_sim.Engine.now engine, fragment) :: !alerts
               | Ok _ | Error _ -> ())));
+      Mmt_sim.Ring.in_packet_done ring packet);
   (* Detector: trigger-primitive fragments; a supernova burst begins at
      2 ms (higher activity => bigger summed charge). *)
   let lartpc =
@@ -162,7 +168,7 @@ let payload_alerts () =
   in
   let sender_env =
     Mmt_pilot.Router.env
-      (Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send det_to_dpu) ())
+      (Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send det_to_dpu) ~ring ())
       ~engine ~fresh_id ~local_ip:(Addr.Ip.of_octets 10 6 0 1)
   in
   let sender =

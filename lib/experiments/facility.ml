@@ -11,9 +11,8 @@ let default_points = Sweep.log_points ~lo:10 ~hi:1000 ()
 
 let pct x = Printf.sprintf "%.2f%%" (100. *. x)
 
-let report ?(jobs = 1) ?(pooling = true) ?(base = default_base)
-    ?(points = default_points) () =
-  let results = Sweep.run ~jobs ~pooling ~base ~points () in
+let report ?(jobs = 1) ?(base = default_base) ?(points = default_points) () =
+  let results = Sweep.run ~jobs ~base ~points () in
   let table =
     Table.create
       ~title:
@@ -66,7 +65,7 @@ let report ?(jobs = 1) ?(pooling = true) ?(base = default_base)
   let max_nak_hw =
     List.fold_left (fun acc r -> max acc (summary_of r).Metrics.nak_state_hw) 0 results
   in
-  let rerun = Scenario.run ~pooling { base with Scenario.flows = fst first } in
+  let rerun = Scenario.run { base with Scenario.flows = fst first } in
   let report =
     {
       Mmt_telemetry.Report.id = "E-F5";

@@ -7,16 +7,14 @@
 
 val report :
   ?jobs:int ->
-  ?pooling:bool ->
   ?base:Mmt_facility.Scenario.config ->
   ?points:int list ->
   unit ->
   string * bool
 (** Render the sweep (optionally across domains — [jobs] parallelizes
     over sweep points; output is byte-identical to the sequential run)
-    plus the shape checks.  [pooling] (default on) passes through to
-    every point's {!Mmt_facility.Scenario.run} without changing a byte
-    of output.  The determinism check re-runs the first point.  With a
+    plus the shape checks.  The determinism check re-runs the first
+    point.  With a
     single point the fan-in scaling row is reported as info, since
     there is nothing to compare. *)
 

@@ -246,8 +246,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   (* Every router, switch and element recycles through the topology's
      packet ring. *)
-  let ring = Mmt_sim.Topology.ring topo in
-  let pool = Option.map Mmt_sim.Ring.pool ring in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let spans = site_spans config in
   let nsites = Array.length spans in
   let site_of = Array.make config.flows 0 in
@@ -413,7 +412,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let router =
           Mmt_pilot.Router.create
             ~default:(Mmt_sim.Link.send metro_up.(site_of.(f)))
-            ?ring ()
+            ~ring ()
         in
         let env =
           Mmt_pilot.Router.env router ~engine ~fresh_id
@@ -432,7 +431,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         in
         let buffer = Option.get (Flow_table.get buffers f) in
         Mmt_innet.Mode_rewriter.create ~mode
-          ?pool
+          ~pool:(Mmt_sim.Ring.pool ring)
           ~on_rewrite:(fun ~seq ~born frame ->
             match seq with
             | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -453,10 +452,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
           | Mmt_innet.Element.Forward p -> Mmt_sim.Link.send uplink p
           | Mmt_innet.Element.Replicate ps ->
               List.iter (Mmt_sim.Link.send uplink) ps
-          | Mmt_innet.Element.Discard _ -> (
-              match ring with
-              | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-              | None -> ()))
+          | Mmt_innet.Element.Discard _ -> Mmt_sim.Ring.in_packet_done ring packet)
   in
   let nak_handlers =
     Flow_table.init ~flows:config.flows (fun f ->
@@ -476,7 +472,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     in
     ignore
       (Mmt_innet.Switch.attach ~engine ~node:sedges.(s)
-         ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+         ~profile:Mmt_innet.Switch.tofino2 ~ring ~elements:[]
          ~route:sedge_route ())
   done;
 
@@ -495,7 +491,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   let _edge_in_switch =
     Mmt_innet.Switch.attach ~engine ~node:edge_in
-      ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+      ~profile:Mmt_innet.Switch.tofino2 ~ring ~elements:[]
       ~route:edge_in_route ()
   in
 
@@ -511,7 +507,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   let _edge_out_switch =
     Mmt_innet.Switch.attach ~engine ~node:edge_out
-      ~profile:Mmt_innet.Switch.tofino2 ?ring ~elements:[]
+      ~profile:Mmt_innet.Switch.tofino2 ~ring ~elements:[]
       ~route:edge_out_route ()
   in
 
@@ -520,7 +516,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   let receivers =
     Flow_table.init ~flows:config.flows (fun f ->
         let router =
-          Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_reverse) ?ring ()
+          Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_reverse) ~ring ()
         in
         let env =
           Mmt_pilot.Router.env router ~engine ~fresh_id
@@ -540,11 +536,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   Array.iter
     (fun sink_node ->
-      let retire packet =
-        match ring with
-        | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-        | None -> ()
-      in
+      let retire = Mmt_sim.Ring.in_packet_done ring in
       Mmt_sim.Node.set_handler sink_node (fun packet ->
           match frame_dst (Mmt_sim.Packet.frame packet) with
           | Some dst -> (
@@ -566,7 +558,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     Flow_table.init ~flows:config.flows (fun f ->
         let router =
           Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send source_links.(f))
-            ?ring ()
+            ~ring ()
         in
         let env =
           Mmt_pilot.Router.env router ~engine ~fresh_id
@@ -603,11 +595,11 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
   { workloads; receivers; buffers; rewriters; senders }
 
-let run ?(pooling = true) config =
+let run config =
   if config.flows < 1 then invalid_arg "Scenario.run: flows must be positive";
   if config.sinks < 1 then invalid_arg "Scenario.run: sinks must be positive";
   let engine = Mmt_sim.Engine.create () in
-  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
+  let topo = Mmt_sim.Topology.create ~engine () in
   let { workloads; receivers; buffers; _ } = build config topo in
   (* Run to quiescence; the cap is a safety bound well past the worst
      NAK-retry chain, not a working deadline. *)

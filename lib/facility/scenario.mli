@@ -107,13 +107,9 @@ type result = {
   events : int;  (** engine events processed *)
 }
 
-val run : ?pooling:bool -> config -> result
+val run : config -> result
 (** Build the scenario on a fresh engine, run it to completion (with a
     one-second drain cap past [duration] as a safety bound), and read
-    the metrics back from the endpoints' own statistics.
-
-    [pooling] (default [true]) gives the topology a preallocated packet
-    {!Mmt_sim.Ring} through which the whole forwarding path recycles
-    records and frames; [pooling:false] opts out (pure-GC allocation).
-    Either setting produces byte-identical results — pooling changes
-    the allocator, never a field value. *)
+    the metrics back from the endpoints' own statistics.  The whole
+    forwarding path recycles records and frames through the topology's
+    packet {!Mmt_sim.Ring}. *)

@@ -13,14 +13,14 @@ let effective_jobs jobs n =
   let requested = if jobs <= 0 then cap else min jobs cap in
   max 1 (min requested n)
 
-let run ?(jobs = 1) ?(pooling = true) ~base ~points () =
+let run ?(jobs = 1) ~base ~points () =
   let points = Array.of_list points in
   let n = Array.length points in
   let results = Array.make n None in
   let one i =
     let flows = points.(i) in
     results.(i) <-
-      Some (flows, Scenario.run ~pooling { base with Scenario.flows })
+      Some (flows, Scenario.run { base with Scenario.flows })
   in
   let jobs = effective_jobs jobs n in
   if jobs = 1 then

@@ -13,12 +13,10 @@ val log_points : ?lo:int -> ?hi:int -> unit -> int list
 
 val run :
   ?jobs:int ->
-  ?pooling:bool ->
   base:Scenario.config ->
   points:int list ->
   unit ->
   (int * Scenario.result) list
 (** One scenario per point, [base] with [flows] overridden.  [jobs]
     (default 1) caps the extra domains engaged; 0 asks for the
-    machine's recommended count.  [pooling] passes through to
-    {!Scenario.run} for every point. *)
+    machine's recommended count. *)

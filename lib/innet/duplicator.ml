@@ -4,7 +4,6 @@ type stats = { duplicated : int; copies_sent : int; passed : int }
 
 type t = {
   env : Mmt_runtime.Env.t;
-  pool : Mmt_sim.Pool.t option;
   mutable consumers : Addr.Ip.t list;
   mutable duplicated : int;
   mutable copies_sent : int;
@@ -24,21 +23,6 @@ let program =
       ];
   }
 
-(* Frame pool for scratch and (ring-less) consumer copies: an explicit
-   [pool] wins, else the environment ring's pool. *)
-let scratch_pool t =
-  match t.pool with
-  | Some _ as p -> p
-  | None -> Mmt_runtime.Env.pool t.env
-
-let copy_frame t frame =
-  match scratch_pool t with
-  | None -> Bytes.copy frame
-  | Some pool ->
-      let out = Mmt_sim.Pool.acquire pool (Bytes.length frame) in
-      Bytes.blit frame 0 out 0 (Bytes.length frame);
-      out
-
 (* Returns the frame to copy consumer frames from, plus whether it is a
    scratch buffer this element owns (and may recycle afterwards) or the
    packet's own live frame (which it must not). *)
@@ -53,7 +37,9 @@ let mark_duplicated t frame =
           else begin
             (* The Duplicated bit lives in the configuration data; the
                header size is unchanged, so flip it in place on a copy. *)
-            let out = copy_frame t frame in
+            let len = Bytes.length frame in
+            let out = Mmt_sim.Pool.acquire (Mmt_runtime.Env.pool t.env) len in
+            Bytes.blit frame 0 out 0 len;
             (match Mmt.Header.View.of_frame ~off:mmt_offset out with
             | Ok view -> Mmt.Header.View.set_duplicated view
             | Error _ -> ());
@@ -79,40 +65,29 @@ let process t ~now:_ packet =
     let marked, scratch = mark_duplicated t frame in
     List.iter
       (fun consumer ->
+        (* Slot-allocated copy: record and frame both come from the
+           ring, so the fan-out is allocation-free. *)
+        let len = Bytes.length marked in
         let copy =
-          match t.env.Mmt_runtime.Env.ring with
-          | Some ring ->
-              (* Slot-allocated copy: record and frame both come from
-                 the ring, so the fan-out is allocation-free. *)
-              let len = Bytes.length marked in
-              let p =
-                Mmt_sim.Ring.in_packet ring
-                  ~padding:packet.Mmt_sim.Packet.padding
-                  ~id:(t.env.Mmt_runtime.Env.fresh_id ())
-                  ~born:packet.Mmt_sim.Packet.born len
-              in
-              Bytes.blit marked 0 p.Mmt_sim.Packet.frame 0 len;
-              p.Mmt_sim.Packet.corrupted <- packet.Mmt_sim.Packet.corrupted;
-              p.Mmt_sim.Packet.hops <- packet.Mmt_sim.Packet.hops;
-              p
-          | None ->
-              Mmt_sim.Packet.clone packet
-                ~id:(t.env.Mmt_runtime.Env.fresh_id ())
-                ~frame:(copy_frame t marked)
+          Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
+            ~padding:packet.Mmt_sim.Packet.padding
+            ~id:(t.env.Mmt_runtime.Env.fresh_id ())
+            ~born:packet.Mmt_sim.Packet.born len
         in
+        Bytes.blit marked 0 copy.Mmt_sim.Packet.frame 0 len;
+        copy.Mmt_sim.Packet.corrupted <- packet.Mmt_sim.Packet.corrupted;
+        copy.Mmt_sim.Packet.hops <- packet.Mmt_sim.Packet.hops;
         t.copies_sent <- t.copies_sent + 1;
         t.env.Mmt_runtime.Env.send consumer copy)
       t.consumers;
-    if scratch then
-      Option.iter (fun pool -> Mmt_sim.Pool.release pool marked) (scratch_pool t);
+    if scratch then Mmt_sim.Pool.release (Mmt_runtime.Env.pool t.env) marked;
     Element.Forward packet
   end
 
-let create ~env ?pool ~consumers () =
+let create ~env ~consumers () =
   let rec t =
     {
       env;
-      pool;
       consumers;
       duplicated = 0;
       copies_sent = 0;

@@ -19,14 +19,13 @@ type t
 
 val create :
   env:Mmt_runtime.Env.t ->
-  ?pool:Mmt_sim.Pool.t ->
   consumers:Addr.Ip.t list ->
   unit ->
   t
-(** When the environment carries a ring, consumer copies are
-    slot-allocated from it (records and frames both recycled); with
-    [pool] — or falling back to the ring's pool — the internal marked
-    scratch frame is recycled after the fan-out. *)
+(** Consumer copies are slot-allocated from the environment's ring
+    (records and frames both recycled); the internal marked scratch
+    frame comes from the ring's pool and returns to it after the
+    fan-out. *)
 
 val element : t -> Element.t
 val stats : t -> stats

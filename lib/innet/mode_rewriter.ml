@@ -11,7 +11,7 @@ type stats = {
 type t = {
   mutable mode : Mmt.Mode.t;
   re_encap : Mmt.Encap.t option;
-  pool : Mmt_sim.Pool.t option;
+  pool : Mmt_sim.Pool.t;
   on_rewrite : (seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) option;
   liveness : (Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) option;
   counters : (Mmt.Experiment_id.t, int) Hashtbl.t;
@@ -169,11 +169,7 @@ let rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header =
     | Some encap -> Mmt.Encap.overhead encap
     | None -> mmt_offset
   in
-  let new_frame =
-    match t.pool with
-    | Some pool -> Mmt_sim.Pool.acquire pool (out_off + mmt_length)
-    | None -> Bytes.create (out_off + mmt_length)
-  in
+  let new_frame = Mmt_sim.Pool.acquire t.pool (out_off + mmt_length) in
   (match t.re_encap with
   | Some encap -> Mmt.Encap.wrap_into encap ~mmt_length new_frame
   | None ->
@@ -184,9 +180,7 @@ let rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header =
   Mmt_sim.Packet.set_frame packet new_frame;
   (* The packet now owns [new_frame]; the pre-rewrite frame has no
      other holder — recycle it instead of leaking it to the GC. *)
-  (match t.pool with
-  | Some pool when frame != new_frame -> Mmt_sim.Pool.release pool frame
-  | _ -> ());
+  if frame != new_frame then Mmt_sim.Pool.release t.pool frame;
   t.rewritten <- t.rewritten + 1;
   (match assigned_seq with
   | Some _ -> t.sequenced <- t.sequenced + 1
@@ -212,11 +206,7 @@ let rewrite_fast t ~mode packet ~frame ~mmt_offset view =
   | Some encap ->
       let mmt_length = Bytes.length frame - mmt_offset in
       let out_off = Mmt.Encap.overhead encap in
-      let out =
-        match t.pool with
-        | Some pool -> Mmt_sim.Pool.acquire pool (out_off + mmt_length)
-        | None -> Bytes.create (out_off + mmt_length)
-      in
+      let out = Mmt_sim.Pool.acquire t.pool (out_off + mmt_length) in
       Mmt.Encap.wrap_into encap ~mmt_length out;
       Bytes.blit frame mmt_offset out out_off mmt_length;
       Mmt_sim.Packet.set_frame packet out
@@ -234,10 +224,7 @@ let rewrite_fast t ~mode packet ~frame ~mmt_offset view =
     t.on_rewrite;
   (* Recycle the replaced frame only after the callback: [view] still
      reads from it for the sequence number. *)
-  (match (t.re_encap, t.pool) with
-  | Some _, Some pool when Mmt_sim.Packet.frame packet != frame ->
-      Mmt_sim.Pool.release pool frame
-  | _ -> ());
+  if Mmt_sim.Packet.frame packet != frame then Mmt_sim.Pool.release t.pool frame;
   Element.Forward packet
 
 let process t ~now packet =
@@ -273,7 +260,7 @@ let process t ~now packet =
                   rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header
           end)
 
-let create ~mode ?re_encap ?pool ?on_rewrite ?liveness () =
+let create ~mode ?re_encap ~pool ?on_rewrite ?liveness () =
   (match Mmt.Mode.check mode with
   | Ok () -> ()
   | Error reason -> invalid_arg ("Mode_rewriter.create: " ^ reason));

@@ -46,7 +46,7 @@ type t
 val create :
   mode:Mmt.Mode.t ->
   ?re_encap:Mmt.Encap.t ->
-  ?pool:Mmt_sim.Pool.t ->
+  pool:Mmt_sim.Pool.t ->
   ?on_rewrite:(seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) ->
   ?liveness:(Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) ->
   unit ->
@@ -54,10 +54,10 @@ val create :
 (** [liveness] is consulted per data packet for the target mode's
     retransmission buffer (typically
     [Resource_map.is_live (Control_plane.map control)]); omitting it
-    preserves the historic always-trusting behaviour.  With [pool],
-    replacement frames are acquired from it and each replaced frame is
-    released back — the rewriter's slow path otherwise leaks the old
-    frame to the GC on every header-shape change.
+    preserves the historic always-trusting behaviour.  Replacement
+    frames are acquired from [pool] (the topology ring's) and each
+    replaced frame is released back, so neither path leaks the old
+    frame to the GC.
     @raise Invalid_argument when [mode] fails {!Mmt.Mode.check}. *)
 
 val element : t -> Element.t

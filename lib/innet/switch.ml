@@ -23,7 +23,7 @@ type t = {
   profile : profile;
   elements : Element.t list;
   route : Mmt_sim.Packet.t -> (Mmt_sim.Packet.t -> unit) option;
-  ring : Mmt_sim.Ring.t option;
+  ring : Mmt_sim.Ring.t;
   mutable on_pipeline : unit -> unit; (* preallocated; set in attach *)
   (* Ingress circular FIFO: the pipeline latency is a per-device
      constant, so packets leave the pipeline in arrival order and one
@@ -39,10 +39,7 @@ type t = {
   mutable unrouted : int;
 }
 
-let retire t packet =
-  match t.ring with
-  | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-  | None -> ()
+let retire t packet = Mmt_sim.Ring.in_packet_done t.ring packet
 
 let pending_push t packet =
   let cap = Array.length t.pending in
@@ -94,7 +91,7 @@ let handle t packet =
     (Mmt_sim.Engine.schedule_after t.engine ~delay:t.profile.pipeline_latency
        t.on_pipeline)
 
-let attach ~engine ~node ~profile ?(allow_payload = false) ?ring ~elements
+let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
     ~route () =
   List.iter
     (fun (element : Element.t) ->

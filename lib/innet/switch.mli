@@ -38,16 +38,16 @@ val attach :
   node:Mmt_sim.Node.t ->
   profile:profile ->
   ?allow_payload:bool ->
-  ?ring:Mmt_sim.Ring.t ->
+  ring:Mmt_sim.Ring.t ->
   elements:Element.t list ->
   route:(Mmt_sim.Packet.t -> (Mmt_sim.Packet.t -> unit) option) ->
   unit ->
   t
 (** Installs the node's handler.  [allow_payload] marks a DPDK/FPGA
     class device that may host payload-processing elements (§ 6
-    challenge 2); P4 switches (the default) may not.  With [ring],
-    packets the switch destroys (element discards, unroutable
-    destinations) retire into it.
+    challenge 2); P4 switches (the default) may not.  Packets the
+    switch destroys (element discards, unroutable destinations) retire
+    into [ring], the topology's.
     @raise Invalid_argument if any element fails {!Op.realizable} for
     the device class. *)
 

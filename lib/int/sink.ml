@@ -6,7 +6,7 @@ type stats = { stripped : int; passed : int }
 type t = {
   node_id : int;
   emit : Digest.t -> unit;
-  pool : Mmt_sim.Pool.t option;
+  pool : Mmt_sim.Pool.t;
   mutable stripped : int;
   mutable passed : int;
   element : Element.t Lazy.t;
@@ -58,18 +58,11 @@ let process_clean t ~now packet =
                stripped frame in a pool buffer and recycle the old one
                (set_frame used to leak it to the GC). *)
             let mmt_length = Mmt.Header.View.stripped_int_length view in
-            let out =
-              match t.pool with
-              | Some pool ->
-                  Mmt_sim.Pool.acquire pool (mmt_offset + mmt_length)
-              | None -> Bytes.create (mmt_offset + mmt_length)
-            in
+            let out = Mmt_sim.Pool.acquire t.pool (mmt_offset + mmt_length) in
             Mmt.Encap.rewrap_into ~old_frame:frame ~mmt_offset ~mmt_length out;
             Mmt.Header.View.strip_int_into view out ~off:mmt_offset;
             Mmt_sim.Packet.set_frame packet out;
-            (match t.pool with
-            | Some pool when frame != out -> Mmt_sim.Pool.release pool frame
-            | _ -> ());
+            if frame != out then Mmt_sim.Pool.release t.pool frame;
             t.stripped <- t.stripped + 1;
             Element.Forward packet
           end
@@ -87,7 +80,7 @@ let process t ~now packet =
   end
   else process_clean t ~now packet
 
-let create ~node_id ~emit ?pool () =
+let create ~node_id ~emit ~pool () =
   let rec t =
     {
       node_id;

@@ -17,10 +17,10 @@ type stats = {
 type t
 
 val create :
-  node_id:int -> emit:(Digest.t -> unit) -> ?pool:Mmt_sim.Pool.t -> unit -> t
-(** With [pool], the stripped replacement frame is acquired from it and
-    the pre-strip frame released back, keeping the per-packet strip
-    allocation-free. *)
+  node_id:int -> emit:(Digest.t -> unit) -> pool:Mmt_sim.Pool.t -> unit -> t
+(** The stripped replacement frame is acquired from [pool] (the
+    topology ring's) and the pre-strip frame released back, keeping the
+    per-packet strip allocation-free. *)
 
 val element : t -> Mmt_innet.Element.t
 val program : Mmt_innet.Op.program

@@ -116,10 +116,11 @@ let snoop_element (point : buffer_point) =
         Mmt_innet.Element.Forward packet);
   }
 
-let run ?(pooling = true) p =
+let run p =
   let engine = Mmt_sim.Engine.create () in
   let trace = Mmt_sim.Trace.create ~capacity:10_000 () in
-  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
+  let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:p.seed in
   let loss_rng = Rng.split rng in
@@ -171,12 +172,12 @@ let run ?(pooling = true) p =
       env;
     }
   in
-  let router_a = Router.create () in
+  let router_a = Router.create ~ring () in
   let env_a = Router.env router_a ~engine ~fresh_id ~local_ip:buffer_a_ip in
   let buffer_a =
     make_buffer ~ip:buffer_a_ip ~rtt_hint:(Units.Time.ms 2.) ~env:env_a
   in
-  let router_b = Router.create () in
+  let router_b = Router.create ~ring () in
   let env_b = Router.env router_b ~engine ~fresh_id ~local_ip:buffer_b_ip in
   let buffer_b =
     make_buffer ~ip:buffer_b_ip ~rtt_hint:(Units.Time.ms 4.) ~env:env_b
@@ -188,7 +189,7 @@ let run ?(pooling = true) p =
 
   (* Ingress: control-plane participant + planned, liveness-aware,
      checksumming rewriter. *)
-  let router_ing = Router.create ~default:(Mmt_sim.Link.send ing_to_a) () in
+  let router_ing = Router.create ~default:(Mmt_sim.Link.send ing_to_a) ~ring () in
   let env_ing = Router.env router_ing ~engine ~fresh_id ~local_ip:ingress_ip in
   let control =
     Mmt_innet.Control_plane.create ~env:env_ing ~period:p.advert_period
@@ -212,6 +213,7 @@ let run ?(pooling = true) p =
     Mmt_innet.Mode_rewriter.create ~mode:boot_mode
       ~re_encap:
         (Mmt.Encap.Over_ipv4 { src = ingress_ip; dst = sink_ip; dscp = 0; ttl = 64 })
+      ~pool:(Mmt_sim.Ring.pool ring)
       ~liveness:(fun ip ~now -> Mmt_innet.Resource_map.is_live map ~now ip)
       ()
   in
@@ -282,12 +284,14 @@ let run ?(pooling = true) p =
     let frame = Mmt_sim.Packet.frame packet in
     match Mmt.Encap.locate frame with
     | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _) when Addr.Ip.equal dst source_ip ->
-        Some ignore
+        (* The source has no control-plane endpoint: the ingress is the
+           last holder of source-bound frames. *)
+        Some (Mmt_sim.Ring.in_packet_done ring)
     | _ -> Some (Mmt_sim.Link.send ing_to_a)
   in
   let _ingress_switch =
     Mmt_innet.Switch.attach ~engine ~node:ingress
-      ~profile:Mmt_innet.Switch.tofino2
+      ~profile:Mmt_innet.Switch.tofino2 ~ring
       ~elements:[ gate; Mmt_innet.Mode_rewriter.element rewriter ]
       ~route:ingress_route ()
   in
@@ -306,13 +310,14 @@ let run ?(pooling = true) p =
                && Addr.Ip.equal dst point.ip ->
             Some
               (fun packet ->
-                if point.alive then Mmt.Buffer_host.on_packet point.host packet)
+                if point.alive then Mmt.Buffer_host.on_packet point.host packet
+                else Mmt_sim.Ring.in_packet_done ring packet)
         | _ -> Some forward)
     | _ -> Some forward
   in
   let _switch_a =
     Mmt_innet.Switch.attach ~engine ~node:node_a
-      ~profile:Mmt_innet.Switch.alveo_smartnic
+      ~profile:Mmt_innet.Switch.alveo_smartnic ~ring
       ~elements:
         [ Mmt_innet.Checksum_verify.element verify_a; snoop_element buffer_a ]
       ~route:(fun packet ->
@@ -326,7 +331,7 @@ let run ?(pooling = true) p =
   in
   let _switch_b =
     Mmt_innet.Switch.attach ~engine ~node:node_b
-      ~profile:Mmt_innet.Switch.alveo_smartnic
+      ~profile:Mmt_innet.Switch.alveo_smartnic ~ring
       ~elements:
         [ Mmt_innet.Checksum_verify.element verify_b; snoop_element buffer_b ]
       ~route:(fun packet ->
@@ -341,7 +346,7 @@ let run ?(pooling = true) p =
   in
 
   (* Sink: receiver wrapped in the invariant ledger. *)
-  let router_sink = Router.create () in
+  let router_sink = Router.create ~ring () in
   Router.add router_sink buffer_a_ip (Mmt_sim.Link.send sink_to_b);
   Router.add router_sink buffer_b_ip (Mmt_sim.Link.send sink_to_b);
   Router.add router_sink ingress_ip (Mmt_sim.Link.send sink_to_b);
@@ -408,7 +413,7 @@ let run ?(pooling = true) p =
   Mmt_fault.Injector.arm injector p.plan;
 
   (* Source: mode-0 sender. *)
-  let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_ing) () in
+  let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_ing) ~ring () in
   let env_src = Router.env router_src ~engine ~fresh_id ~local_ip:source_ip in
   let sender =
     Mmt.Sender.create ~env:env_src

@@ -80,11 +80,9 @@ type outcome = {
   receiver : Mmt.Receiver.stats;
 }
 
-val run : ?pooling:bool -> params -> outcome
-(** Execute the plan.  [pooling] (default on) toggles the packet rings
-    behind the topology's links; the outcome is byte-identical either
-    way — the E-R1 differential test holds the scenario fixed and
-    flips only this switch. *)
+val run : params -> outcome
+(** Execute the plan.  Every host, switch and link creates and retires
+    its packets through the topology's ring. *)
 
 (** {2 Campaign wiring}
 

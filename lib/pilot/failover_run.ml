@@ -79,6 +79,7 @@ let snoop_element point =
 let run p =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:p.seed in
   let loss_rng = Rng.split rng in
@@ -111,10 +112,10 @@ let run p =
       rtt_hint;
     }
   in
-  let router_a = Router.create () in
+  let router_a = Router.create ~ring () in
   let env_a = Router.env router_a ~engine ~fresh_id ~local_ip:buffer_a_ip in
   let buffer_a = make_buffer ~ip:buffer_a_ip ~rtt_hint:(Units.Time.ms 2.) ~env:env_a in
-  let router_b = Router.create () in
+  let router_b = Router.create ~ring () in
   let env_b = Router.env router_b ~engine ~fresh_id ~local_ip:buffer_b_ip in
   let buffer_b = make_buffer ~ip:buffer_b_ip ~rtt_hint:(Units.Time.ms 4.) ~env:env_b in
   (* Buffer A resends toward the sink via B; B directly. *)
@@ -124,7 +125,7 @@ let run p =
   Router.add router_b ingress_ip (Mmt_sim.Link.send b_to_a);
 
   (* Ingress: control-plane participant + planned rewriter. *)
-  let router_ing = Router.create ~default:(Mmt_sim.Link.send ing_to_a) () in
+  let router_ing = Router.create ~default:(Mmt_sim.Link.send ing_to_a) ~ring () in
   let env_ing = Router.env router_ing ~engine ~fresh_id ~local_ip:ingress_ip in
   let control =
     Mmt_innet.Control_plane.create ~env:env_ing ~period:p.advert_period ~peers:[] ()
@@ -151,7 +152,7 @@ let run p =
   let rewriter =
     Mmt_innet.Mode_rewriter.create ~mode:initial_mode
       ~re_encap:(Mmt.Encap.Over_ipv4 { src = ingress_ip; dst = sink_ip; dscp = 0; ttl = 64 })
-      ()
+      ~pool:(Mmt_sim.Ring.pool ring) ()
   in
   let mode_changes = ref 0 in
   (* On a mode change, push the new buffer's advertisement downstream so
@@ -214,11 +215,13 @@ let run p =
     let frame = Mmt_sim.Packet.frame packet in
     match Mmt.Encap.locate frame with
     | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _) when Addr.Ip.equal dst source_ip ->
-        Some ignore
+        (* The source has no control-plane endpoint: the ingress is the
+           last holder of source-bound frames. *)
+        Some (Mmt_sim.Ring.in_packet_done ring)
     | _ -> Some (Mmt_sim.Link.send ing_to_a)
   in
   let _ingress_switch =
-    Mmt_innet.Switch.attach ~engine ~node:ingress ~profile:Mmt_innet.Switch.tofino2
+    Mmt_innet.Switch.attach ~engine ~node:ingress ~profile:Mmt_innet.Switch.tofino2 ~ring
       ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
       ~route:ingress_route ()
   in
@@ -234,13 +237,14 @@ let run p =
                && Addr.Ip.equal dst point.ip ->
             Some
               (fun packet ->
-                if point.alive then Mmt.Buffer_host.on_packet point.host packet)
+                if point.alive then Mmt.Buffer_host.on_packet point.host packet
+                else Mmt_sim.Ring.in_packet_done ring packet)
         | _ -> Some forward)
     | _ -> Some forward
   in
   let _switch_a =
     Mmt_innet.Switch.attach ~engine ~node:node_a ~profile:Mmt_innet.Switch.alveo_smartnic
-      ~elements:[ snoop_element buffer_a ]
+      ~ring ~elements:[ snoop_element buffer_a ]
       ~route:(fun packet ->
         (* NAKs for B travel sink -> B directly; anything for the
            ingress goes upstream. *)
@@ -254,7 +258,7 @@ let run p =
   in
   let _switch_b =
     Mmt_innet.Switch.attach ~engine ~node:node_b ~profile:Mmt_innet.Switch.alveo_smartnic
-      ~elements:[ snoop_element buffer_b ]
+      ~ring ~elements:[ snoop_element buffer_b ]
       ~route:(fun packet ->
         let frame = Mmt_sim.Packet.frame packet in
         match Mmt.Encap.locate frame with
@@ -267,7 +271,7 @@ let run p =
   in
 
   (* Sink: receiver; NAKs toward whichever buffer the header names. *)
-  let router_sink = Router.create () in
+  let router_sink = Router.create ~ring () in
   Router.add router_sink buffer_a_ip (Mmt_sim.Link.send sink_to_b);
   Router.add router_sink buffer_b_ip (Mmt_sim.Link.send sink_to_b);
   Router.add router_sink ingress_ip (Mmt_sim.Link.send sink_to_b);
@@ -309,7 +313,7 @@ let run p =
     p.fail_buffer_a_at;
 
   (* Source: mode-0 sender. *)
-  let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_ing) () in
+  let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_ing) ~ring () in
   let env_src = Router.env router_src ~engine ~fresh_id ~local_ip:source_ip in
   let sender =
     Mmt.Sender.create ~env:env_src

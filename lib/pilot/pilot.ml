@@ -108,9 +108,9 @@ let receiver_config config =
     expected_total = Some (config.fragment_count * max 1 config.slices);
   }
 
-let build ?(pooling = true) config =
+let build config =
   let engine = Mmt_sim.Engine.create () in
-  let topo = Mmt_sim.Topology.create ~engine ~pooling () in
+  let topo = Mmt_sim.Topology.create ~engine () in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed:config.seed in
   let loss_rng_a = Rng.split rng in
@@ -128,8 +128,8 @@ let build ?(pooling = true) config =
   in
   (* Every host hands the topology's packet ring to its router, switch
      and elements, so every retirement point recycles into it. *)
-  let ring = Mmt_sim.Topology.ring topo in
-  let pool = Option.map Mmt_sim.Ring.pool ring in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
+  let pool = Mmt_sim.Ring.pool ring in
 
   (* Links.  Data direction carries the WAN impairments; the control
      (reverse) direction is clean, NAK retries cover the rest. *)
@@ -201,7 +201,7 @@ let build ?(pooling = true) config =
       let sink =
         Mmt_int.Sink.create ~node_id:3
           ~emit:(Mmt_int.Collector.add collector)
-          ?pool ()
+          ~pool ()
       in
       Some { collector; dtn1_stamper; tofino_stamper; sink }
   in
@@ -212,7 +212,7 @@ let build ?(pooling = true) config =
   in
 
   (* DTN 1: buffer host + mode-0 -> mode-1 rewriter. *)
-  let router_d1 = Router.create ?ring () in
+  let router_d1 = Router.create ~ring () in
   Router.add router_d1 Address.dtn2_ip (Mmt_sim.Link.send d1_to_sw);
   Router.add router_d1 Address.sensor_ip (Mmt_sim.Link.send d1_to_s);
   List.iteri
@@ -238,7 +238,7 @@ let build ?(pooling = true) config =
       ~re_encap:
         (Mmt.Encap.Over_ipv4
            { src = Address.dtn1_ip; dst = Address.dtn2_ip; dscp = 0; ttl = 64 })
-      ?pool
+      ~pool
       ~on_rewrite:(fun ~seq ~born frame ->
         match seq with
         | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -259,7 +259,7 @@ let build ?(pooling = true) config =
   in
   let dtn1_switch =
     Mmt_innet.Switch.attach ~engine ~node:dtn1 ~profile:p.Profile.nic
-      ?ring
+      ~ring
       ~elements:
         (Mmt_innet.Mode_rewriter.element rewriter
         :: int_element (fun state -> state.dtn1_stamper))
@@ -268,7 +268,7 @@ let build ?(pooling = true) config =
 
   (* Tofino2: age tracking, optional duplication / back-pressure /
      in-network timeliness. *)
-  let router_sw = Router.create ?ring () in
+  let router_sw = Router.create ~ring () in
   Router.add router_sw Address.dtn1_ip (Mmt_sim.Link.send sw_to_d1);
   Router.add router_sw Address.dtn2_ip (Mmt_sim.Link.send sw_to_d2);
   Router.add router_sw Address.sensor_ip (Mmt_sim.Link.send sw_to_d1);
@@ -334,12 +334,12 @@ let build ?(pooling = true) config =
   in
   let tofino_switch =
     Mmt_innet.Switch.attach ~engine ~node:tofino ~profile:p.Profile.switch
-      ?ring ~elements:tofino_elements ~route:tofino_route ()
+      ~ring ~elements:tofino_elements ~route:tofino_route ()
   in
 
   (* DTN 2: the receiving endpoint (mode 3 timeliness check happens in
      the receiver). *)
-  let router_d2 = Router.create ?ring () in
+  let router_d2 = Router.create ~ring () in
   Router.add router_d2 Address.dtn1_ip (Mmt_sim.Link.send d2_to_sw);
   Router.add router_d2 Address.sensor_ip (Mmt_sim.Link.send d2_to_sw);
   let env_d2 =
@@ -371,7 +371,7 @@ let build ?(pooling = true) config =
          before the packet crosses into the host. *)
       ignore
         (Mmt_innet.Switch.attach ~engine ~node:dtn2 ~profile:p.Profile.nic
-           ?ring
+           ~ring
            ~elements:[ Mmt_int.Sink.element state.sink ]
            ~route:(fun _packet -> Some to_receiver)
            ())
@@ -383,12 +383,9 @@ let build ?(pooling = true) config =
       (fun i node ->
         (* Keep the historic drop-silently default but recycle the
            dropped packet (same unrouted accounting either way). *)
-        let default =
-          match ring with
-          | Some ring -> fun packet -> Mmt_sim.Ring.in_packet_done ring packet
-          | None -> ignore
+        let router =
+          Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ()
         in
-        let router = Router.create ~default ?ring () in
         let env =
           Router.env router ~engine ~fresh_id ~local_ip:(Address.researcher_ip i)
         in
@@ -404,7 +401,7 @@ let build ?(pooling = true) config =
 
   (* Sensor: mode-0 sender fed by the DAQ workload. *)
   let router_s =
-    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ?ring ()
+    Router.create ~default:(Mmt_sim.Link.send s_to_d1) ~ring ()
   in
   let env_s = Router.env router_s ~engine ~fresh_id ~local_ip:Address.sensor_ip in
   let sender =
@@ -435,9 +432,7 @@ let build ?(pooling = true) config =
                  in
                  Mmt.Sender.on_control sender header payload));
       (* The sensor consumes whatever reaches it (control + strays). *)
-      match ring with
-      | Some ring -> Mmt_sim.Ring.in_packet_done ring packet
-      | None -> ());
+      Mmt_sim.Ring.in_packet_done ring packet);
 
   (* One workload per instrument slice, each the catalog shape; the
      event builder at DTN 2 reunites their matching trigger numbers. *)
@@ -537,7 +532,7 @@ let config (t : t) = t.config
 let engine (t : t) = t.engine
 
 let ring_stats (t : t) =
-  Option.to_list (Option.map Mmt_sim.Ring.stats (Mmt_sim.Topology.ring t.topo))
+  [ Mmt_sim.Ring.stats (Option.get (Mmt_sim.Topology.ring t.topo)) ]
 
 let int_collector (t : t) =
   Option.map (fun state -> state.collector) t.int_state

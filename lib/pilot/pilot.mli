@@ -58,10 +58,10 @@ val default_config : config
 
 type t
 
-val build : ?pooling:bool -> config -> t
-(** Construct the pilot on a fresh engine.  [pooling] (default [true])
-    gives the topology a packet {!Mmt_sim.Ring}; [pooling:false] opts
-    out — either way the results are byte-identical. *)
+val build : config -> t
+(** Construct the pilot on a fresh engine; every host, switch and link
+    creates and retires its packets through the topology's
+    {!Mmt_sim.Ring}. *)
 
 val run : t -> unit
 (** Drive the simulation to quiescence. *)
@@ -94,9 +94,8 @@ val config : t -> config
 val engine : t -> Mmt_sim.Engine.t
 
 val ring_stats : t -> Mmt_sim.Ring.stats list
-(** The packet ring's statistics (recycle ratios for the bench
-    report) as a one-element list; empty when built with
-    [~pooling:false]. *)
+(** The topology ring's statistics (recycle ratios for the bench
+    report) as a one-element list. *)
 
 val int_nodes : (int * string) list
 (** INT node ids used by the topology: dtn1 = 1, tofino2 = 2,

@@ -3,11 +3,11 @@ open Mmt_frame
 type t = {
   table : (Addr.Ip.t, Mmt_sim.Packet.t -> unit) Hashtbl.t;
   default : (Mmt_sim.Packet.t -> unit) option;
-  ring : Mmt_sim.Ring.t option;
+  ring : Mmt_sim.Ring.t;
   mutable unrouted : int;
 }
 
-let create ?default ?ring () =
+let create ?default ~ring () =
   { table = Hashtbl.create 8; default; ring; unrouted = 0 }
 
 let add t ip sink = Hashtbl.replace t.table ip sink
@@ -22,9 +22,7 @@ let send t ip packet =
       | None ->
           t.unrouted <- t.unrouted + 1;
           (* The router was the last holder of an unroutable packet. *)
-          Option.iter
-            (fun ring -> Mmt_sim.Ring.in_packet_done ring packet)
-            t.ring)
+          Mmt_sim.Ring.in_packet_done t.ring packet)
 
 let unrouted t = t.unrouted
 

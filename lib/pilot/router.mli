@@ -10,7 +10,7 @@ open Mmt_frame
 type t
 
 val create :
-  ?default:(Mmt_sim.Packet.t -> unit) -> ?ring:Mmt_sim.Ring.t -> unit -> t
+  ?default:(Mmt_sim.Packet.t -> unit) -> ring:Mmt_sim.Ring.t -> unit -> t
 (** [ring] is the topology's packet ring: packets with no
     route and no default sink retire into it (the router was their
     last holder), and {!env} hands it to the endpoints living on the

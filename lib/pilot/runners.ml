@@ -247,6 +247,7 @@ module Placement_run = struct
   let run p =
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
+    let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let rng = Rng.create ~seed:p.seed in
     let loss_rng = Rng.split rng in
@@ -280,7 +281,7 @@ module Placement_run = struct
     in
     (* Buffer point: mode rewriter (sequencing, naming itself as the
        retransmission source) + the buffer host. *)
-    let router_buf = Router.create () in
+    let router_buf = Router.create ~ring () in
     Router.add router_buf sink_ip (Mmt_sim.Link.send buf_to_dst);
     let env_buf = Router.env router_buf ~engine ~fresh_id ~local_ip:buffer_ip in
     let buffer =
@@ -294,6 +295,7 @@ module Placement_run = struct
       Mmt_innet.Mode_rewriter.create ~mode
         ~re_encap:
           (Mmt.Encap.Over_ipv4 { src = buffer_ip; dst = sink_ip; dscp = 0; ttl = 64 })
+        ~pool:(Mmt_sim.Ring.pool ring)
         ~on_rewrite:(fun ~seq ~born frame ->
           match seq with
           | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
@@ -315,12 +317,12 @@ module Placement_run = struct
           Some (Mmt_sim.Link.send buf_to_dst)
     in
     let _switch =
-      Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.tofino2
+      Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.tofino2 ~ring
         ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
         ~route ()
     in
     (* Sink: plain receiver. *)
-    let router_dst = Router.create () in
+    let router_dst = Router.create ~ring () in
     Router.add router_dst buffer_ip (Mmt_sim.Link.send dst_to_buf);
     let env_dst = Router.env router_dst ~engine ~fresh_id ~local_ip:sink_ip in
     let receiver =
@@ -336,7 +338,7 @@ module Placement_run = struct
     in
     Mmt_sim.Node.set_handler dst (Mmt.Receiver.on_packet receiver);
     (* Source: mode-0 sender paced at 20% of line rate. *)
-    let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_buf) () in
+    let router_src = Router.create ~default:(Mmt_sim.Link.send src_to_buf) ~ring () in
     let env_src = Router.env router_src ~engine ~fresh_id ~local_ip:source_ip in
     let sender =
       Mmt.Sender.create ~env:env_src
@@ -424,6 +426,7 @@ module Priority_run = struct
   let run p =
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
+    let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let telescope = Mmt_sim.Topology.add_node topo ~name:"telescope" in
     let archive = Mmt_sim.Topology.add_node topo ~name:"archive" in
@@ -437,7 +440,7 @@ module Priority_run = struct
       Mmt_sim.Topology.connect topo ~src:telescope ~dst:archive ~rate:p.link_rate
         ~propagation:(Units.Time.ms 5.) ~queue ()
     in
-    let router = Router.create ~default:(Mmt_sim.Link.send wan) () in
+    let router = Router.create ~default:(Mmt_sim.Link.send wan) ~ring () in
     let env = Router.env router ~engine ~fresh_id ~local_ip:telescope_ip in
     let experiment = Mmt.Experiment_id.make ~experiment:5 ~slice:0 in
     let sender_config ?deadline_budget slice =
@@ -468,8 +471,9 @@ module Priority_run = struct
       }
     in
     let env_archive =
-      Router.env (Router.create ~default:ignore ()) ~engine ~fresh_id
-        ~local_ip:archive_ip
+      Router.env
+        (Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ())
+        ~engine ~fresh_id ~local_ip:archive_ip
     in
     let bulk_rx =
       Mmt.Receiver.create ~env:env_archive (receiver_config p.bulk_count)
@@ -481,7 +485,7 @@ module Priority_run = struct
     in
     Mmt_sim.Node.set_handler archive (fun packet ->
         match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-        | Error _ -> ()
+        | Error _ -> Mmt_sim.Ring.in_packet_done ring packet
         | Ok (_encap, off) -> (
             match Mmt.Header.View.of_frame ~off (Mmt_sim.Packet.frame packet) with
             | Ok view
@@ -489,7 +493,7 @@ module Priority_run = struct
               ->
                 Mmt.Receiver.on_packet alert_rx packet
             | Ok _ -> Mmt.Receiver.on_packet bulk_rx packet
-            | Error _ -> ()));
+            | Error _ -> Mmt_sim.Ring.in_packet_done ring packet));
     let bulk_payload = Bytes.make 8192 'B' in
     let bulk_gap = Units.Rate.transmission_time p.bulk_rate (Units.Size.bytes 8192) in
     for i = 0 to p.bulk_count - 1 do

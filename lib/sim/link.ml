@@ -44,8 +44,7 @@ type t = {
   propagation : Units.Time.t;
   loss : Loss.t;
   queue : Queue_model.t;
-  pool : Pool.t option;
-  ring : Ring.t option;
+  ring : Ring.t;
   observer : event -> Packet.t -> unit;
   deliver : Packet.t -> unit;
   boundary : int; (* cut-edge id, or -1 for an ordinary link *)
@@ -84,10 +83,7 @@ type t = {
 }
 
 (* The link was the packet's last holder: recycle the slot + frame. *)
-let retire t packet =
-  match t.ring with
-  | Some ring -> Ring.in_packet_done ring packet
-  | None -> Option.iter (fun pool -> Pool.release_packet pool packet) t.pool
+let retire t packet = Ring.in_packet_done t.ring packet
 
 let[@inline] observe link ev packet =
   if link.observer != no_observer then link.observer ev packet
@@ -164,7 +160,9 @@ let start_serializing t packet =
   ignore (Engine.schedule_after t.engine ~delay:serialization t.on_serialized)
 
 let transmit_next t =
-  let packet = Queue_model.poll t.queue ~now:(Engine.now t.engine) in
+  let packet =
+    Queue_model.poll t.queue ~ring:t.ring ~now:(Engine.now t.engine)
+  in
   if packet == Queue_model.empty then t.transmitting <- false
   else start_serializing t packet
 
@@ -205,7 +203,7 @@ let serialized t =
 
 let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
     ?(queue = Queue_model.droptail ~capacity:(Units.Size.mib 4) ())
-    ?pool ?ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
+    ~ring ?(observer = no_observer) ?(boundary = -1) ~deliver () =
   let t =
     {
       engine;
@@ -214,7 +212,6 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
       propagation;
       loss;
       queue;
-      pool;
       ring;
       observer;
       deliver;

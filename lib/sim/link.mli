@@ -51,8 +51,7 @@ val create :
   propagation:Units.Time.t ->
   ?loss:Loss.t ->
   ?queue:Queue_model.t ->
-  ?pool:Pool.t ->
-  ?ring:Ring.t ->
+  ring:Ring.t ->
   ?observer:(event -> Packet.t -> unit) ->
   ?boundary:int ->
   deliver:(Packet.t -> unit) ->
@@ -61,10 +60,10 @@ val create :
 (** Default impairment is {!Loss.perfect}; default queue is a 4 MiB
     drop-tail.  A zero [rate] means an ideal link (no serialization
     delay).  [observer] sees every per-packet event as it happens —
-    tracing taps into it.  With [ring] (preferred) or [pool], packets
-    the link destroys (queue drops, loss drops, fault drops) are
-    retired after the observer has seen the event; delivered packets
-    belong to the receiver.  [boundary] is the link's cut-edge id
+    tracing taps into it.  Packets the link destroys (queue drops,
+    expired drops, loss drops, fault drops) retire into [ring] after
+    the observer has seen the event; delivered packets belong to the
+    receiver.  [boundary] is the link's cut-edge id
     ([-1], the default, marks an ordinary link); {!Topology.connect}
     assigns ids in creation order to every link at or above
     {!cut_threshold}.

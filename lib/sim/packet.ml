@@ -31,8 +31,6 @@ let copy t ~id =
     slot = -1;
   }
 
-let clone t ~id ~frame = { t with id; frame; gen = 0; slot = -1 }
-
 let pp fmt t =
   Format.fprintf fmt "pkt#%d{%a%s, %d hops}" t.id Units.Size.pp (wire_size t)
     (if t.corrupted then ", corrupted" else "")

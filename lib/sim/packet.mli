@@ -39,8 +39,4 @@ val copy : t -> id:int -> t
 (** Deep copy with a new identity (in-network duplication).  The copy
     is always floating ([slot = -1]). *)
 
-val clone : t -> id:int -> frame:bytes -> t
-(** Like {!copy} but adopting [frame] (e.g. a pool-acquired buffer the
-    caller already filled) instead of copying the original's. *)
-
 val pp : Format.formatter -> t -> unit

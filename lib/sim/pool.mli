@@ -1,18 +1,18 @@
 (** Size-classed frame pool.
 
     Simulation workloads allocate millions of short-lived frames
-    ([bytes]) that die at well-known points: loss drops and queue drops
-    inside {!Link}, expired-deadline drops inside {!Queue_model}, and
-    the copy sources of the in-network duplicator and the
-    retransmission buffer.  Recycling them through a pool keeps the
-    per-packet hot path off the minor heap.
+    ([bytes]) that die at well-known points: the retirement points of
+    the packet {!Ring} (loss, queue, expiry and fault drops inside
+    {!Link}, consumed deliveries), and the frames replaced by element
+    rewrites and scratch copies.  Recycling them through a pool keeps
+    the per-packet hot path off the minor heap.
 
     Classes are keyed by exact frame length ([bytes] cannot be
     resized), each class a bounded stack, so [acquire]/[release] are
     O(1) and perform no allocation once a class is warm.
 
-    Pooling is opt-in: every integration point takes [?pool] and
-    behaves byte-identically without one.  {!release_packet} is the
+    Each {!Ring} embeds one pool ({!Ring.pool}); that is the pool every
+    element and host on a topology uses.  {!release_packet} is the
     generation-stamped safe path: it retires the packet's frame (the
     packet is left holding the shared zero-length {!retired} sentinel
     and its [gen] is bumped), so releasing twice is a no-op and a

@@ -32,29 +32,23 @@ type discipline = Fifo of fifo | Edf of edf
 type t = {
   capacity : Units.Size.t;
   discipline : discipline;
-  pool : Pool.t option;
-  ring : Ring.t option;
-      (* retires packets this queue destroys (expired drops); overflow
-         drops never enter the queue and stay the caller's to retire *)
   mutable bytes : int;
   mutable next_seq : int;
   mutable overflow_drops : int;
   mutable expired_drops : int;
 }
 
-let droptail ?pool ?ring ~capacity () =
+let droptail ~capacity () =
   {
     capacity;
     discipline = Fifo { buf = Array.make 64 dummy_packet; head = 0; len = 0 };
-    pool;
-    ring;
     bytes = 0;
     next_seq = 0;
     overflow_drops = 0;
     expired_drops = 0;
   }
 
-let deadline_aware ?pool ?ring ~capacity ~drop_expired ~deadline_of () =
+let deadline_aware ~capacity ~drop_expired ~deadline_of () =
   {
     capacity;
     discipline =
@@ -67,18 +61,11 @@ let deadline_aware ?pool ?ring ~capacity ~drop_expired ~deadline_of () =
           drop_expired;
           deadline_of;
         };
-    pool;
-    ring;
     bytes = 0;
     next_seq = 0;
     overflow_drops = 0;
     expired_drops = 0;
   }
-
-let retire t packet =
-  match t.ring with
-  | Some ring -> Ring.in_packet_done ring packet
-  | None -> Option.iter (fun pool -> Pool.release_packet pool packet) t.pool
 
 (* Index wrap by compare-and-subtract: the operands are always in
    [0, 2*cap), and a predictable branch beats the integer division a
@@ -219,7 +206,7 @@ let enqueue t ~now:_ packet =
    per forwarded packet. *)
 let empty = Packet.create ~id:(-1) ~born:Units.Time.zero Pool.retired
 
-let rec poll t ~now =
+let rec poll t ~ring ~now =
   match t.discipline with
   | Fifo f ->
       if f.len = 0 then empty
@@ -239,15 +226,11 @@ let rec poll t ~now =
           && deadline < Units.Time.to_ns now
         then begin
           t.expired_drops <- t.expired_drops + 1;
-          retire t packet;
-          poll t ~now
+          Ring.in_packet_done ring packet;
+          poll t ~ring ~now
         end
         else packet
       end
-
-let dequeue t ~now =
-  let packet = poll t ~now in
-  if packet == empty then None else Some packet
 
 let length t =
   match t.discipline with Fifo f -> f.len | Edf edf -> edf.size

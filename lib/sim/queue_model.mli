@@ -9,13 +9,11 @@ open Mmt_util
 
 type t
 
-val droptail : ?pool:Pool.t -> ?ring:Ring.t -> capacity:Units.Size.t -> unit -> t
+val droptail : capacity:Units.Size.t -> unit -> t
 (** FIFO bounded by queued bytes; arrivals that would overflow are
     dropped. *)
 
 val deadline_aware :
-  ?pool:Pool.t ->
-  ?ring:Ring.t ->
   capacity:Units.Size.t ->
   drop_expired:bool ->
   deadline_of:(Packet.t -> Units.Time.t option) ->
@@ -24,9 +22,9 @@ val deadline_aware :
 (** Earliest-deadline-first; packets without a deadline are served
     after all deadline-bearing packets, among themselves in FIFO order.
     When [drop_expired], packets whose deadline already passed are
-    discarded at dequeue time instead of transmitted — and retired into
-    [ring] (or their frames recycled into [pool]) when one is given
-    (the queue is the last holder of an expired packet). *)
+    discarded at dequeue time instead of transmitted, and retired into
+    the [ring] the dequeue is given (the queue is the last holder of an
+    expired packet). *)
 
 val enqueue : t -> now:Units.Time.t -> Packet.t -> [ `Accepted | `Dropped ]
 
@@ -41,12 +39,11 @@ val empty : Packet.t
 (** The inert record {!poll} returns on an empty queue; compare
     physically ([==]).  Never a real packet. *)
 
-val poll : t -> now:Units.Time.t -> Packet.t
+val poll : t -> ring:Ring.t -> now:Units.Time.t -> Packet.t
 (** Allocation-free dequeue: the head packet, or {!empty} when the
-    queue has none.  The hot path ({!Link}) uses this — {!dequeue} is
-    the same operation behind an option. *)
+    queue has none.  Expired packets skipped on the way retire into
+    [ring], the polling link's. *)
 
-val dequeue : t -> now:Units.Time.t -> Packet.t option
 val length : t -> int
 val queued_bytes : t -> Units.Size.t
 val overflow_drops : t -> int

@@ -19,15 +19,14 @@
       Holding a reference after that point is a use-after-free bug:
       the slot's [gen] was bumped and the record will be rewritten by
       a future acquire.  Double-done is a counted no-op.
-    - A slot never leaves its ring.  {!detach} converts a slot packet
-      into a floating record (the frame travels, the slot frees
-      immediately) for a packet handed to a holder outside the ring's
-      ownership protocol.
+    - The ring is the only packet allocator: every topology owns one,
+      and every host, link, queue and element built on that topology
+      creates and retires its packets through it.
 
-    Every operation falls back gracefully: past [max_slots] the ring
-    hands out floating heap records (counted in [overflow]), and
-    {!in_packet_done} on a floating packet just recycles its frame, so
-    correctness never depends on capacity tuning. *)
+    Past [max_slots] the ring hands out floating heap records (counted
+    in [overflow]), and {!in_packet_done} on a floating packet just
+    recycles its frame, so correctness never depends on capacity
+    tuning. *)
 
 open Mmt_util
 
@@ -40,16 +39,17 @@ type stats = {
   retired : int;  (** Total {!in_packet_done} retirements. *)
   double_done : int;  (** Redundant/stale retirements (no-ops). *)
   overflow : int;  (** Acquires served as floating records. *)
-  detached : int;  (** Slot packets converted by {!detach}. *)
 }
 
-val create : ?slots:int -> ?max_slots:int -> ?pool:Pool.t -> unit -> t
+val create : ?slots:int -> ?max_slots:int -> unit -> t
 (** [create ()] preallocates [slots] packet records (default 1024) and
-    doubles on demand up to [max_slots] (default 65536).  [pool]
-    supplies/receives the frames (fresh private pool by default).
+    doubles on demand up to [max_slots] (default 65536), with a fresh
+    private frame pool.
     @raise Invalid_argument if [slots < 1]. *)
 
 val pool : t -> Pool.t
+(** The embedded frame pool, for copy paths that recycle bare frames
+    (element rewrites, scratch copies). *)
 
 val in_packet :
   t -> ?padding:int -> id:int -> born:Units.Time.t -> int -> Packet.t
@@ -70,9 +70,5 @@ val in_packet_done : t -> Packet.t -> unit
 (** Retire a packet: recycle its frame into the pool and free its slot.
     Safe on floating packets (frame recycle only) and idempotent — a
     second call on the same incarnation is a counted no-op. *)
-
-val detach : t -> Packet.t -> Packet.t
-(** [detach t p] frees [p]'s slot and returns a floating record that
-    adopts [p]'s frame.  Identity on already-floating packets. *)
 
 val stats : t -> stats

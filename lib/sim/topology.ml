@@ -3,8 +3,7 @@ open Mmt_util
 type t = {
   engine : Engine.t;
   trace : Trace.t option;
-  pool : Pool.t option;
-  ring : Ring.t option;
+  ring : Ring.t;
   mutable next_id : int;
   node_by_name : (string, Node.t) Hashtbl.t;
   mutable node_order : Node.t list; (* reversed *)
@@ -12,21 +11,11 @@ type t = {
   mutable next_boundary : int;
 }
 
-(* Pooling is the default: unless the caller opts out (or supplied its
-   own ring), the topology gets a packet ring whose embedded pool also
-   serves the copy paths that only want frames. *)
-let create ~engine ?trace ?pool ?ring ?(pooling = true) () =
-  let ring =
-    match ring with
-    | Some _ -> ring
-    | None -> if pooling then Some (Ring.create ?pool ()) else None
-  in
-  let pool = match ring with Some r -> Some (Ring.pool r) | None -> pool in
+let create ~engine ?trace () =
   {
     engine;
     trace;
-    pool;
-    ring;
+    ring = Ring.create ();
     next_id = 0;
     node_by_name = Hashtbl.create 16;
     node_order = [];
@@ -36,8 +25,7 @@ let create ~engine ?trace ?pool ?ring ?(pooling = true) () =
 
 let engine t = t.engine
 let trace t = t.trace
-let pool t = t.pool
-let ring t = t.ring
+let ring t = Some t.ring
 
 let fresh_packet_id t =
   let id = t.next_id in
@@ -74,7 +62,7 @@ let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   in
   let link =
     Link.create ~engine:t.engine ~name ~rate ~propagation ?loss ?queue
-      ?pool:t.pool ?ring:t.ring ?observer ~boundary ~deliver:(Node.handle dst) ()
+      ~ring:t.ring ?observer ~boundary ~deliver:(Node.handle dst) ()
   in
   t.link_order <- link :: t.link_order;
   link

@@ -12,32 +12,19 @@ open Mmt_util
 
 type t
 
-val create :
-  engine:Engine.t ->
-  ?trace:Trace.t ->
-  ?pool:Pool.t ->
-  ?ring:Ring.t ->
-  ?pooling:bool ->
-  unit ->
-  t
-(** When [trace] is given, every link created through this topology
-    records its packet events into it.  Pooling is on by default:
-    unless [pooling:false], the topology owns a packet {!Ring} (either
-    [ring] or a fresh one wrapping [pool] when given) and every link
-    retires the packets it drops into it; {!pool} then exposes the
-    ring's embedded frame pool for copy paths.  [pooling:false]
-    restores the legacy behaviour: no ring, and frames recycle only
-    when an explicit [pool] was given. *)
+val create : engine:Engine.t -> ?trace:Trace.t -> unit -> t
+(** A topology owns one packet {!Ring}: every link created through it
+    retires the packets it drops into that ring, and every host built
+    on it creates and retires its packets there.  When [trace] is
+    given, every link created through this topology records its packet
+    events into it. *)
 
 val engine : t -> Engine.t
 val trace : t -> Trace.t option
 
-val pool : t -> Pool.t option
-(** The topology's frame pool, if any (a ring's embedded pool when the
-    topology owns a ring). *)
-
 val ring : t -> Ring.t option
-(** The topology's packet ring, if any. *)
+(** The topology's packet ring.  Always [Some]; the option is kept for
+    source compatibility with existing callers. *)
 
 val fresh_packet_id : t -> int
 (** Unique (per topology) packet identity, counting up from 0. *)

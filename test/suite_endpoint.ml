@@ -436,7 +436,7 @@ let test_sender_pacing_spacing () =
           departures := Mmt_sim.Engine.now engine :: !departures;
           Queue.push p queue);
       fresh_id = (fun () -> incr counter; !counter);
-      ring = None;
+      ring = Mmt_sim.Ring.create ();
     }
   in
   (* 1 Mbps pace, ~1000-bit messages -> about 1 ms spacing. *)

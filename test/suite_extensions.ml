@@ -177,7 +177,9 @@ let test_replan_applies_mode_change () =
     | Ok mode -> mode
     | Error e -> Alcotest.fail e
   in
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode:initial () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:initial ()
+  in
   (* A now expires; B appears. *)
   Mmt_innet.Resource_map.learn map ~now:(Units.Time.ms 20.) (advert buffer_b_ip 4.);
   (match
@@ -194,7 +196,9 @@ let test_replan_applies_mode_change () =
 
 let test_set_mode_validates () =
   let good = Mmt.Mode.make ~name:"good" ~reliable:buffer_a_ip ~age_budget_us:10 () in
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode:good () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:good ()
+  in
   let broken = { good with Mmt.Mode.retransmit_from = None } in
   Alcotest.(check bool) "ill-formed rejected" true
     (Result.is_error (Mmt_innet.Mode_rewriter.set_mode rewriter broken));

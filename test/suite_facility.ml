@@ -118,19 +118,6 @@ let test_run_seed_matters () =
     (a.Scenario.events = b.Scenario.events
     && a.Scenario.samples = b.Scenario.samples)
 
-let test_run_pooling_identical () =
-  (* Pools on by default vs. explicitly off: the allocator must never
-     show through in the results. *)
-  let config = { small with Scenario.flows = 23 } in
-  let pooled = Scenario.run config in
-  let plain = Scenario.run ~pooling:false config in
-  Alcotest.(check bool) "summaries equal" true
-    (pooled.Scenario.summary = plain.Scenario.summary);
-  Alcotest.(check bool) "per-flow samples equal" true
-    (pooled.Scenario.samples = plain.Scenario.samples);
-  Alcotest.(check int) "event counts equal" pooled.Scenario.events
-    plain.Scenario.events
-
 let test_report_single_point () =
   (* One point has nothing to scale against: the fan-in row is info,
      not a self-comparison that can only fail. *)
@@ -165,8 +152,6 @@ let suite =
       test_run_seed_matters;
     Alcotest.test_case "sweep: sequential vs parallel identical" `Quick
       test_sweep_parallel_identical;
-    Alcotest.test_case "run: pool-on/off byte-identical" `Quick
-      test_run_pooling_identical;
     Alcotest.test_case "report: single point is all_ok" `Quick
       test_report_single_point;
   ]

@@ -64,6 +64,7 @@ let test_injector_link_flap () =
   let delivered = ref 0 in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 1.)
       ~deliver:(fun _ -> incr delivered)
       ()
@@ -96,6 +97,7 @@ let test_injector_degrade_restore () =
   let original = Units.Rate.gbps 1. in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:original
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~deliver:(fun _ -> ())
       ()
@@ -184,6 +186,7 @@ let corrupt_run ~seed n =
   let arrivals = Buffer.create (n * 16) in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 1.)
       ~deliver:(fun p ->
         let frame = Sim.Packet.frame p in
@@ -352,33 +355,6 @@ let test_chaos_empty_plan_is_faultless () =
   Alcotest.(check (list string)) "no violations" [] outcome.C.violations;
   Alcotest.(check int) "all delivered" 800 outcome.C.delivered
 
-let test_chaos_pooling_byte_identical () =
-  (* Packet rings change the allocator, never the bytes: the same
-     fault plan — element death, wire tampering, random loss — must
-     produce a field-for-field identical outcome with pooling off. *)
-  let p =
-    C.params ~fragment_count:1200
-      ~plan:
-        (Fault.Plan.make
-           [
-             Fault.Plan.event ~at:(ms 2.) (Fault.Plan.Fail_element "buffer-a");
-             Fault.Plan.event ~at:(ms 3.)
-               (Fault.Plan.Corrupt_headers
-                  { link = "buffer-b->sink"; probability = 0.01; bits = 2 });
-             Fault.Plan.event ~at:(ms 20.)
-               (Fault.Plan.Stop_corrupting "buffer-b->sink");
-             Fault.Plan.event ~at:(ms 40.)
-               (Fault.Plan.Restart_element "buffer-a");
-           ])
-      ()
-  in
-  let pooled = C.run p in
-  let plain = C.run ~pooling:false p in
-  Alcotest.(check (list string)) "no invariant violations (pooled)" []
-    pooled.C.violations;
-  Alcotest.(check bool) "outcomes identical with pools on and off" true
-    (pooled = plain)
-
 (* Fault hooks firing mid-hop ---------------------------------------------- *)
 
 let test_fault_hooks_mid_hop () =
@@ -398,6 +374,7 @@ let test_fault_hooks_mid_hop () =
   let delivered = ref 0 in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 0.8)
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 20.)
       ~deliver:(fun _ -> incr delivered)
       ()
@@ -405,6 +382,7 @@ let test_fault_hooks_mid_hop () =
   let in_flight = ref 0 in
   let flight_link =
     Sim.Link.create ~engine ~name:"f" ~rate:(Units.Rate.gbps 0.8)
+      ~ring:(Sim.Ring.create ())
       ~propagation:(us 20.)
       ~deliver:(fun _ -> incr in_flight)
       ()
@@ -480,8 +458,6 @@ let suite =
       test_chaos_blackhole_degrades_then_recovers;
     Alcotest.test_case "chaos empty plan is faultless" `Quick
       test_chaos_empty_plan_is_faultless;
-    Alcotest.test_case "chaos pool-on/off byte-identical" `Slow
-      test_chaos_pooling_byte_identical;
     Alcotest.test_case "fault hooks land mid-hop" `Quick
       test_fault_hooks_mid_hop;
     Alcotest.test_case "E-R1 deterministic across domains" `Slow

@@ -57,7 +57,9 @@ let qcheck_element_mutation =
       let packet =
         Mmt_sim.Packet.create ~id:0 ~born:Mmt_util.Units.Time.zero frame
       in
-      let rewriter = Mmt_innet.Mode_rewriter.create ~mode () in
+      let rewriter =
+        Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode ()
+      in
       let tracker = Mmt_innet.Age_tracker.create () in
       let elements =
         [ Mmt_innet.Mode_rewriter.element rewriter;

@@ -44,7 +44,8 @@ let test_shipped_elements_realizable () =
   let mode = Mmt.Mode.make ~name:"m" ~reliable:buffer_ip ~age_budget_us:10 () in
   let elements =
     [
-      Mmt_innet.Mode_rewriter.element (Mmt_innet.Mode_rewriter.create ~mode ());
+      Mmt_innet.Mode_rewriter.element
+        (Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode ());
       Mmt_innet.Age_tracker.element (Mmt_innet.Age_tracker.create ());
       Mmt_innet.Duplicator.element
         (Mmt_innet.Duplicator.create ~env ~consumers:[ notify_ip ] ());
@@ -86,7 +87,7 @@ let test_rewriter_activates_mode () =
   let engine = Mmt_sim.Engine.create () in
   let stored = ref [] in
   let rewriter =
-    Mmt_innet.Mode_rewriter.create ~mode:wan_mode
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:wan_mode
       ~on_rewrite:(fun ~seq ~born:_ _frame -> stored := seq :: !stored)
       ()
   in
@@ -124,7 +125,7 @@ let test_rewriter_activates_mode () =
 
 let test_rewriter_re_encapsulates () =
   let rewriter =
-    Mmt_innet.Mode_rewriter.create ~mode:wan_mode
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:wan_mode
       ~re_encap:
         (Mmt.Encap.Over_ipv4
            { src = buffer_ip; dst = Addr.Ip.of_octets 10 0 3 1; dscp = 0; ttl = 64 })
@@ -154,7 +155,9 @@ let test_rewriter_re_encapsulates () =
 let test_rewriter_strips_features () =
   (* Campus-border rewriter: back to identification-only. *)
   let strip_mode = { Mmt.Mode.identification with Mmt.Mode.name = "strip" } in
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode:strip_mode () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:strip_mode ()
+  in
   let element = Mmt_innet.Mode_rewriter.element rewriter in
   let rich_header =
     Mmt.Header.with_retransmit_from
@@ -174,7 +177,9 @@ let test_rewriter_strips_features () =
   | _ -> Alcotest.fail "expected forward"
 
 let test_rewriter_passes_control () =
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode:wan_mode () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:wan_mode ()
+  in
   let element = Mmt_innet.Mode_rewriter.element rewriter in
   let nak_header =
     Mmt.Header.with_kind (Mmt.Header.mode0 ~experiment) Mmt.Feature.Kind.Nak
@@ -191,7 +196,9 @@ let test_rewriter_passes_control () =
     (Mmt_innet.Mode_rewriter.stats rewriter).Mmt_innet.Mode_rewriter.passed
 
 let test_rewriter_per_experiment_counters () =
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode:wan_mode () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ()) ~mode:wan_mode ()
+  in
   let element = Mmt_innet.Mode_rewriter.element rewriter in
   let experiment_b = Mmt.Experiment_id.make ~experiment:5 ~slice:0 in
   let packet_of exp =
@@ -465,6 +472,7 @@ let test_switch_pipeline_latency_and_routing () =
   let arrivals = ref [] in
   let switch =
     Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
+      ~ring:(Option.get (Mmt_sim.Topology.ring topo))
       ~elements:[ Mmt_innet.Element.passthrough ]
       ~route:(fun _ -> Some (fun p -> arrivals := (Mmt_sim.Engine.now engine, p) :: !arrivals))
       ()
@@ -485,6 +493,7 @@ let test_switch_counts_unrouted () =
   let node = Mmt_sim.Topology.add_node topo ~name:"sw" in
   let switch =
     Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
+      ~ring:(Option.get (Mmt_sim.Topology.ring topo))
       ~elements:[] ~route:(fun _ -> None) ()
   in
   Mmt_sim.Node.handle node (mode0_packet ~engine ~id:0 16);
@@ -506,6 +515,7 @@ let test_switch_rejects_unrealizable () =
   Alcotest.(check bool) "attach rejects" true
     (match
        Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
+      ~ring:(Option.get (Mmt_sim.Topology.ring topo))
          ~elements:[ bad ] ~route:(fun _ -> None) ()
      with
     | _ -> false

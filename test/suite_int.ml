@@ -148,9 +148,12 @@ let test_int_elements_attachable () =
   let topo = Mmt_sim.Topology.create ~engine () in
   let node = Mmt_sim.Topology.add_node topo ~name:"sw" in
   let stamper = Mmt_int.Stamper.create ~node_id:1 ~mode_id:1 () in
-  let sink = Mmt_int.Sink.create ~node_id:2 ~emit:ignore () in
+  let sink =
+    Mmt_int.Sink.create ~node_id:2 ~emit:ignore ~pool:(Mmt_sim.Pool.create ()) ()
+  in
   let _sw =
     Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
+      ~ring:(Option.get (Mmt_sim.Topology.ring topo))
       ~elements:[ Mmt_int.Stamper.element stamper; Mmt_int.Sink.element sink ]
       ~route:(fun _ -> None)
       ()

@@ -1,10 +1,6 @@
 open Mmt_util
 module Pool = Mmt_sim.Pool
 module Packet = Mmt_sim.Packet
-module Engine = Mmt_sim.Engine
-module Link = Mmt_sim.Link
-module Loss = Mmt_sim.Loss
-module Queue_model = Mmt_sim.Queue_model
 
 let mk_packet ~id len fill =
   Packet.create ~id ~born:Units.Time.zero (Bytes.make len fill)
@@ -91,72 +87,6 @@ let test_no_aliasing_fuzz () =
   let stats = Pool.stats pool in
   Alcotest.(check bool) "fuzz exercised recycling" true (stats.Pool.recycled > 0)
 
-(* --- pooling changes no observable behavior ----------------------------- *)
-
-(* A lossy link with a drop-expired EDF queue: every pool recycle point
-   in the sim layer fires (queue drops, loss drops, expired drops).
-   Delivered frame contents and link/queue statistics must be identical
-   with pooling on and off. *)
-let run_lossy_scenario ?pool () =
-  let engine = Engine.create () in
-  let delivered = ref [] in
-  let deadline_of (p : Packet.t) =
-    if p.Packet.id mod 3 = 0 then
-      Some (Units.Time.add p.Packet.born (Units.Time.us 40.))
-    else None
-  in
-  let queue =
-    Queue_model.deadline_aware ?pool ~capacity:(Units.Size.bytes 6_000)
-      ~drop_expired:true ~deadline_of ()
-  in
-  let link =
-    Link.create ~engine ~name:"lossy" ~rate:(Units.Rate.mbps 50.)
-      ~propagation:(Units.Time.us 10.)
-      ~loss:(Loss.bernoulli ~drop:0.2 ~corrupt:0.05 ~rng:(Rng.create ~seed:11L))
-      ~queue ?pool
-      ~deliver:(fun p ->
-        delivered :=
-          (p.Packet.id, Bytes.to_string (Packet.frame p), p.Packet.corrupted)
-          :: !delivered)
-      ()
-  in
-  for i = 0 to 399 do
-    ignore
-      (Engine.schedule engine
-         ~at:(Units.Time.of_int_ns (i * 2_000))
-         (fun () ->
-           let len = 200 + (100 * (i mod 4)) in
-           let frame = Bytes.make len (Char.chr (Char.code 'a' + (i mod 26))) in
-           Link.send link (Packet.create ~id:i ~born:(Engine.now engine) frame)))
-  done;
-  Engine.run engine;
-  (List.rev !delivered, Link.stats link, Queue_model.expired_drops queue)
-
-let test_pooling_preserves_behavior () =
-  let plain, stats_plain, expired_plain = run_lossy_scenario () in
-  let pool = Pool.create () in
-  let pooled, stats_pooled, expired_pooled = run_lossy_scenario ~pool () in
-  Alcotest.(check int)
-    "same delivery count" (List.length plain) (List.length pooled);
-  List.iter2
-    (fun (id_a, frame_a, corrupt_a) (id_b, frame_b, corrupt_b) ->
-      Alcotest.(check int) "same packet order" id_a id_b;
-      Alcotest.(check string) "identical delivered frame" frame_a frame_b;
-      Alcotest.(check bool) "same corruption flag" corrupt_a corrupt_b)
-    plain pooled;
-  Alcotest.(check int)
-    "same loss drops" stats_plain.Link.loss_drops stats_pooled.Link.loss_drops;
-  Alcotest.(check int)
-    "same queue drops" stats_plain.Link.queue_drops
-    stats_pooled.Link.queue_drops;
-  Alcotest.(check int) "same expired drops" expired_plain expired_pooled;
-  Alcotest.(check int)
-    "same delivered bytes" stats_plain.Link.delivered_bytes
-    stats_pooled.Link.delivered_bytes;
-  let pstats = Pool.stats pool in
-  Alcotest.(check bool)
-    "scenario actually recycled frames" true (pstats.Pool.released > 0)
-
 (* --- task pool ---------------------------------------------------------- *)
 
 let test_task_pool_runs_everywhere () =
@@ -210,8 +140,6 @@ let suite =
     Alcotest.test_case "class capacity bounded" `Quick
       test_class_capacity_bounded;
     Alcotest.test_case "no aliasing under fuzz" `Quick test_no_aliasing_fuzz;
-    Alcotest.test_case "pooling preserves behavior" `Quick
-      test_pooling_preserves_behavior;
     Alcotest.test_case "task pool reuses workers" `Quick
       test_task_pool_runs_everywhere;
     Alcotest.test_case "task pool propagates exceptions" `Quick

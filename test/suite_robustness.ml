@@ -117,6 +117,7 @@ let test_encrypted_payloads_cross_elements () =
   let key = Mmt.Payload_crypto.key_of_string "pilot secret" in
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let src = Mmt_sim.Topology.add_node topo ~name:"src" in
   let mid = Mmt_sim.Topology.add_node topo ~name:"mid" in
@@ -131,16 +132,18 @@ let test_encrypted_payloads_cross_elements () =
   let mid_to_dst =
     Mmt_sim.Topology.connect topo ~src:mid ~dst ~rate ~propagation:(Units.Time.us 50.) ()
   in
-  let router_mid = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send mid_to_dst) () in
+  let router_mid =
+    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send mid_to_dst) ~ring ()
+  in
   let env_mid = Mmt_pilot.Router.env router_mid ~engine ~fresh_id ~local_ip:mid_ip in
   ignore env_mid;
   let mode =
     Mmt.Mode.make ~name:"enc/wan" ~reliable:mid_ip ~age_budget_us:10_000 ()
   in
-  let rewriter = Mmt_innet.Mode_rewriter.create ~mode () in
+  let rewriter = Mmt_innet.Mode_rewriter.create ~mode ~pool:(Mmt_sim.Ring.pool ring) () in
   let age_tracker = Mmt_innet.Age_tracker.create () in
   let _switch =
-    Mmt_innet.Switch.attach ~engine ~node:mid ~profile:Mmt_innet.Switch.tofino2
+    Mmt_innet.Switch.attach ~engine ~node:mid ~profile:Mmt_innet.Switch.tofino2 ~ring
       ~elements:
         [ Mmt_innet.Mode_rewriter.element rewriter;
           Mmt_innet.Age_tracker.element age_tracker ]
@@ -148,7 +151,9 @@ let test_encrypted_payloads_cross_elements () =
       ()
   in
   let experiment = Mmt.Experiment_id.make ~experiment:4 ~slice:0 in
-  let router_src = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send src_to_mid) () in
+  let router_src =
+    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send src_to_mid) ~ring ()
+  in
   let env_src = Mmt_pilot.Router.env router_src ~engine ~fresh_id ~local_ip:src_ip in
   let sender =
     Mmt.Sender.create ~env:env_src
@@ -164,8 +169,9 @@ let test_encrypted_payloads_cross_elements () =
   in
   let decrypted = ref [] in
   let env_dst =
-    Mmt_pilot.Router.env (Mmt_pilot.Router.create ~default:ignore ()) ~engine ~fresh_id
-      ~local_ip:dst_ip
+    Mmt_pilot.Router.env
+      (Mmt_pilot.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ())
+      ~engine ~fresh_id ~local_ip:dst_ip
   in
   let receiver =
     Mmt.Receiver.create ~env:env_dst

@@ -5,6 +5,11 @@ module Sim = Mmt_sim
 let mk_packet ?(padding = 0) ?(id = 0) size =
   Sim.Packet.create ~padding ~id ~born:Units.Time.zero (Bytes.create size)
 
+(* The link's view of a queue: poll, retiring expired drops into [ring]. *)
+let dequeue ?(ring = Sim.Ring.create ()) q ~now =
+  let p = Sim.Queue_model.poll q ~ring ~now in
+  if p == Sim.Queue_model.empty then None else Some p
+
 (* Queue models ---------------------------------------------------------- *)
 
 let test_droptail_fifo_order () =
@@ -15,7 +20,7 @@ let test_droptail_fifo_order () =
       (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 100) = `Accepted)
   done;
   let order = List.init 10 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with
+      match dequeue q ~now with
       | Some p -> p.Sim.Packet.id
       | None -> -1)
   in
@@ -50,7 +55,7 @@ let test_edf_orders_by_deadline () =
   let now = Units.Time.zero in
   List.iter (fun i -> ignore (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 10))) [ 0; 1; 2 ];
   let order = List.init 3 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
+      match dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "earliest deadline first" [ 1; 2; 0 ] order
 
@@ -60,7 +65,7 @@ let test_edf_deadline_free_after_deadlines () =
   let now = Units.Time.zero in
   List.iter (fun i -> ignore (Sim.Queue_model.enqueue q ~now (mk_packet ~id:i 10))) [ 0; 1; 2 ];
   let order = List.init 3 (fun _ ->
-      match Sim.Queue_model.dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
+      match dequeue q ~now with Some p -> p.Sim.Packet.id | None -> -1)
   in
   Alcotest.(check (list int)) "deadline-bearing first, then fifo" [ 1; 0; 2 ] order
 
@@ -74,7 +79,7 @@ let test_edf_drop_expired () =
   List.iter
     (fun i -> ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero (mk_packet ~id:i 10)))
     [ 0; 1 ];
-  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 5.) with
+  (match dequeue q ~now:(Units.Time.ms 5.) with
   | Some p -> Alcotest.(check int) "expired dropped, live served" 1 p.Sim.Packet.id
   | None -> Alcotest.fail "expected a packet");
   Alcotest.(check int) "expired counted" 1 (Sim.Queue_model.expired_drops q)
@@ -90,10 +95,10 @@ let test_edf_heap_stress () =
   in
   for i = 0 to 999 do
     ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero (mk_packet ~id:i 10));
-    if Rng.bool rng then ignore (Sim.Queue_model.dequeue q ~now:Units.Time.zero)
+    if Rng.bool rng then ignore (dequeue q ~now:Units.Time.zero)
   done;
   let rec drain last =
-    match Sim.Queue_model.dequeue q ~now:Units.Time.zero with
+    match dequeue q ~now:Units.Time.zero with
     | None -> ()
     | Some p ->
         let d = (p.Sim.Packet.id * 7919) mod 104729 in
@@ -132,7 +137,7 @@ let test_edf_expired_cascade_byte_accounting () =
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
   (* At t=10ms packets 0-3 are expired: one dequeue call cascades over
      all four and serves the live one. *)
-  (match Sim.Queue_model.dequeue q ~now:(Units.Time.ms 10.) with
+  (match dequeue q ~now:(Units.Time.ms 10.) with
   | Some p -> Alcotest.(check int) "live packet served" 4 p.Sim.Packet.id
   | None -> Alcotest.fail "expected the unexpired packet");
   Alcotest.(check int) "cascade counted" 4 (Sim.Queue_model.expired_drops q);
@@ -145,21 +150,25 @@ let test_edf_expired_cascade_byte_accounting () =
     = `Accepted)
 
 let test_edf_expired_cascade_recycles_into_pool () =
-  let pool = Sim.Pool.create () in
+  let ring = Sim.Ring.create () in
   let q =
-    Sim.Queue_model.deadline_aware ~pool ~capacity:(Units.Size.kib 64)
+    Sim.Queue_model.deadline_aware ~capacity:(Units.Size.kib 64)
       ~drop_expired:true
       ~deadline_of:(fun _ -> Some (Units.Time.us 1.))
       ()
   in
   for i = 0 to 9 do
-    ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero (mk_packet ~id:i 128))
+    let p = Sim.Ring.in_packet ring ~id:i ~born:Units.Time.zero 128 in
+    ignore (Sim.Queue_model.enqueue q ~now:Units.Time.zero p)
   done;
   Alcotest.(check bool)
     "all expired: nothing to serve" true
-    (Sim.Queue_model.dequeue q ~now:(Units.Time.ms 1.) = None);
-  let stats = Sim.Pool.stats pool in
-  Alcotest.(check int) "all ten frames recycled" 10 stats.Sim.Pool.released
+    (dequeue ~ring q ~now:(Units.Time.ms 1.) = None);
+  let stats = Sim.Ring.stats ring in
+  Alcotest.(check int) "all ten slots retired" 10 stats.Sim.Ring.retired;
+  Alcotest.(check int) "no live slots" 0 stats.Sim.Ring.in_use;
+  Alcotest.(check int) "all ten frames recycled" 10
+    (Sim.Pool.stats (Sim.Ring.pool ring)).Sim.Pool.released
 
 let test_queue_capacity_reusable_after_overflow () =
   let q = Sim.Queue_model.droptail ~capacity:(Units.Size.bytes 300) () in
@@ -172,7 +181,7 @@ let test_queue_capacity_reusable_after_overflow () =
   (* The overflow drop must not corrupt the byte count ... *)
   Alcotest.(check int) "bytes unchanged by overflow" 200
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
-  ignore (Sim.Queue_model.dequeue q ~now);
+  ignore (dequeue q ~now);
   (* ... and after draining, the full capacity is available again. *)
   Alcotest.(check int) "empty" 0
     (Units.Size.to_bytes (Sim.Queue_model.queued_bytes q));
@@ -268,6 +277,7 @@ let test_link_delivers_with_latency () =
   let arrivals = ref [] in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:(Units.Time.us 100.)
       ~deliver:(fun p -> arrivals := (Sim.Engine.now engine, p) :: !arrivals)
       ()
@@ -287,6 +297,7 @@ let test_link_serializes_back_to_back () =
   let arrivals = ref [] in
   let link =
     Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~deliver:(fun _ -> arrivals := Sim.Engine.now engine :: !arrivals)
       ()
@@ -303,6 +314,7 @@ let test_link_zero_rate_is_ideal () =
   let arrived = ref Units.Time.zero in
   let link =
     Sim.Link.create ~engine ~name:"ideal" ~rate:Units.Rate.zero
+      ~ring:(Sim.Ring.create ())
       ~propagation:(Units.Time.ms 1.)
       ~deliver:(fun _ -> arrived := Sim.Engine.now engine)
       ()
@@ -317,6 +329,7 @@ let test_link_loss_accounting () =
   let rng = Rng.create ~seed:5L in
   let link =
     Sim.Link.create ~engine ~name:"lossy" ~rate:(Units.Rate.gbps 10.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~loss:(Sim.Loss.bernoulli ~drop:0.2 ~corrupt:0.1 ~rng)
       ~deliver:(fun p ->
@@ -345,6 +358,7 @@ let test_link_queue_overflow_accounting () =
   let engine = Sim.Engine.create () in
   let link =
     Sim.Link.create ~engine ~name:"tiny" ~rate:(Units.Rate.mbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero
       ~queue:(Sim.Queue_model.droptail ~capacity:(Units.Size.bytes 500) ())
       ~deliver:ignore ()
@@ -363,6 +377,7 @@ let test_link_utilization () =
   let engine = Sim.Engine.create () in
   let link =
     Sim.Link.create ~engine ~name:"u" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
       ~propagation:Units.Time.zero ~deliver:ignore ()
   in
   (* 10 packets x 10 us = 100 us busy. *)

@@ -18,10 +18,7 @@ The ring-buffer packet path adds two more families of checks:
 - `pilot_audit`: over the E-F4 pilot window the packet ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
-  never observe a stale/double `in_packet_done`, and pooling must not
-  allocate more minor words than the plain allocator does (with
-  headroom; large frames live on the major heap either way, so the
-  two are expected to be close rather than far apart).
+  and never observe a stale/double `in_packet_done`.
 
 Usage: bench_gate.py BASELINE.json CURRENT.json
 """
@@ -34,7 +31,6 @@ SLACK_NS = 25.0  # absolute headroom so sub-50ns ops don't flap on noise
 SWEEP_HEADROOM = 1.15  # parallel may not exceed sequential by more than this
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
-POOLED_HEADROOM = 1.25  # pooled pilot minor words vs plain allocator
 
 
 def main() -> int:
@@ -119,14 +115,6 @@ def main() -> int:
         failures.append(
             f"pilot ring saw {double_done} stale/double in_packet_done"
         )
-    pooled = audit.get("minor_words_pooled")
-    plain = audit.get("minor_words_plain")
-    if pooled is not None and plain is not None and plain > 0:
-        if pooled > plain * POOLED_HEADROOM:
-            failures.append(
-                f"pooled pilot allocates more than plain "
-                f"({pooled:.0f} vs {plain:.0f} minor words)"
-            )
 
     shared = sorted(set(base_micro) & set(cur_micro))
     print(f"bench gate: {len(shared)} shared micro-benchmarks checked")
