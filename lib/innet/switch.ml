@@ -14,9 +14,6 @@ type stats = {
   unrouted : int;
 }
 
-let dummy_packet =
-  Mmt_sim.Packet.create ~id:(-1) ~born:Units.Time.zero Mmt_sim.Pool.retired
-
 type t = {
   engine : Mmt_sim.Engine.t;
   node : Mmt_sim.Node.t;
@@ -25,13 +22,10 @@ type t = {
   route : Mmt_sim.Packet.t -> (Mmt_sim.Packet.t -> unit) option;
   ring : Mmt_sim.Ring.t;
   mutable on_pipeline : unit -> unit; (* preallocated; set in attach *)
-  (* Ingress circular FIFO: the pipeline latency is a per-device
-     constant, so packets leave the pipeline in arrival order and one
-     shared closure popping this queue replaces a fresh closure per
-     packet. *)
-  mutable pending : Mmt_sim.Packet.t array;
-  mutable pending_head : int;
-  mutable pending_len : int;
+  (* Ingress FIFO: the pipeline latency is a per-device constant, so
+     packets leave the pipeline in arrival order and one shared closure
+     popping this queue replaces a fresh closure per packet. *)
+  pending : Mmt_sim.Packet.Fifo.t;
   mutable processed : int;
   mutable forwarded : int;
   mutable replicated : int;
@@ -40,27 +34,6 @@ type t = {
 }
 
 let retire t packet = Mmt_sim.Ring.in_packet_done t.ring packet
-
-let pending_push t packet =
-  let cap = Array.length t.pending in
-  if t.pending_len = cap then begin
-    let grown = Array.make (cap * 2) dummy_packet in
-    for i = 0 to t.pending_len - 1 do
-      grown.(i) <- t.pending.((t.pending_head + i) mod cap)
-    done;
-    t.pending <- grown;
-    t.pending_head <- 0
-  end;
-  t.pending.((t.pending_head + t.pending_len) mod Array.length t.pending)
-  <- packet;
-  t.pending_len <- t.pending_len + 1
-
-let pending_pop t =
-  let packet = t.pending.(t.pending_head) in
-  t.pending.(t.pending_head) <- dummy_packet;
-  t.pending_head <- (t.pending_head + 1) mod Array.length t.pending;
-  t.pending_len <- t.pending_len - 1;
-  packet
 
 let emit t packet =
   match t.route packet with
@@ -73,7 +46,7 @@ let emit t packet =
       retire t packet
 
 let pipeline t =
-  let packet = pending_pop t in
+  let packet = Mmt_sim.Packet.Fifo.pop t.pending in
   let now = Mmt_sim.Engine.now t.engine in
   match Element.chain t.elements ~now packet with
   | Element.Forward packet -> emit t packet
@@ -86,7 +59,7 @@ let pipeline t =
 
 let handle t packet =
   t.processed <- t.processed + 1;
-  pending_push t packet;
+  Mmt_sim.Packet.Fifo.push t.pending packet;
   ignore
     (Mmt_sim.Engine.schedule_after t.engine ~delay:t.profile.pipeline_latency
        t.on_pipeline)
@@ -108,9 +81,7 @@ let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
       route;
       ring;
       on_pipeline = ignore;
-      pending = Array.make 16 dummy_packet;
-      pending_head = 0;
-      pending_len = 0;
+      pending = Mmt_sim.Packet.Fifo.create ();
       processed = 0;
       forwarded = 0;
       replicated = 0;

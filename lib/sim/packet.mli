@@ -29,6 +29,25 @@ val create :
   ?padding:int -> id:int -> born:Units.Time.t -> bytes -> t
 (** @raise Invalid_argument if [padding < 0]. *)
 
+val none : t
+(** The inert sentinel: fills empty packet slots and stands for "no
+    packet" where an [option] would box.  Compare physically ([==]).
+    Its frame is empty, so retiring it is a no-op. *)
+
+(** Growable circular packet FIFO; steady-state push/pop allocate
+    nothing. *)
+module Fifo : sig
+  type packet := t
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val push : t -> packet -> unit
+
+  val pop : t -> packet
+  (** The oldest packet, or {!none} when the FIFO is empty. *)
+end
+
 val wire_size : t -> Units.Size.t
 val frame : t -> bytes
 val set_frame : t -> bytes -> unit

@@ -1,15 +1,5 @@
 open Mmt_util
 
-let dummy_packet = Packet.create ~id:(-1) ~born:Units.Time.zero Pool.retired
-
-(* Circular packet FIFO: steady-state push/pop allocate nothing
-   (stdlib [Queue] allocates a cell per push). *)
-type fifo = {
-  mutable buf : Packet.t array;
-  mutable head : int;
-  mutable len : int;
-}
-
 (* EDF heap as parallel arrays (SoA, mirroring the engine heap) so an
    enqueue allocates no entry record.  [deadlines] holds raw ns;
    deadline-free packets carry [no_deadline] = [max_int], which both
@@ -27,7 +17,7 @@ type edf = {
   deadline_of : Packet.t -> Units.Time.t option;
 }
 
-type discipline = Fifo of fifo | Edf of edf
+type discipline = Fifo of Packet.Fifo.t | Edf of edf
 
 type t = {
   capacity : Units.Size.t;
@@ -41,7 +31,7 @@ type t = {
 let droptail ~capacity () =
   {
     capacity;
-    discipline = Fifo { buf = Array.make 64 dummy_packet; head = 0; len = 0 };
+    discipline = Fifo (Packet.Fifo.create ());
     bytes = 0;
     next_seq = 0;
     overflow_drops = 0;
@@ -54,7 +44,7 @@ let deadline_aware ~capacity ~drop_expired ~deadline_of () =
     discipline =
       Edf
         {
-          packets = Array.make 64 dummy_packet;
+          packets = Array.make 64 Packet.none;
           deadlines = Array.make 64 no_deadline;
           seqs = Array.make 64 (-1);
           size = 0;
@@ -66,33 +56,6 @@ let deadline_aware ~capacity ~drop_expired ~deadline_of () =
     overflow_drops = 0;
     expired_drops = 0;
   }
-
-(* Index wrap by compare-and-subtract: the operands are always in
-   [0, 2*cap), and a predictable branch beats the integer division a
-   [mod] costs on the per-packet path. *)
-let fifo_push f packet =
-  let cap = Array.length f.buf in
-  if f.len = cap then begin
-    let grown = Array.make (cap * 2) dummy_packet in
-    for i = 0 to f.len - 1 do
-      let src = f.head + i in
-      grown.(i) <- f.buf.(if src >= cap then src - cap else src)
-    done;
-    f.buf <- grown;
-    f.head <- 0
-  end;
-  let cap = Array.length f.buf in
-  let tail = f.head + f.len in
-  f.buf.(if tail >= cap then tail - cap else tail) <- packet;
-  f.len <- f.len + 1
-
-let fifo_pop f =
-  let packet = f.buf.(f.head) in
-  f.buf.(f.head) <- dummy_packet;
-  let next = f.head + 1 in
-  f.head <- (if next >= Array.length f.buf then 0 else next);
-  f.len <- f.len - 1;
-  packet
 
 (* EDF ordering: deadline-bearing packets first (earliest wins), then
    deadline-free packets in arrival order. *)
@@ -114,7 +77,7 @@ let swap edf i j =
 let heap_push edf packet deadline seq =
   if edf.size = Array.length edf.packets then begin
     let cap = 2 * edf.size in
-    let packets = Array.make cap dummy_packet in
+    let packets = Array.make cap Packet.none in
     let deadlines = Array.make cap no_deadline in
     let seqs = Array.make cap (-1) in
     Array.blit edf.packets 0 packets 0 edf.size;
@@ -144,7 +107,7 @@ let heap_pop edf =
   edf.packets.(0) <- edf.packets.(edf.size);
   edf.deadlines.(0) <- edf.deadlines.(edf.size);
   edf.seqs.(0) <- edf.seqs.(edf.size);
-  edf.packets.(edf.size) <- dummy_packet;
+  edf.packets.(edf.size) <- Packet.none;
   edf.deadlines.(edf.size) <- no_deadline;
   edf.seqs.(edf.size) <- -1;
   let rec sift i =
@@ -174,7 +137,7 @@ let heap_pop edf =
 let passes_when_empty t packet =
   match t.discipline with
   | Fifo f ->
-      f.len = 0
+      Packet.Fifo.length f = 0
       && Units.Size.to_bytes (Packet.wire_size packet)
          <= Units.Size.to_bytes t.capacity
   | Edf _ -> false
@@ -188,7 +151,7 @@ let enqueue t ~now:_ packet =
   else begin
     t.bytes <- t.bytes + size;
     (match t.discipline with
-    | Fifo f -> fifo_push f packet
+    | Fifo f -> Packet.Fifo.push f packet
     | Edf edf ->
         let deadline =
           match edf.deadline_of packet with
@@ -201,22 +164,15 @@ let enqueue t ~now:_ packet =
     `Accepted
   end
 
-(* Returned by [poll] on an empty queue: a shared inert record (compare
-   physically), so the link's transmit loop never builds a [Some] box
-   per forwarded packet. *)
-let empty = Packet.create ~id:(-1) ~born:Units.Time.zero Pool.retired
-
 let rec poll t ~ring ~now =
   match t.discipline with
   | Fifo f ->
-      if f.len = 0 then empty
-      else begin
-        let packet = fifo_pop f in
+      let packet = Packet.Fifo.pop f in
+      if packet != Packet.none then
         t.bytes <- t.bytes - Units.Size.to_bytes (Packet.wire_size packet);
-        packet
-      end
+      packet
   | Edf edf ->
-      if edf.size = 0 then empty
+      if edf.size = 0 then Packet.none
       else begin
         let deadline = edf.deadlines.(0) in
         let packet = heap_pop edf in
@@ -233,7 +189,7 @@ let rec poll t ~ring ~now =
       end
 
 let length t =
-  match t.discipline with Fifo f -> f.len | Edf edf -> edf.size
+  match t.discipline with Fifo f -> Packet.Fifo.length f | Edf edf -> edf.size
 
 let queued_bytes t = Units.Size.bytes t.bytes
 let overflow_drops t = t.overflow_drops

@@ -35,13 +35,9 @@ val passes_when_empty : t -> Packet.t -> bool
     bypass the queue round-trip; always [false] for deadline-aware
     queues, whose poll may legitimately expire the fresh packet. *)
 
-val empty : Packet.t
-(** The inert record {!poll} returns on an empty queue; compare
-    physically ([==]).  Never a real packet. *)
-
 val poll : t -> ring:Ring.t -> now:Units.Time.t -> Packet.t
-(** Allocation-free dequeue: the head packet, or {!empty} when the
-    queue has none.  Expired packets skipped on the way retire into
+(** Allocation-free dequeue: the head packet, or {!Packet.none} when
+    the queue has none.  Expired packets skipped on the way retire into
     [ring], the polling link's. *)
 
 val length : t -> int

@@ -8,7 +8,7 @@ let mk_packet ?(padding = 0) ?(id = 0) size =
 (* The link's view of a queue: poll, retiring expired drops into [ring]. *)
 let dequeue ?(ring = Sim.Ring.create ()) q ~now =
   let p = Sim.Queue_model.poll q ~ring ~now in
-  if p == Sim.Queue_model.empty then None else Some p
+  if p == Sim.Packet.none then None else Some p
 
 (* Queue models ---------------------------------------------------------- *)
 

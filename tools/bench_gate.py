@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Bench regression gate.
 
-Compares a fresh `bench --json` run against the committed baseline and
-fails (exit 1) when any shared micro-benchmark slowed down by more than
-RATIO, when the parallel sweep is slower than the sequential one (the
-regression this gate exists to keep out), or when `Engine.schedule`
-started allocating.
+Checks a fresh `bench --json` run against itself, so the verdict does
+not depend on the speed of the machine that runs it.  Fails (exit 1)
+when the parallel sweep is slower than the sequential one or its
+reports differ, or when `Engine.schedule` started allocating.
 
 The ring-buffer packet path adds two more families of checks:
 
 - `forward`: the steady-state slot -> link -> deliver -> retire path
   must stay allocation-free on the minor heap and must cost at most
-  FORWARD_FACTOR raw engine events per packet (both numbers come from
-  the *same* run, so the ratio is robust to box speed), and must not
-  regress against the committed baseline by more than RATIO.  Each hop
-  is two engine events (serialize, propagate).
+  FORWARD_FACTOR raw engine events per packet, both measured in the
+  same run.  Each hop is two engine events (serialize, propagate).
 - `pilot_audit`: over the E-F4 pilot window the packet ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
   and never observe a stale/double `in_packet_done`.
+
+The micro-benchmarks of BASELINE.json, recorded on another machine,
+are printed next to the current ones for information only.  End-to-end
+speed is guarded by `bench/perf`, which runs both sides on one machine.
 
 Usage: bench_gate.py BASELINE.json CURRENT.json
 """
@@ -26,7 +27,6 @@ Usage: bench_gate.py BASELINE.json CURRENT.json
 import json
 import sys
 
-RATIO = 1.5  # fail when current > baseline * RATIO + SLACK_NS
 SLACK_NS = 25.0  # absolute headroom so sub-50ns ops don't flap on noise
 SWEEP_HEADROOM = 1.15  # parallel may not exceed sequential by more than this
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
@@ -46,15 +46,11 @@ def main() -> int:
 
     base_micro = baseline.get("micro_ns", {})
     cur_micro = current.get("micro_ns", {})
-    for name, old_ns in sorted(base_micro.items()):
-        new_ns = cur_micro.get(name)
-        if new_ns is None:
-            continue  # benchmark renamed or removed: not a slowdown
-        if new_ns > old_ns * RATIO + SLACK_NS:
-            failures.append(
-                f"{name}: {old_ns:.1f} ns -> {new_ns:.1f} ns "
-                f"({new_ns / old_ns:.2f}x)"
-            )
+    for name in sorted(set(base_micro) & set(cur_micro)):
+        print(
+            f"  {name}: {base_micro[name]:.1f} ns (baseline) -> "
+            f"{cur_micro[name]:.1f} ns (info)"
+        )
 
     sweep = current.get("sweep", {})
     sequential = sweep.get("sequential_wall_s")
@@ -90,13 +86,6 @@ def main() -> int:
                 f"{FORWARD_FACTOR:g}x engine event cost "
                 f"({event_ns:.1f} ns -> ceiling {ceiling:.1f} ns)"
             )
-    base_fwd_ns = baseline.get("forward", {}).get("ns_per_packet")
-    if fwd_ns is not None and base_fwd_ns is not None:
-        if fwd_ns > base_fwd_ns * RATIO + SLACK_NS:
-            failures.append(
-                f"forward path: {base_fwd_ns:.1f} ns -> {fwd_ns:.1f} ns "
-                f"({fwd_ns / base_fwd_ns:.2f}x)"
-            )
 
     audit = current.get("pilot_audit", {})
     recycle = audit.get("ring_recycle_ratio")
@@ -116,8 +105,6 @@ def main() -> int:
             f"pilot ring saw {double_done} stale/double in_packet_done"
         )
 
-    shared = sorted(set(base_micro) & set(cur_micro))
-    print(f"bench gate: {len(shared)} shared micro-benchmarks checked")
     if failures:
         print("bench gate: REGRESSIONS FOUND", file=sys.stderr)
         for failure in failures:
