@@ -83,9 +83,7 @@ let nominal_rate config = function
    allow.  Each hall runs its own fan-in tree and hosts the per-flow
    rewriters and retransmission buffers for its block at a site-edge
    switch, joined to the shared facility edge by a metro-distance
-   uplink.  The metro hop is WAN-class by the simulator's standards
-   (>= {!Mmt_sim.Link.cut_threshold}), so its deliveries use the
-   boundary key lane. *)
+   uplink. *)
 let metro_propagation = Units.Time.ms 2.
 
 let site_spans config =
@@ -239,8 +237,8 @@ type built = {
 }
 
 (* Construct the whole facility inside [topo], every component on the
-   topology's engine.  Construction order fixes the cut-edge ids and
-   the scheduling order, so equal configs run byte-identically. *)
+   topology's engine.  Construction order fixes the scheduling order,
+   so equal configs run byte-identically. *)
 let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   let engine = Mmt_sim.Topology.engine topo in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in

@@ -3,14 +3,7 @@
     A link owns an output queue, a transmitter that serializes packets
     at the link rate, an impairment model applied as packets leave the
     wire, and a fixed propagation delay.  Delivery invokes a callback —
-    the topology layer wires callbacks to node handlers.
-
-    Links whose propagation delay reaches {!cut_threshold} are
-    {e boundary} links: the topology gives each a cut-edge id, and
-    their deliveries are scheduled in the engine's boundary sequence
-    lane ({!Engine.schedule_boundary}) under a key packed from
-    (cut-edge id, per-edge FIFO sequence), so at any instant their
-    deliveries fire before ordinary events, in edge-creation order. *)
+    the topology layer wires callbacks to node handlers. *)
 
 open Mmt_util
 
@@ -39,11 +32,6 @@ type stats = {
   busy : Units.Time.t;  (** cumulative serialization time *)
 }
 
-val cut_threshold : Units.Time.t
-(** Propagation delay (1 ms) at or above which a link is treated as a
-    boundary link: anything this slow is WAN-class, dwarfing
-    intra-site switching latencies. *)
-
 val create :
   engine:Engine.t ->
   name:string ->
@@ -53,7 +41,6 @@ val create :
   ?queue:Queue_model.t ->
   ring:Ring.t ->
   ?observer:(event -> Packet.t -> unit) ->
-  ?boundary:int ->
   deliver:(Packet.t -> unit) ->
   unit ->
   t
@@ -63,10 +50,7 @@ val create :
     tracing taps into it.  Packets the link destroys (queue drops,
     expired drops, loss drops, fault drops) retire into [ring] after
     the observer has seen the event; delivered packets belong to the
-    receiver.  [boundary] is the link's cut-edge id
-    ([-1], the default, marks an ordinary link); {!Topology.connect}
-    assigns ids in creation order to every link at or above
-    {!cut_threshold}.
+    receiver.
 
     Every hop is two engine events: a serialize event when the packet
     leaves the transmitter (up check, loss draw, tamper, observer

@@ -1,5 +1,3 @@
-open Mmt_util
-
 type t = {
   engine : Engine.t;
   trace : Trace.t option;
@@ -8,7 +6,6 @@ type t = {
   node_by_name : (string, Node.t) Hashtbl.t;
   mutable node_order : Node.t list; (* reversed *)
   mutable link_order : Link.t list; (* reversed *)
-  mutable next_boundary : int;
 }
 
 let create ~engine ?trace () =
@@ -20,7 +17,6 @@ let create ~engine ?trace () =
     node_by_name = Hashtbl.create 16;
     node_order = [];
     link_order = [];
-    next_boundary = 0;
   }
 
 let engine t = t.engine
@@ -47,22 +43,12 @@ let find_node t name =
 
 let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   let name = Node.name src ^ "->" ^ Node.name dst in
-  (* Boundary ids are assigned in creation order to every link at or
-     above the cut threshold. *)
-  let boundary =
-    if Units.Time.(propagation >= Link.cut_threshold) then begin
-      let id = t.next_boundary in
-      t.next_boundary <- id + 1;
-      id
-    end
-    else -1
-  in
   let observer =
     Option.map (fun trace -> Trace.observer trace ~engine:t.engine ~link:name) t.trace
   in
   let link =
     Link.create ~engine:t.engine ~name ~rate ~propagation ?loss ?queue
-      ~ring:t.ring ?observer ~boundary ~deliver:(Node.handle dst) ()
+      ~ring:t.ring ?observer ~deliver:(Node.handle dst) ()
   in
   t.link_order <- link :: t.link_order;
   link

@@ -4,9 +4,7 @@
     Topologies in this reproduction are the paper's: linear
     sensor → DTN → switch → DTN chains with optional fan-out to
     downstream researchers (Fig. 1, Fig. 4), and the facility
-    generator's multi-site fan-in trees.  Links at or above
-    {!Link.cut_threshold} receive a cut-edge id in creation order,
-    which keys their same-instant delivery order. *)
+    generator's multi-site fan-in trees. *)
 
 open Mmt_util
 
@@ -45,9 +43,7 @@ val connect :
   ?queue:Queue_model.t ->
   unit ->
   Link.t
-(** Unidirectional [src -> dst] link delivering into [dst]'s handler.
-    Links with [propagation] at or above {!Link.cut_threshold} are
-    created as boundary links with the next cut-edge id. *)
+(** Unidirectional [src -> dst] link delivering into [dst]'s handler. *)
 
 val duplex :
   t ->
