@@ -402,28 +402,45 @@ let check_forward_path () =
 
 (* E-F4 pilot allocation audit: the whole pilot (senders, links,
    rewriter, INT path, receiver, event builder) on its packet ring.  The
-   ring must account for (and retire) the packets it handed out. *)
+   ring must account for (and retire) the packets it handed out, and the
+   major heap counts the full-payload copies each fragment costs. *)
+let pilot_audit_payload = Units.Size.bytes 4096
+
 let pilot_audit_config =
   {
     Mmt_pilot.Pilot.default_config with
     Mmt_pilot.Pilot.fragment_count = 1500;
-    payload = Mmt_daq.Workload.Synthetic (Units.Size.bytes 4096);
+    payload = Mmt_daq.Workload.Synthetic pilot_audit_payload;
     wan_loss = 0.003;
     wan_corrupt = 0.001;
     int_telemetry = true;
   }
 
+(* One copy of the fragment payload, in words. *)
+let pilot_audit_frame_words =
+  float_of_int (Units.Size.to_bytes pilot_audit_payload / 8)
+
+type pilot_audit = {
+  minor_words : float;
+  major_words : float;
+  events : int;
+  delivered : int;
+  ring : Mmt_sim.Ring.stats;
+  recycle_ratio : float;
+}
+
 let check_pilot_allocation () =
   let measure () =
     let pilot = Mmt_pilot.Pilot.build pilot_audit_config in
     Gc.full_major ();
-    let before = Gc.minor_words () in
+    let minor_before = Gc.minor_words () in
+    let major_before = (Gc.quick_stat ()).Gc.major_words in
     Mmt_pilot.Pilot.run pilot;
-    let after = Gc.minor_words () in
-    (after -. before, pilot)
+    let major = (Gc.quick_stat ()).Gc.major_words -. major_before in
+    (Gc.minor_words () -. minor_before, major, pilot)
   in
   ignore (measure ()) (* warm *);
-  let words, pilot = measure () in
+  let words, major_words, pilot = measure () in
   let events = Mmt_sim.Engine.processed (Mmt_pilot.Pilot.engine pilot) in
   let delivered =
     (Mmt_pilot.Pilot.results pilot).Mmt_pilot.Pilot.receiver
@@ -441,11 +458,17 @@ let check_pilot_allocation () =
      delivered\n"
     words (words /. float_of_int events) events delivered;
   Printf.printf
+    "E-F4 pilot major words: %.2e, %.0f words/delivered fragment (%.1f \
+     payload copies)\n"
+    major_words
+    (major_words /. float_of_int delivered)
+    (major_words /. float_of_int delivered /. pilot_audit_frame_words);
+  Printf.printf
     "E-F4 pilot ring: %d acquires, %d retired (recycle ratio %.3f), %d in \
      use at quiescence, %d overflow\n"
     ring.Mmt_sim.Ring.acquired ring.Mmt_sim.Ring.retired recycle_ratio
     ring.Mmt_sim.Ring.in_use ring.Mmt_sim.Ring.overflow;
-  (words, events, delivered, ring, recycle_ratio)
+  { minor_words = words; major_words; events; delivered; ring; recycle_ratio }
 
 (* Allocation audit: `Engine.schedule` must not allocate beyond the
    caller's callback.  Measured outside bechamel so the measurement
@@ -583,7 +606,6 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
   let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
   in
-  let pa_words, pa_events, pa_delivered, pa_ring, pa_recycle = pilot_audit in
   let gc = Gc.get () in
   let ring_json (r : Mmt_sim.Ring.stats) =
     Printf.sprintf
@@ -614,18 +636,24 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
     (Printf.sprintf "    \"ring\": %s\n" (ring_json fwd_ring));
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"pilot_audit\": {\n";
+  let pa = pilot_audit in
   Buffer.add_string buf
-    (Printf.sprintf "    \"minor_words\": %.0f,\n" pa_words);
+    (Printf.sprintf "    \"minor_words\": %.0f,\n" pa.minor_words);
   Buffer.add_string buf
     (Printf.sprintf "    \"minor_words_per_event\": %.2f,\n"
-       (pa_words /. float_of_int pa_events));
-  Buffer.add_string buf (Printf.sprintf "    \"events\": %d,\n" pa_events);
+       (pa.minor_words /. float_of_int pa.events));
   Buffer.add_string buf
-    (Printf.sprintf "    \"delivered\": %d,\n" pa_delivered);
+    (Printf.sprintf "    \"major_words_per_delivered\": %.1f,\n"
+       (pa.major_words /. float_of_int pa.delivered));
   Buffer.add_string buf
-    (Printf.sprintf "    \"ring_recycle_ratio\": %.4f,\n" pa_recycle);
+    (Printf.sprintf "    \"frame_words\": %.0f,\n" pilot_audit_frame_words);
+  Buffer.add_string buf (Printf.sprintf "    \"events\": %d,\n" pa.events);
   Buffer.add_string buf
-    (Printf.sprintf "    \"ring\": %s\n" (ring_json pa_ring));
+    (Printf.sprintf "    \"delivered\": %d,\n" pa.delivered);
+  Buffer.add_string buf
+    (Printf.sprintf "    \"ring_recycle_ratio\": %.4f,\n" pa.recycle_ratio);
+  Buffer.add_string buf
+    (Printf.sprintf "    \"ring\": %s\n" (ring_json pa.ring));
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"schedule_alloc_minor_words\": %.3f,\n" alloc_words);

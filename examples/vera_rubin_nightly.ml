@@ -117,7 +117,7 @@ let run ~deadline_aware =
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale bulk_gap (float_of_int i))
-         (fun () -> Mmt.Sender.send bulk_sender (Bytes.copy bulk_payload)))
+         (fun () -> Mmt.Sender.send bulk_sender bulk_payload))
   done;
   let alert_payload = Bytes.make 1024 'A' in
   let alert_gap = Units.Rate.transmission_time (Units.Rate.mbps 200.) (Units.Size.bytes 1024) in
@@ -125,7 +125,7 @@ let run ~deadline_aware =
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale alert_gap (float_of_int i))
-         (fun () -> Mmt.Sender.send alert_sender (Bytes.copy alert_payload)))
+         (fun () -> Mmt.Sender.send alert_sender alert_payload))
   done;
   Mmt_sim.Engine.run ~until:(Units.Time.seconds 30.) engine;
   (Mmt.Receiver.stats alert_rx, Mmt.Receiver.stats bulk_rx)

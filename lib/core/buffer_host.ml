@@ -57,29 +57,7 @@ let escalate t ~requester seqs =
           ranges = Control.Nak.ranges_of_sorted (List.sort compare seqs);
         }
       in
-      let header =
-        Header.with_kind
-          (Header.mode0
-             ~experiment:(Experiment_id.make ~experiment:0 ~slice:0))
-          Feature.Kind.Nak
-      in
-      let mmt = Header.encode header in
-      let payload = Control.Nak.encode nak in
-      let frame = Bytes.create (Bytes.length mmt + Bytes.length payload) in
-      Bytes.blit mmt 0 frame 0 (Bytes.length mmt);
-      Bytes.blit payload 0 frame (Bytes.length mmt) (Bytes.length payload);
-      let wrapped =
-        Encap.wrap
-          (Encap.Over_ipv4
-             {
-               src = t.env.Mmt_runtime.Env.local_ip;
-               dst = upstream;
-               dscp = 0;
-               ttl = 64;
-             })
-          frame
-      in
-      t.env.Mmt_runtime.Env.send upstream (Mmt_runtime.Env.packet t.env wrapped)
+      Control.send t.env ~dst:upstream Feature.Kind.Nak (Control.Nak.encode nak)
 
 let handle_nak t nak =
   t.naks_received <- t.naks_received + 1;

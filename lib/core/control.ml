@@ -146,3 +146,12 @@ module Buffer_advert = struct
     Format.fprintf fmt "buffer-advert{%a, %a, rtt %a}" Addr.Ip.pp t.buffer
       Units.Size.pp t.capacity Units.Time.pp t.rtt_hint
 end
+
+let send env ?(experiment = Experiment_id.make ~experiment:0 ~slice:0) ~dst
+    kind payload =
+  let header = Header.with_kind (Header.mode0 ~experiment) kind in
+  let encap =
+    Encap.Over_ipv4
+      { src = env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 }
+  in
+  env.Mmt_runtime.Env.send dst (Encap.packet env encap header payload)

@@ -69,3 +69,14 @@ module Buffer_advert : sig
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
+
+val send :
+  Mmt_runtime.Env.t ->
+  ?experiment:Experiment_id.t ->
+  dst:Addr.Ip.t ->
+  Feature.Kind.t ->
+  bytes ->
+  unit
+(** [send env ~dst kind payload] originates one control message: a
+    mode-0 header of [kind] for [experiment] (default experiment 0,
+    slice 0), over IPv4 from [env]'s own address to [dst]. *)

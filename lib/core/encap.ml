@@ -39,6 +39,21 @@ let wrap t mmt_frame =
       Bytes.blit mmt_frame 0 out off (Bytes.length mmt_frame);
       out
 
+let packet env ?padding t header payload =
+  let mmt = Header.encode header in
+  let off = overhead t in
+  let mmt_length = Bytes.length mmt + Bytes.length payload in
+  let packet =
+    Mmt_sim.Ring.in_packet env.Mmt_runtime.Env.ring ?padding
+      ~id:(env.Mmt_runtime.Env.fresh_id ())
+      ~born:(Mmt_runtime.Env.now env) (off + mmt_length)
+  in
+  let frame = Mmt_sim.Packet.frame packet in
+  wrap_into t ~mmt_length frame;
+  Bytes.blit mmt 0 frame off (Bytes.length mmt);
+  Bytes.blit payload 0 frame (off + Bytes.length mmt) (Bytes.length payload);
+  packet
+
 let locate frame =
   if Bytes.length frame = 0 then Error "empty frame"
   else

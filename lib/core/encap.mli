@@ -36,6 +36,15 @@ val wrap_into : t -> mmt_length:int -> bytes -> unit
     frame at [overhead t]; together with a pool buffer this is the
     allocation-free counterpart of {!wrap}. *)
 
+val packet :
+  Mmt_runtime.Env.t -> ?padding:int -> t -> Header.t -> bytes -> Mmt_sim.Packet.t
+(** [packet env encap header payload] is the one frame builder for
+    packets a host originates: it takes a frame of the final length
+    from [env]'s ring pool and writes the encapsulation, the encoded
+    header and [payload] into it, each once.  The packet has a fresh
+    identity and is born now; [payload] is copied, so the caller keeps
+    it. *)
+
 val locate : bytes -> (t * int, string) result
 (** [locate frame] identifies the encapsulation and returns the byte
     offset of the transport header. *)

@@ -1,5 +1,6 @@
 open Mmt_util
 open Mmt_frame
+module Cursor = Mmt_wire.Cursor
 module Gauge = Mmt_telemetry.Gauge
 
 type config = {
@@ -62,7 +63,7 @@ let max_gap_span = 1 lsl 16
 type t = {
   env : Mmt_runtime.Env.t;
   config : config;
-  deliver : meta -> bytes -> unit;
+  deliver : meta -> Cursor.Reader.t -> unit;
   received : (int, unit) Hashtbl.t;
   missing : (int, gap) Hashtbl.t;
   nak_state : Gauge.t;
@@ -104,7 +105,7 @@ let create ~env config ~deliver =
     env;
     config;
     deliver;
-    received = Hashtbl.create 4096;
+    received = Hashtbl.create 64;
     missing = Hashtbl.create 64;
     nak_state = Gauge.create ();
     given_up = Hashtbl.create 16;
@@ -138,22 +139,6 @@ let create ~env config ~deliver =
     last_arrival = None;
     completion = None;
   }
-
-let send_control t ~dst ~kind payload =
-  let header =
-    Header.with_kind (Header.mode0 ~experiment:t.config.experiment) kind
-  in
-  let mmt = Header.encode header in
-  let frame = Bytes.create (Bytes.length mmt + Bytes.length payload) in
-  Bytes.blit mmt 0 frame 0 (Bytes.length mmt);
-  Bytes.blit payload 0 frame (Bytes.length mmt) (Bytes.length payload);
-  let wrapped =
-    Encap.wrap
-      (Encap.Over_ipv4
-         { src = t.env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 })
-      frame
-  in
-  t.env.Mmt_runtime.Env.send dst (Mmt_runtime.Env.packet t.env wrapped)
 
 (* NAK machinery ------------------------------------------------------- *)
 
@@ -197,7 +182,8 @@ let rec flush_naks t =
       let nak =
         { Control.Nak.requester = t.env.Mmt_runtime.Env.local_ip; ranges }
       in
-      send_control t ~dst:buffer ~kind:Feature.Kind.Nak (Control.Nak.encode nak);
+      Control.send t.env ~experiment:t.config.experiment ~dst:buffer
+        Feature.Kind.Nak (Control.Nak.encode nak);
       t.naks_sent <- t.naks_sent + 1;
       t.nak_sequences_requested <-
         t.nak_sequences_requested + Control.Nak.sequence_count nak;
@@ -278,7 +264,8 @@ let timeliness_check t (header : Header.t) now =
             { Control.Deadline_exceeded.sequence; deadline; observed = now }
           in
           if not (Addr.Ip.is_any notify) then begin
-            send_control t ~dst:notify ~kind:Feature.Kind.Deadline_exceeded
+            Control.send t.env ~experiment:t.config.experiment ~dst:notify
+              Feature.Kind.Deadline_exceeded
               (Control.Deadline_exceeded.encode notice);
             t.deadline_notices_sent <- t.deadline_notices_sent + 1
           end;
@@ -393,27 +380,26 @@ let handle_sequenced t packet header payload seq =
   end
 
 let consume t packet =
+  let frame = Mmt_sim.Packet.frame packet in
   if packet.Mmt_sim.Packet.corrupted then t.corrupted <- t.corrupted + 1
   else
-    match Encap.strip (Mmt_sim.Packet.frame packet) with
+    match Encap.locate frame with
     | Error _ -> t.corrupted <- t.corrupted + 1
-    | Ok (_encap, mmt_frame) -> (
-        match Header.View.of_frame mmt_frame with
+    | Ok (_encap, off) -> (
+        match Header.View.of_frame ~off frame with
         | Ok view when not (Header.View.verify view) ->
             (* Real corruption detection: the stored header checksum
                no longer sums clean over the received bytes. *)
             t.corrupted <- t.corrupted + 1;
             t.checksum_failed <- t.checksum_failed + 1
         | Ok _ | Error _ -> (
-        match Header.decode_bytes mmt_frame with
+        match Header.decode_bytes ~off frame with
         | Error _ -> t.corrupted <- t.corrupted + 1
         | Ok header -> (
+            let payload_off = off + Header.size header in
             match header.Header.kind with
             | Feature.Kind.Data -> (
-                let payload =
-                  Bytes.sub mmt_frame (Header.size header)
-                    (Bytes.length mmt_frame - Header.size header)
-                in
+                let payload = Cursor.Reader.of_bytes ~off:payload_off frame in
                 match header.Header.sequence with
                 | Some seq -> handle_sequenced t packet header payload seq
                 | None ->
@@ -425,8 +411,7 @@ let consume t packet =
                    failover) updates where NAKs go, even when no new
                    data arrives to carry the change. *)
                 let payload =
-                  Bytes.sub mmt_frame (Header.size header)
-                    (Bytes.length mmt_frame - Header.size header)
+                  Bytes.sub frame payload_off (Bytes.length frame - payload_off)
                 in
                 match Control.Buffer_advert.decode payload with
                 | Error _ -> ()
@@ -448,8 +433,9 @@ let consume t packet =
 let on_packet t packet =
   consume t packet;
   (* The receiver is the end of the line on every path — delivery,
-     duplicate, corruption, control — everything it needs outlives the
-     packet (payloads are copied out, stats are scalars). *)
+     duplicate, corruption, control — and nothing it keeps points into
+     the frame: [deliver]'s payload reader is dead once the callback
+     returns, and stats are scalars. *)
   Mmt_runtime.Env.retire t.env packet
 
 let stats t =

@@ -85,12 +85,20 @@ type t
 val create :
   env:Mmt_runtime.Env.t ->
   config ->
-  deliver:(meta -> bytes -> unit) ->
+  deliver:(meta -> Mmt_wire.Cursor.Reader.t -> unit) ->
   t
+(** [deliver meta payload] runs once per delivered message.  [payload]
+    is a reader over the message's payload bytes inside the arriving
+    frame, not a copy.  The frame goes back to the ring when
+    {!on_packet} returns, so the reader is valid only until [deliver]
+    returns.  A callback that keeps the payload copies it out, e.g.
+    with {!Mmt_wire.Cursor.Reader.rest}. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
 (** Feed an arriving packet (any encapsulation).  Corrupted packets
-    are discarded, as a failed frame check would. *)
+    are discarded, as a failed frame check would.  The receiver is the
+    packet's last holder: it retires the packet into the ring before
+    returning. *)
 
 val stats : t -> stats
 

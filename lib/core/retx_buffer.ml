@@ -18,6 +18,9 @@ type t = {
   capacity : int;
   frames : (int, entry) Hashtbl.t;
   order : int Queue.t; (* insertion order of sequence numbers *)
+  superseded : (int, int) Hashtbl.t;
+      (* per sequence, how many of its [order] entries an overwrite left
+         stale; they all sit ahead of the live one *)
   bytes : Gauge.t;
   entries : Gauge.t;
   mutable stored : int;
@@ -29,8 +32,9 @@ type t = {
 let create ~capacity =
   {
     capacity = Units.Size.to_bytes capacity;
-    frames = Hashtbl.create 1024;
+    frames = Hashtbl.create 64;
     order = Queue.create ();
+    superseded = Hashtbl.create 8;
     bytes = Gauge.create ();
     entries = Gauge.create ();
     stored = 0;
@@ -43,9 +47,13 @@ let evict_one t =
   match Queue.take_opt t.order with
   | None -> ()
   | Some seq -> (
-      match Hashtbl.find_opt t.frames seq with
-      | None -> () (* already overwritten; its queue entry was stale *)
-      | Some entry ->
+      match (Hashtbl.find_opt t.superseded seq, Hashtbl.find_opt t.frames seq) with
+      | Some stale, _ ->
+          (* Left behind by an overwrite: the live frame is queued later. *)
+          if stale = 1 then Hashtbl.remove t.superseded seq
+          else Hashtbl.replace t.superseded seq (stale - 1)
+      | None, None -> ()
+      | None, Some entry ->
           Hashtbl.remove t.frames seq;
           Gauge.add t.bytes (-Bytes.length entry.frame);
           Gauge.add t.entries (-1);
@@ -60,7 +68,9 @@ let store t ~seq ~born frame =
     | Some old ->
         Gauge.add t.bytes (-Bytes.length old.frame);
         Gauge.add t.entries (-1);
-        Hashtbl.remove t.frames seq
+        Hashtbl.remove t.frames seq;
+        let stale = Option.value ~default:0 (Hashtbl.find_opt t.superseded seq) in
+        Hashtbl.replace t.superseded seq (stale + 1)
     | None -> ());
     while Gauge.value t.bytes + size > t.capacity do
       evict_one t

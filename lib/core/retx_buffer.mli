@@ -36,8 +36,9 @@ val create : capacity:Units.Size.t -> t
 
 val store : t -> seq:int -> born:Units.Time.t -> bytes -> unit
 (** Insert (or overwrite) the frame for [seq]; evicts oldest entries
-    until the new frame fits.  Frames larger than the whole capacity
-    are rejected silently (counted as immediate eviction). *)
+    until the new frame fits.  An overwrite makes [seq] the newest
+    entry.  Frames larger than the whole capacity are rejected
+    silently (counted as immediate eviction). *)
 
 val fetch : t -> seq:int -> entry option
 (** Lookup; counts a hit or a miss. *)

@@ -60,17 +60,11 @@ let header_for t ~now =
   | None -> header
   | Some control -> Header.with_backpressure_to header control
 
-let build_frame t payload =
-  let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
-  let mmt = Header.encode header in
-  let frame = Bytes.create (Bytes.length mmt + Bytes.length payload) in
-  Bytes.blit mmt 0 frame 0 (Bytes.length mmt);
-  Bytes.blit payload 0 frame (Bytes.length mmt) (Bytes.length payload);
-  Encap.wrap t.config.encap frame
-
 let transmit t payload =
-  let frame = build_frame t payload in
-  let packet = Mmt_runtime.Env.packet t.env ~padding:t.config.padding frame in
+  let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
+  let packet =
+    Encap.packet t.env ~padding:t.config.padding t.config.encap header payload
+  in
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <-
     t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
@@ -79,14 +73,9 @@ let transmit t payload =
 let message_wire_size t payload =
   (* The pacer's view of one message on the wire. *)
   let header_size = Header.size (header_for t ~now:Units.Time.zero) in
-  let encap_size =
-    match t.config.encap with
-    | Encap.Raw -> 0
-    | Encap.Over_ethernet _ -> Ethernet.header_size
-    | Encap.Over_ipv4 _ -> Ipv4.header_size
-  in
   Units.Size.bytes
-    (header_size + encap_size + Bytes.length payload + t.config.padding)
+    (Encap.overhead t.config.encap + header_size + Bytes.length payload
+    + t.config.padding)
 
 let rec drain t =
   t.drain_scheduled <- false;
@@ -122,8 +111,6 @@ let send t payload =
   | _ ->
       Queue.push payload t.queue;
       schedule_drain t
-
-let send_many t payloads = List.iter (send t) payloads
 
 let on_control t header payload =
   match header.Header.kind with

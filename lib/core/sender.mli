@@ -44,9 +44,11 @@ val create : env:Mmt_runtime.Env.t -> config -> t
 
 val send : t -> bytes -> unit
 (** Enqueue one message.  Departs immediately when unpaced and the
-    queue is empty; otherwise at the pace. *)
-
-val send_many : t -> bytes list -> unit
+    queue is empty; otherwise at the pace.  At departure the payload
+    is copied once, with the encapsulation and header, into a frame
+    from the environment's ring pool.  A message queued behind the
+    pacer is held by reference until then, so the caller must not
+    mutate the payload after [send]. *)
 
 val on_control : t -> Header.t -> bytes -> unit
 (** Feed a control-kind transport message addressed to this sender

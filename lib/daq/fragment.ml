@@ -103,7 +103,8 @@ let decode_subheader r code =
   | other -> Error (Printf.sprintf "unknown detector kind %d" other)
 
 let encode t =
-  let w = Cursor.Writer.create (total_size t) in
+  let buf = Bytes.create (total_size t) in
+  let w = Cursor.Writer.over buf in
   Cursor.Writer.u16 w magic;
   Cursor.Writer.u8 w 1 (* format version *);
   Cursor.Writer.u8 w (detector_kind_code t.detector);
@@ -114,11 +115,10 @@ let encode t =
   Cursor.Writer.u32_int w (Bytes.length t.payload);
   encode_subheader w t.detector;
   Cursor.Writer.bytes w t.payload;
-  Cursor.Writer.contents w
+  buf
 
-let decode buf =
+let read r =
   match
-    let r = Cursor.Reader.of_bytes buf in
     let seen_magic = Cursor.Reader.u16 r in
     if seen_magic <> magic then Error "bad fragment magic"
     else begin
@@ -144,6 +144,8 @@ let decode buf =
   with
   | result -> result
   | exception Cursor.Out_of_bounds _ -> Error "truncated fragment"
+
+let decode buf = read (Cursor.Reader.of_bytes buf)
 
 let equal a b =
   a.run = b.run && a.trigger = b.trigger

@@ -47,6 +47,14 @@ val subheader_size : int
 val total_size : t -> int
 val detector_kind_code : detector -> int
 val encode : t -> bytes
+
+val read : Mmt_wire.Cursor.Reader.t -> (t, string) result
+(** Parse one fragment from the reader's position, e.g. a receiver's
+    payload view; the payload is copied out, so the result outlives
+    the underlying buffer. *)
+
 val decode : bytes -> (t, string) result
+(** [read] over the whole buffer. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -62,11 +62,11 @@ let send_alert t ~(source : Mmt_daq.Fragment.t) ~total_charge =
   let header =
     Mmt.Header.create ~experiment:source.Mmt_daq.Fragment.experiment ()
   in
-  let mmt = Bytes.cat (Mmt.Header.encode header) (Mmt_daq.Fragment.encode alert_fragment) in
+  let payload = Mmt_daq.Fragment.encode alert_fragment in
   List.iter
     (fun subscriber ->
-      let frame =
-        Mmt.Encap.wrap
+      let packet =
+        Mmt.Encap.packet t.env
           (Mmt.Encap.Over_ipv4
              {
                src = t.env.Mmt_runtime.Env.local_ip;
@@ -74,10 +74,10 @@ let send_alert t ~(source : Mmt_daq.Fragment.t) ~total_charge =
                dscp = 46;
                ttl = 64;
              })
-          mmt
+          header payload
       in
       t.alerts_emitted <- t.alerts_emitted + 1;
-      t.env.Mmt_runtime.Env.send subscriber (Mmt_runtime.Env.packet t.env frame))
+      t.env.Mmt_runtime.Env.send subscriber packet)
     t.config.subscribers;
   t.last_alert <- Some now
 

@@ -44,21 +44,8 @@ let send_signal t ~dst ~severity =
       severity;
     }
   in
-  let header =
-    Mmt.Header.with_kind
-      (Mmt.Header.mode0 ~experiment:(Mmt.Experiment_id.make ~experiment:0 ~slice:0))
-      Mmt.Feature.Kind.Backpressure
-  in
-  let mmt = Mmt.Header.encode header in
-  let payload = Mmt.Control.Backpressure.encode message in
-  let frame = Bytes.cat mmt payload in
-  let wrapped =
-    Mmt.Encap.wrap
-      (Mmt.Encap.Over_ipv4
-         { src = t.env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 })
-      frame
-  in
-  t.env.Mmt_runtime.Env.send dst (Mmt_runtime.Env.packet t.env wrapped)
+  Mmt.Control.send t.env ~dst Mmt.Feature.Kind.Backpressure
+    (Mmt.Control.Backpressure.encode message)
 
 let rate_limited t now =
   match t.last_signal with

@@ -43,21 +43,8 @@ let create ~env ~period ~peers ?map_ttl ?(gossip_hops = 1) () =
 let add_local t provider = t.providers <- provider :: t.providers
 
 let send_advert t ~dst advert =
-  let header =
-    Mmt.Header.with_kind
-      (Mmt.Header.mode0 ~experiment:(Mmt.Experiment_id.make ~experiment:0 ~slice:0))
-      Mmt.Feature.Kind.Buffer_advert
-  in
-  let frame =
-    Bytes.cat (Mmt.Header.encode header) (Mmt.Control.Buffer_advert.encode advert)
-  in
-  let wrapped =
-    Mmt.Encap.wrap
-      (Mmt.Encap.Over_ipv4
-         { src = t.env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 })
-      frame
-  in
-  t.env.Mmt_runtime.Env.send dst (Mmt_runtime.Env.packet t.env wrapped)
+  Mmt.Control.send t.env ~dst Mmt.Feature.Kind.Buffer_advert
+    (Mmt.Control.Buffer_advert.encode advert)
 
 let broadcast t advert =
   List.iter

@@ -35,21 +35,8 @@ let program =
   }
 
 let send_notice t ~dst notice =
-  let header =
-    Mmt.Header.with_kind
-      (Mmt.Header.mode0 ~experiment:(Mmt.Experiment_id.make ~experiment:0 ~slice:0))
-      Mmt.Feature.Kind.Deadline_exceeded
-  in
-  let frame =
-    Bytes.cat (Mmt.Header.encode header) (Mmt.Control.Deadline_exceeded.encode notice)
-  in
-  let wrapped =
-    Mmt.Encap.wrap
-      (Mmt.Encap.Over_ipv4
-         { src = t.env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 })
-      frame
-  in
-  t.env.Mmt_runtime.Env.send dst (Mmt_runtime.Env.packet t.env wrapped);
+  Mmt.Control.send t.env ~dst Mmt.Feature.Kind.Deadline_exceeded
+    (Mmt.Control.Deadline_exceeded.encode notice);
   t.notices_sent <- t.notices_sent + 1
 
 let process t ~now packet =

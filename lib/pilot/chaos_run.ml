@@ -222,21 +222,8 @@ let run p =
     let entry = Mmt_innet.Resource_map.lookup map buffer_ip in
     Option.iter
       (fun (entry : Mmt_innet.Resource_map.entry) ->
-        let header =
-          Mmt.Header.with_kind
-            (Mmt.Header.mode0
-               ~experiment:(Mmt.Experiment_id.make ~experiment:0 ~slice:0))
-            Mmt.Feature.Kind.Buffer_advert
-        in
-        let frame =
-          Mmt.Encap.wrap
-            (Mmt.Encap.Over_ipv4
-               { src = ingress_ip; dst = sink_ip; dscp = 0; ttl = 64 })
-            (Bytes.cat (Mmt.Header.encode header)
-               (Mmt.Control.Buffer_advert.encode
-                  entry.Mmt_innet.Resource_map.advert))
-        in
-        env_ing.Mmt_runtime.Env.send sink_ip (Mmt_runtime.Env.packet env_ing frame))
+        Mmt.Control.send env_ing ~dst:sink_ip Mmt.Feature.Kind.Buffer_advert
+          (Mmt.Control.Buffer_advert.encode entry.Mmt_innet.Resource_map.advert))
       entry
   in
   let rec replan_loop () =
@@ -435,7 +422,7 @@ let run p =
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale gap (float_of_int i))
-         (fun () -> Mmt.Sender.send sender (Bytes.copy payload)))
+         (fun () -> Mmt.Sender.send sender payload))
   done;
   (* Watchdog-bounded run: a fault mix that provoked a zero-delay
      event livelock would spin a pure time cap forever; the budget

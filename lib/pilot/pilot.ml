@@ -353,7 +353,7 @@ let build config =
   let receiver =
     Mmt.Receiver.create ~env:env_d2 (receiver_config config)
       ~deliver:(fun _meta payload ->
-        match Mmt_daq.Fragment.decode payload with
+        match Mmt_daq.Fragment.read payload with
         | Ok fragment ->
             ignore
               (Mmt_daq.Event_builder.add event_builder

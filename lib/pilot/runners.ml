@@ -360,7 +360,7 @@ module Placement_run = struct
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale gap (float_of_int i))
-           (fun () -> Mmt.Sender.send sender (Bytes.copy payload)))
+           (fun () -> Mmt.Sender.send sender payload))
     done;
     Mmt_sim.Engine.run ~until:(Units.Time.seconds 600.) engine;
     let stats = Mmt.Receiver.stats receiver in
@@ -500,7 +500,7 @@ module Priority_run = struct
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale bulk_gap (float_of_int i))
-           (fun () -> Mmt.Sender.send bulk_sender (Bytes.copy bulk_payload)))
+           (fun () -> Mmt.Sender.send bulk_sender bulk_payload))
     done;
     let alert_payload = Bytes.make 1024 'A' in
     let alert_gap =
@@ -510,7 +510,7 @@ module Priority_run = struct
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale alert_gap (float_of_int i))
-           (fun () -> Mmt.Sender.send alert_sender (Bytes.copy alert_payload)))
+           (fun () -> Mmt.Sender.send alert_sender alert_payload))
     done;
     Mmt_sim.Engine.run ~until:(Units.Time.seconds 60.) engine;
     let alerts = Mmt.Receiver.stats alert_rx in

@@ -11,9 +11,6 @@ type t = {
 let now t = Mmt_sim.Engine.now t.engine
 let after t delay fn = Mmt_sim.Engine.schedule_after t.engine ~delay fn
 
-let packet t ?(padding = 0) frame =
-  Mmt_sim.Ring.alloc t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t) frame
-
 let retire t packet = Mmt_sim.Ring.in_packet_done t.ring packet
 let pool t = Mmt_sim.Ring.pool t.ring
 

@@ -27,10 +27,6 @@ type t = {
 val now : t -> Units.Time.t
 val after : t -> Units.Time.t -> (unit -> unit) -> Mmt_sim.Engine.handle
 
-val packet : t -> ?padding:int -> bytes -> Mmt_sim.Packet.t
-(** Wrap a frame into a ring slot born now with a fresh identity.  The
-    frame recycles into the ring's pool when the packet retires. *)
-
 val retire : t -> Mmt_sim.Packet.t -> unit
 (** Declare the packet fully consumed: return its slot and frame to
     the ring.  The caller must be the packet's last holder. *)

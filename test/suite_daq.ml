@@ -275,6 +275,23 @@ let test_fragment_truncated_payload () =
   Alcotest.(check bool) "truncated" true
     (match Mmt_daq.Fragment.decode cut with Error _ -> true | Ok _ -> false)
 
+let test_fragment_read_window () =
+  let f = fragment (List.hd detectors) (Bytes.make 50 'x') in
+  let raw = Mmt_daq.Fragment.encode f in
+  let len = Bytes.length raw in
+  let buf = Bytes.make (len + 20) '\xFF' in
+  Bytes.blit raw 0 buf 7 len;
+  let read len =
+    Mmt_daq.Fragment.read (Mmt_wire.Cursor.Reader.of_bytes ~off:7 ~len buf)
+  in
+  (match (read len, Mmt_daq.Fragment.decode raw) with
+  | Ok windowed, Ok exact ->
+      Alcotest.(check bool) "window = decode" true
+        (Mmt_daq.Fragment.equal windowed exact)
+  | Error e, _ | _, Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "one byte short" true
+    (match read (len - 1) with Error _ -> true | Ok _ -> false)
+
 let test_fragment_slice_in_experiment_id () =
   let f = fragment (List.hd detectors) Bytes.empty in
   match Mmt_daq.Fragment.decode (Mmt_daq.Fragment.encode f) with
@@ -544,6 +561,7 @@ let suite =
     Alcotest.test_case "fragment bad magic" `Quick test_fragment_bad_magic;
     Alcotest.test_case "fragment truncated" `Quick test_fragment_truncated_payload;
     Alcotest.test_case "fragment slice" `Quick test_fragment_slice_in_experiment_id;
+    Alcotest.test_case "fragment read window" `Quick test_fragment_read_window;
     Alcotest.test_case "steady rate" `Quick test_steady_rate_matches_catalog;
     Alcotest.test_case "fragments well-formed" `Quick test_fragments_well_formed;
     Alcotest.test_case "supernova burst" `Quick test_supernova_burst_raises_rate;

@@ -482,6 +482,37 @@ let test_sender_backpressure_adjusts_pace () =
   Alcotest.(check bool) "pace cleared" true
     ((Mmt.Sender.stats sender).Mmt.Sender.current_pace = None)
 
+(* Copy audit: a message crosses the sender and the receiver without a
+   full-payload copy on the major heap.  The sender writes into a ring
+   frame, the receiver parses it in place and retires it, and the next
+   send takes the same frame back from the pool. *)
+let test_copy_audit () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let sender = Mmt.Sender.create ~env (sender_config ()) in
+  let receiver =
+    Mmt.Receiver.create ~env (receiver_config ()) ~deliver:(fun _ _ -> ())
+  in
+  let payload = Bytes.make 8192 'p' in
+  let message () =
+    Mmt.Sender.send sender payload;
+    Mmt.Receiver.on_packet receiver (Queue.pop queue)
+  in
+  for _ = 1 to 10 do
+    message ()
+  done;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 200 do
+    message ()
+  done;
+  let per_message = ((Gc.quick_stat ()).Gc.major_words -. before) /. 200. in
+  let half_payload = float_of_int (Bytes.length payload / 8 / 2) in
+  Alcotest.(check int) "delivered" 210
+    (Mmt.Receiver.stats receiver).Mmt.Receiver.delivered;
+  if per_message >= half_payload then
+    Alcotest.failf "%.0f major words per message, bound %.0f" per_message
+      half_payload
+
 (* Buffer host ----------------------------------------------------------------- *)
 
 let nak_packet ~engine ~requester ranges =
@@ -585,6 +616,7 @@ let suite =
     Alcotest.test_case "sender deadline budget" `Quick test_sender_deadline_budget;
     Alcotest.test_case "sender pacing" `Quick test_sender_pacing_spacing;
     Alcotest.test_case "sender backpressure" `Quick test_sender_backpressure_adjusts_pace;
+    Alcotest.test_case "copy audit" `Quick test_copy_audit;
     Alcotest.test_case "buffer host serves NAK" `Quick test_buffer_host_serves_nak;
     Alcotest.test_case "buffer host escalates" `Quick test_buffer_host_escalates_misses;
     Alcotest.test_case "buffer host unserviceable" `Quick

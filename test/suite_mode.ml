@@ -108,6 +108,28 @@ let test_retx_eviction_oldest_first () =
   Alcotest.(check int) "occupancy" 300
     (Units.Size.to_bytes stats.Mmt.Retx_buffer.occupancy)
 
+let test_retx_eviction_after_overwrite () =
+  (* Overwriting seq 0 makes it the newest entry: the next eviction
+     takes seq 1, and only the one after that takes seq 0. *)
+  let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes 300) in
+  let store seq =
+    Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero (frame_of_size 100)
+  in
+  List.iter store [ 0; 1; 0; 2; 3 ];
+  Alcotest.(check bool) "seq 1 evicted" false (Mmt.Retx_buffer.contains buffer ~seq:1);
+  Alcotest.(check bool) "rewritten seq 0 kept" true
+    (Mmt.Retx_buffer.contains buffer ~seq:0);
+  store 4;
+  Alcotest.(check bool) "seq 0 evicted next" false
+    (Mmt.Retx_buffer.contains buffer ~seq:0);
+  List.iter
+    (fun seq ->
+      Alcotest.(check bool) (Printf.sprintf "seq %d kept" seq) true
+        (Mmt.Retx_buffer.contains buffer ~seq))
+    [ 2; 3; 4 ];
+  Alcotest.(check int) "evicted" 2
+    (Mmt.Retx_buffer.stats buffer).Mmt.Retx_buffer.evicted
+
 let test_retx_overwrite_same_seq () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.kib 1) in
   Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero (frame_of_size 100);
@@ -150,6 +172,8 @@ let suite =
     Alcotest.test_case "retx store/fetch" `Quick test_retx_store_fetch;
     Alcotest.test_case "retx eviction" `Quick test_retx_eviction_oldest_first;
     Alcotest.test_case "retx overwrite" `Quick test_retx_overwrite_same_seq;
+    Alcotest.test_case "retx eviction after overwrite" `Quick
+      test_retx_eviction_after_overwrite;
     Alcotest.test_case "retx oversized" `Quick test_retx_oversized_frame_rejected;
     QCheck_alcotest.to_alcotest qcheck_retx_capacity_invariant;
   ]

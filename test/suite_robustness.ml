@@ -186,7 +186,9 @@ let test_encrypted_payloads_cross_elements () =
         let nonce =
           Int64.of_int (Option.value ~default:0 meta.Mmt.Receiver.header.Mmt.Header.sequence)
         in
-        match Mmt.Payload_crypto.decrypt key ~nonce payload with
+        match
+          Mmt.Payload_crypto.decrypt key ~nonce (Mmt_wire.Cursor.Reader.rest payload)
+        with
         | Ok plaintext -> decrypted := Bytes.to_string plaintext :: !decrypted
         | Error e -> Alcotest.fail ("decrypt: " ^ e))
   in

@@ -15,7 +15,11 @@ The ring-buffer packet path adds two more families of checks:
 - `pilot_audit`: over the E-F4 pilot window the packet ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
-  and never observe a stale/double `in_packet_done`.
+  and never observe a stale/double `in_packet_done`.  The major heap
+  may take at most MAJOR_COPY_FACTOR copies of the fragment payload
+  per delivered fragment (`major_words_per_delivered` against
+  `frame_words`, both from the same run): a sender or receiver that
+  starts copying whole messages again fails here.
 
 The micro-benchmarks of BASELINE.json, recorded on another machine,
 are printed next to the current ones for information only.  End-to-end
@@ -31,6 +35,7 @@ SLACK_NS = 25.0  # absolute headroom so sub-50ns ops don't flap on noise
 SWEEP_HEADROOM = 1.15  # parallel may not exceed sequential by more than this
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
+MAJOR_COPY_FACTOR = 6.0  # pilot: major words per delivered fragment / payload words
 
 
 def main() -> int:
@@ -99,6 +104,15 @@ def main() -> int:
         failures.append(
             f"pilot ring leaks {in_use} slot(s) after a quiescent run"
         )
+    major = audit.get("major_words_per_delivered")
+    frame_words = audit.get("frame_words")
+    if major is not None and frame_words:
+        if major > MAJOR_COPY_FACTOR * frame_words:
+            failures.append(
+                f"pilot allocates {major:.0f} major words per delivered "
+                f"fragment, over {MAJOR_COPY_FACTOR:g} payload copies "
+                f"({MAJOR_COPY_FACTOR * frame_words:.0f} words)"
+            )
     double_done = audit_ring.get("double_done")
     if double_done is not None and double_done > 0:
         failures.append(
