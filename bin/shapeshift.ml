@@ -304,28 +304,30 @@ let failover_cmd =
     Arg.(value & opt int 12_000 & info [ "fragments" ] ~doc:"Fragments to stream.")
   in
   let run fail_at_ms no_failure fragments =
-    let params =
-      Mmt_pilot.Failover_run.params ~fragment_count:fragments
-        ?fail_buffer_a_at:
-          (if no_failure then None else Option.map Units.Time.ms fail_at_ms)
-        ()
+    let module C = Mmt_pilot.Chaos_run in
+    let fail_at =
+      if no_failure then None else Option.map Units.Time.ms fail_at_ms
     in
-    let o = Mmt_pilot.Failover_run.run params in
+    let o = C.run (C.failover_trial ~fragment_count:fragments ?fail_at ()) in
     let table =
       Table.create ~title:"Discovery + failover run (§ 6 challenge 1)"
         ~columns:[ ("metric", Table.Left); ("value", Table.Right) ]
         ()
     in
     let row name value = Table.add_row table [ name; value ] in
-    row "delivered" (string_of_int o.Mmt_pilot.Failover_run.delivered);
-    row "recovered" (string_of_int o.Mmt_pilot.Failover_run.recovered);
-    row "lost" (string_of_int o.Mmt_pilot.Failover_run.lost);
-    row "NAKs served by buffer A" (string_of_int o.Mmt_pilot.Failover_run.naks_served_by_a);
-    row "NAKs served by buffer B" (string_of_int o.Mmt_pilot.Failover_run.naks_served_by_b);
-    row "planner mode changes" (string_of_int o.Mmt_pilot.Failover_run.mode_changes);
-    row "final buffer in the mode" o.Mmt_pilot.Failover_run.final_buffer;
+    let lost = o.C.lost + o.C.unrecoverable in
+    row "delivered" (string_of_int o.C.delivered);
+    row "delivered degraded" (string_of_int o.C.degraded_delivered);
+    row "recovered" (string_of_int o.C.recovered);
+    row "lost" (string_of_int lost);
+    row "NAKs served by buffer A" (string_of_int o.C.naks_served_by_a);
+    row "NAKs served by buffer B" (string_of_int o.C.naks_served_by_b);
+    row "planner mode changes" (string_of_int o.C.mode_changes);
+    row "final buffer in the mode" o.C.final_buffer;
+    row "invariant violations" (string_of_int (List.length o.C.violations));
     Table.print table;
-    if o.Mmt_pilot.Failover_run.lost = 0 then 0 else 1
+    List.iter (fun v -> Printf.printf "  !! %s\n" v) o.C.violations;
+    if lost = 0 && o.C.violations = [] then 0 else 1
   in
   Cmd.v
     (Cmd.info "failover"

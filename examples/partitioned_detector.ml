@@ -53,28 +53,21 @@ let () =
   let complete_events = ref [] in
   let per_slice = Hashtbl.create 8 in
   Mmt_sim.Node.set_handler facility (fun packet ->
-      (match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
+      (match
+         Result.bind (Mmt.Encap.parse (Mmt_sim.Packet.frame packet))
+           (fun (_header, payload) -> Mmt_daq.Fragment.read payload)
+       with
       | Error _ -> ()
-      | Ok (_encap, mmt_frame) -> (
-          match Mmt.Header.decode_bytes mmt_frame with
-          | Error _ -> ()
-          | Ok header -> (
-              let payload =
-                Bytes.sub mmt_frame (Mmt.Header.size header)
-                  (Bytes.length mmt_frame - Mmt.Header.size header)
-              in
-              match Mmt_daq.Fragment.decode payload with
-              | Error _ -> ()
-              | Ok fragment ->
-                  let slice = Mmt.Experiment_id.slice fragment.Mmt_daq.Fragment.experiment in
-                  Hashtbl.replace per_slice slice
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt per_slice slice));
-                  (match
-                     Mmt_daq.Event_builder.add builder
-                       ~now:(Mmt_sim.Engine.now engine) fragment
-                   with
-                  | Some event -> complete_events := event :: !complete_events
-                  | None -> ()))));
+      | Ok fragment ->
+          let slice = Mmt.Experiment_id.slice fragment.Mmt_daq.Fragment.experiment in
+          Hashtbl.replace per_slice slice
+            (1 + Option.value ~default:0 (Hashtbl.find_opt per_slice slice));
+          (match
+             Mmt_daq.Event_builder.add builder ~now:(Mmt_sim.Engine.now engine)
+               fragment
+           with
+          | Some event -> complete_events := event :: !complete_events
+          | None -> ()));
       (* The facility is the packet's last holder. *)
       Mmt_sim.Ring.in_packet_done ring packet);
 

@@ -74,24 +74,12 @@ let handle_nak t nak =
 
 let on_packet t packet =
   (if not packet.Mmt_sim.Packet.corrupted then
-     match Encap.strip (Mmt_sim.Packet.frame packet) with
-     | Error _ -> ()
-     | Ok (_encap, mmt_frame) -> (
-         match Header.decode_bytes mmt_frame with
+     match Encap.parse (Mmt_sim.Packet.frame packet) with
+     | Ok (header, payload) when header.Header.kind = Feature.Kind.Nak -> (
+         match Control.Nak.decode (Mmt_wire.Cursor.Reader.rest payload) with
          | Error _ -> ()
-         | Ok header -> (
-             match header.Header.kind with
-             | Feature.Kind.Nak -> (
-                 let payload =
-                   Bytes.sub mmt_frame (Header.size header)
-                     (Bytes.length mmt_frame - Header.size header)
-                 in
-                 match Control.Nak.decode payload with
-                 | Error _ -> ()
-                 | Ok nak -> handle_nak t nak)
-             | Feature.Kind.Data | Feature.Kind.Deadline_exceeded
-             | Feature.Kind.Backpressure | Feature.Kind.Buffer_advert ->
-                 ())));
+         | Ok nak -> handle_nak t nak)
+     | Ok _ | Error _ -> ());
   (* The buffer host consumes whatever reaches it (NAKs and strays). *)
   Mmt_runtime.Env.retire t.env packet
 

@@ -107,11 +107,10 @@ let locate frame =
               Error
                 (Printf.sprintf "ethertype 0x%04x is not MMT" eth.Ethernet.ethertype))
 
-let strip frame =
-  match locate frame with
-  | Error _ as e -> e
-  | Ok (encap, off) ->
-      Ok (encap, Bytes.sub frame off (Bytes.length frame - off))
+let parse frame =
+  Result.bind (locate frame) (fun (_encap, off) ->
+      let r = Cursor.Reader.of_bytes ~off frame in
+      Result.map (fun header -> (header, r)) (Header.decode r))
 
 let rewrap_into ~old_frame ~mmt_offset ~mmt_length out =
   Bytes.blit old_frame 0 out 0 mmt_offset;

@@ -49,8 +49,12 @@ val locate : bytes -> (t * int, string) result
 (** [locate frame] identifies the encapsulation and returns the byte
     offset of the transport header. *)
 
-val strip : bytes -> (t * bytes, string) result
-(** [locate] plus copying out the transport frame. *)
+val parse : bytes -> (Header.t * Mmt_wire.Cursor.Reader.t, string) result
+(** [parse frame] is the receive-side twin of {!packet}: it locates the
+    transport header, decodes it in place and returns a reader over the
+    payload that follows.  The reader is a view of [frame], not a copy:
+    consumers parse it directly (e.g. [Fragment.read]) or copy a small
+    control payload out with [Reader.rest]. *)
 
 val rewrap : old_frame:bytes -> mmt_offset:int -> bytes -> bytes
 (** [rewrap ~old_frame ~mmt_offset new_mmt] keeps the encapsulation

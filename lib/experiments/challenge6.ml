@@ -2,11 +2,10 @@ open Mmt_util
 open Mmt_frame
 
 let discovery_failover () =
-  let baseline = Mmt_pilot.Failover_run.run (Mmt_pilot.Failover_run.params ()) in
-  let failed =
-    Mmt_pilot.Failover_run.run
-      (Mmt_pilot.Failover_run.params ~fail_buffer_a_at:(Units.Time.ms 5.) ())
-  in
+  let module C = Mmt_pilot.Chaos_run in
+  let run ?fail_at () = C.run (C.failover_trial ?fail_at ()) in
+  let baseline = run () in
+  let failed = run ~fail_at:(Units.Time.ms 5.) () in
   let table =
     Table.create ~title:"E-X1: buffer failure mid-stream (12000 fragments, 0.5% loss)"
       ~columns:
@@ -22,17 +21,17 @@ let discovery_failover () =
         ]
       ()
   in
-  let add name (o : Mmt_pilot.Failover_run.outcome) =
+  let add name (o : C.outcome) =
     Table.add_row table
       [
         name;
-        string_of_int o.Mmt_pilot.Failover_run.delivered;
-        string_of_int o.Mmt_pilot.Failover_run.recovered;
-        string_of_int o.Mmt_pilot.Failover_run.lost;
-        string_of_int o.Mmt_pilot.Failover_run.naks_served_by_a;
-        string_of_int o.Mmt_pilot.Failover_run.naks_served_by_b;
-        string_of_int o.Mmt_pilot.Failover_run.mode_changes;
-        o.Mmt_pilot.Failover_run.final_buffer;
+        string_of_int o.C.delivered;
+        string_of_int o.C.recovered;
+        string_of_int o.C.lost;
+        string_of_int o.C.naks_served_by_a;
+        string_of_int o.C.naks_served_by_b;
+        string_of_int o.C.mode_changes;
+        o.C.final_buffer;
       ]
   in
   add "both buffers alive" baseline;
@@ -43,24 +42,24 @@ let discovery_failover () =
         ~expected:"planner picks the lower-RTT buffer (§ 6 challenge 1)"
         ~measured:
           (Printf.sprintf "baseline: all %d recoveries from A, final mode uses %s"
-             baseline.Mmt_pilot.Failover_run.naks_served_by_a
-             baseline.Mmt_pilot.Failover_run.final_buffer)
-        (baseline.Mmt_pilot.Failover_run.final_buffer = "A"
-        && baseline.Mmt_pilot.Failover_run.naks_served_by_b = 0
-        && baseline.Mmt_pilot.Failover_run.lost = 0);
+             baseline.C.naks_served_by_a
+             baseline.C.final_buffer)
+        (baseline.C.final_buffer = "A"
+        && baseline.C.naks_served_by_b = 0
+        && baseline.C.lost = 0);
       Mmt_telemetry.Report.check ~metric:"failover without data loss"
         ~expected:"soft-state expiry + replan keeps the stream recoverable"
         ~measured:
           (Printf.sprintf
              "%d delivered, %d lost; %d recoveries served by B after %d mode change(s)"
-             failed.Mmt_pilot.Failover_run.delivered
-             failed.Mmt_pilot.Failover_run.lost
-             failed.Mmt_pilot.Failover_run.naks_served_by_b
-             failed.Mmt_pilot.Failover_run.mode_changes)
-        (failed.Mmt_pilot.Failover_run.lost = 0
-        && failed.Mmt_pilot.Failover_run.final_buffer = "B"
-        && failed.Mmt_pilot.Failover_run.naks_served_by_b > 0
-        && failed.Mmt_pilot.Failover_run.mode_changes = 1);
+             failed.C.delivered
+             failed.C.lost
+             failed.C.naks_served_by_b
+             failed.C.mode_changes)
+        (failed.C.lost = 0
+        && failed.C.final_buffer = "B"
+        && failed.C.naks_served_by_b > 0
+        && failed.C.mode_changes = 1);
     ]
   in
   let report =
@@ -144,22 +143,14 @@ let payload_alerts () =
   let alerts = ref [] in
   Mmt_sim.Node.set_handler rubin (fun packet ->
       let frame = Mmt_sim.Packet.frame packet in
-      (match Mmt.Encap.strip frame with
-      | Error _ -> ()
-      | Ok (_encap, mmt) -> (
-          match Mmt.Header.decode_bytes mmt with
-          | Error _ -> ()
-          | Ok header -> (
-              let payload =
-                Bytes.sub mmt (Mmt.Header.size header)
-                  (Bytes.length mmt - Mmt.Header.size header)
-              in
-              match Mmt_daq.Fragment.decode payload with
-              | Ok
-                  ({ Mmt_daq.Fragment.detector = Mmt_daq.Fragment.Telescope_alert _; _ }
-                   as fragment) ->
-                  alerts := (Mmt_sim.Engine.now engine, fragment) :: !alerts
-              | Ok _ | Error _ -> ())));
+      (match Result.bind (Mmt.Encap.parse frame) (fun (_header, payload) ->
+                 Mmt_daq.Fragment.read payload)
+       with
+      | Ok
+          ({ Mmt_daq.Fragment.detector = Mmt_daq.Fragment.Telescope_alert _; _ }
+           as fragment) ->
+          alerts := (Mmt_sim.Engine.now engine, fragment) :: !alerts
+      | Ok _ | Error _ -> ());
       Mmt_sim.Ring.in_packet_done ring packet);
   (* Detector: trigger-primitive fragments; a supernova burst begins at
      2 ms (higher activity => bigger summed charge). *)

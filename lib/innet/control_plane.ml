@@ -84,36 +84,32 @@ let blackholed t = t.blackholed
 
 let on_packet t packet =
   if (not packet.Mmt_sim.Packet.corrupted) && not t.blackholed then
-    match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
-    | Error _ -> ()
-    | Ok (_encap, mmt_frame) -> (
-        match Mmt.Header.decode_bytes mmt_frame with
-        | Ok header when header.Mmt.Header.kind = Mmt.Feature.Kind.Buffer_advert -> (
-            let payload =
-              Bytes.sub mmt_frame (Mmt.Header.size header)
-                (Bytes.length mmt_frame - Mmt.Header.size header)
-            in
-            match Mmt.Control.Buffer_advert.decode payload with
-            | Error _ -> ()
-            | Ok advert ->
-                t.adverts_received <- t.adverts_received + 1;
-                let now = Mmt_runtime.Env.now t.env in
-                let key = advert.Mmt.Control.Buffer_advert.buffer in
-                let fresh = Resource_map.lookup t.map key = None in
-                Resource_map.learn t.map ~now advert;
-                (* Bounded re-gossip of newly learned resources. *)
-                if fresh && t.gossip_hops > 0 then begin
-                  let budget =
-                    Option.value ~default:t.gossip_hops
-                      (Hashtbl.find_opt t.hops_left key)
-                  in
-                  if budget > 0 then begin
-                    Hashtbl.replace t.hops_left key (budget - 1);
-                    t.gossip_forwarded <- t.gossip_forwarded + 1;
-                    broadcast t advert
-                  end
-                end)
-        | Ok _ | Error _ -> ())
+    match Mmt.Encap.parse (Mmt_sim.Packet.frame packet) with
+    | Ok (header, payload)
+      when header.Mmt.Header.kind = Mmt.Feature.Kind.Buffer_advert -> (
+        match
+          Mmt.Control.Buffer_advert.decode (Mmt_wire.Cursor.Reader.rest payload)
+        with
+        | Error _ -> ()
+        | Ok advert ->
+            t.adverts_received <- t.adverts_received + 1;
+            let now = Mmt_runtime.Env.now t.env in
+            let key = advert.Mmt.Control.Buffer_advert.buffer in
+            let fresh = Resource_map.lookup t.map key = None in
+            Resource_map.learn t.map ~now advert;
+            (* Bounded re-gossip of newly learned resources. *)
+            if fresh && t.gossip_hops > 0 then begin
+              let budget =
+                Option.value ~default:t.gossip_hops
+                  (Hashtbl.find_opt t.hops_left key)
+              in
+              if budget > 0 then begin
+                Hashtbl.replace t.hops_left key (budget - 1);
+                t.gossip_forwarded <- t.gossip_forwarded + 1;
+                broadcast t advert
+              end
+            end)
+    | Ok _ | Error _ -> ()
 
 let map t = t.map
 

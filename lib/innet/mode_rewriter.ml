@@ -131,12 +131,13 @@ let apply_mode t ~mode ~now (header : Mmt.Header.t) =
   (header, assigned_seq)
 
 (* Graceful degradation: when the mode's named retransmission buffer is
-   not live in the resource map, pointing NAK traffic at it would
-   strand every gap behind a corpse.  Until the control plane replans,
-   rewrite into the mode with Reliable AND Sequenced stripped — the
-   legality doctrine of {!Mmt.Mode.transition_legal}: a stream leaving
-   the recoverable region leaves it whole.  Frames pass unsequenced and
-   the application sees best-effort delivery instead of a hang. *)
+   not live, pointing NAK traffic at it would strand every gap behind a
+   corpse.  The oracle may re-point the mode itself ({!set_mode}) and
+   answer for the new buffer; if it still answers false, rewrite into
+   the mode with Reliable AND Sequenced stripped — the legality
+   doctrine of {!Mmt.Mode.transition_legal}: a stream leaving the
+   recoverable region leaves it whole.  Frames pass unsequenced and the
+   application sees best-effort delivery instead of a hang. *)
 let degraded_target mode =
   {
     mode with
@@ -149,9 +150,13 @@ let degraded_target mode =
   }
 
 let effective_target t ~now =
-  match (t.mode.Mmt.Mode.retransmit_from, t.liveness) with
-  | Some buffer, Some live when not (live buffer ~now) -> degraded_target t.mode
-  | _ -> t.mode
+  let live =
+    match (t.mode.Mmt.Mode.retransmit_from, t.liveness) with
+    | Some buffer, Some live -> live buffer ~now
+    | _ -> true
+  in
+  (* Read [t.mode] only now: the oracle may have just replaced it. *)
+  if live then t.mode else degraded_target t.mode
 
 (* Slow path: the header's shape (feature set) differs from the mode's
    target, so extensions must be added or stripped — decode the full

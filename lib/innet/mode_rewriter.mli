@@ -25,11 +25,13 @@
     {b Graceful degradation.}  With a [liveness] oracle installed, a
     rewriter whose target mode names a retransmission buffer that is no
     longer live (failed, or its soft state expired) does not point NAK
-    traffic at the corpse: it rewrites into the target mode with
-    [Reliable] {e and} [Sequenced] stripped — per
-    {!Mmt.Mode.transition_legal}, a stream may only leave the
-    recoverable region whole — so frames flow best-effort until the
-    control plane replans. *)
+    traffic at the corpse.  The oracle may first replan — call
+    {!set_mode} to re-point the mode at a live buffer — and answer for
+    the buffer the mode then names.  Only when it answers [false] does
+    the rewriter strip [Reliable] {e and} [Sequenced] from the target
+    mode — per {!Mmt.Mode.transition_legal}, a stream may only leave
+    the recoverable region whole — so frames flow best-effort while no
+    buffer is live. *)
 
 type stats = {
   rewritten : int;
@@ -54,7 +56,10 @@ val create :
 (** [liveness] is consulted per data packet for the target mode's
     retransmission buffer (typically
     [Resource_map.is_live (Control_plane.map control)]); omitting it
-    preserves the historic always-trusting behaviour.  Replacement
+    preserves the historic always-trusting behaviour.  The oracle may
+    call {!set_mode} before it returns: the packet is then rewritten
+    into the new mode, and degrades only if the oracle answers
+    [false].  Replacement
     frames are acquired from [pool] (the topology ring's) and each
     replaced frame is released back, so neither path leaks the old
     frame to the GC.

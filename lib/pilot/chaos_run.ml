@@ -118,7 +118,6 @@ let snoop_element (point : buffer_point) =
 
 let run p =
   let engine = Mmt_sim.Engine.create () in
-  let trace = Mmt_sim.Trace.create ~capacity:10_000 () in
   let topo = Mmt_sim.Topology.create ~engine () in
   let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
@@ -209,12 +208,19 @@ let run p =
     | Ok mode -> mode
     | Error reason -> invalid_arg reason
   in
+  (* When the named buffer has lapsed, the oracle replans at once
+     rather than at the next tick, and answers for the buffer the mode
+     then names: frames degrade only while no buffer is live.  [replan]
+     needs the rewriter, so the oracle reaches it through [replan_now]. *)
+  let replan_now = ref (fun () -> None) in
   let rewriter =
     Mmt_innet.Mode_rewriter.create ~mode:boot_mode
       ~re_encap:
         (Mmt.Encap.Over_ipv4 { src = ingress_ip; dst = sink_ip; dscp = 0; ttl = 64 })
       ~pool:(Mmt_sim.Ring.pool ring)
-      ~liveness:(fun ip ~now -> Mmt_innet.Resource_map.is_live map ~now ip)
+      ~liveness:(fun ip ~now ->
+        let live = Mmt_innet.Resource_map.is_live map ~now in
+        live ip || Option.fold ~none:false ~some:live (!replan_now ()))
       ()
   in
   let mode_changes = ref 0 in
@@ -226,23 +232,32 @@ let run p =
           (Mmt.Control.Buffer_advert.encode entry.Mmt_innet.Resource_map.advert))
       entry
   in
-  let rec replan_loop () =
-    let now = Mmt_sim.Engine.now engine in
-    let before =
+  (* Plan from the live map and re-point the rewriter; a new buffer is
+     counted and announced downstream.  Returns the buffer the mode
+     names afterwards. *)
+  let replan () =
+    let named () =
       (Mmt_innet.Mode_rewriter.mode rewriter).Mmt.Mode.retransmit_from
     in
-    (match Mmt_innet.Planner.replan_rewriter requirement ~rewriter ~map ~now with
-    | Ok mode ->
-        if not (Option.equal Addr.Ip.equal before mode.Mmt.Mode.retransmit_from)
-        then begin
-          incr mode_changes;
-          Option.iter announce_new_buffer mode.Mmt.Mode.retransmit_from
-        end
-    | Error _ -> () (* nothing live yet: keep the old mode *));
-    if Units.Time.(now < p.run_until) then
+    let before = named () in
+    (match
+       Mmt_innet.Planner.replan_rewriter requirement ~rewriter ~map
+         ~now:(Mmt_sim.Engine.now engine)
+     with
+    | Ok mode
+      when not (Option.equal Addr.Ip.equal before mode.Mmt.Mode.retransmit_from)
+      ->
+        incr mode_changes;
+        Option.iter announce_new_buffer mode.Mmt.Mode.retransmit_from
+    | Ok _ | Error _ -> () (* same buffer, or none live: keep the mode *));
+    named ()
+  in
+  replan_now := replan;
+  let rec replan_loop () =
+    ignore (replan ());
+    if Units.Time.(Mmt_sim.Engine.now engine < p.run_until) then
       ignore
-        (Mmt_sim.Engine.schedule_after engine ~delay:p.advert_period (fun () ->
-             replan_loop ()))
+        (Mmt_sim.Engine.schedule_after engine ~delay:p.advert_period replan_loop)
   in
   Mmt_innet.Control_plane.add_local control (fun () ->
       if buffer_a.alive then
@@ -358,14 +373,9 @@ let run p =
   Mmt_sim.Node.set_handler sink (Mmt.Receiver.on_packet receiver);
 
   (* The fault plan. *)
-  let injector =
-    Mmt_fault.Injector.of_topology ~trace ~seed:p.fault_seed topo
-  in
+  let injector = Mmt_fault.Injector.of_topology ~seed:p.fault_seed topo in
   Mmt_fault.Injector.register_element injector "buffer-a"
-    ~fail:(fun () ->
-      buffer_a.alive <- false;
-      ignore
-        (Mmt_innet.Resource_map.expire map ~now:(Mmt_sim.Engine.now engine)))
+    ~fail:(fun () -> buffer_a.alive <- false)
     ~restart:(fun () ->
       (* State loss: the restarted host has an empty Retx_buffer. *)
       buffer_a.host <-
@@ -379,10 +389,7 @@ let run p =
       if p.defect = Broken_restart then
         Mmt_fault.Invariant.delivered ledger ~seq:0);
   Mmt_fault.Injector.register_element injector "buffer-b"
-    ~fail:(fun () ->
-      buffer_b.alive <- false;
-      ignore
-        (Mmt_innet.Resource_map.expire map ~now:(Mmt_sim.Engine.now engine)))
+    ~fail:(fun () -> buffer_b.alive <- false)
     ~restart:(fun () ->
       buffer_b.host <-
         Mmt.Buffer_host.create ~env:buffer_b.env ~capacity:(Units.Size.mib 256)
@@ -517,6 +524,16 @@ let campaign_trial_degrading ?(fragment_count = 1500) () =
     ~track_total:false
     ~advert_period:(Units.Time.us 400.)
     ()
+
+let failover_trial ?(fragment_count = 12000) ?fail_at () =
+  let plan =
+    match fail_at with
+    | None -> Mmt_fault.Plan.empty
+    | Some at ->
+        Mmt_fault.Plan.make
+          [ Mmt_fault.Plan.event ~at (Mmt_fault.Plan.Fail_element "buffer-a") ]
+  in
+  params ~fragment_count ~loss:0.005 ~seed:31L ~plan ()
 
 let emission_span (p : params) =
   let gap =

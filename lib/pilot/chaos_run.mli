@@ -1,13 +1,26 @@
-(** Chaos pilot: the failover topology under a declarative fault plan.
+(** The five-node fault harness: buffer discovery and failover
+    (§ 6 challenge 1) under a declarative fault plan.
 
     A five-node path (source → ingress → buffer A → buffer B → sink)
-    with a checksumming, liveness-aware ingress rewriter, in-network
-    checksum verification ahead of both retransmission-buffer snoops,
-    a soft-state control plane, and a {!Mmt_fault.Injector} armed with
-    an arbitrary {!Mmt_fault.Plan}.  Every run is checked against the
-    delivery invariants ({!Mmt_fault.Invariant}): each sequenced frame
-    ends in exactly one of delivered / lost / abandoned, nothing is
-    delivered to the application twice, and the run terminates. *)
+    with a checksumming ingress rewriter, in-network checksum
+    verification ahead of both retransmission-buffer snoops, a
+    soft-state control plane, and a {!Mmt_fault.Injector} armed with
+    an arbitrary {!Mmt_fault.Plan}.  Both buffers snoop passing
+    sequenced frames and advertise themselves to the ingress; the
+    planner points the rewriter's reliability at the nearest live
+    buffer.
+
+    The planner runs every advert period, and also the moment the
+    rewriter's liveness oracle finds the named buffer lapsed (failed,
+    its soft state expired).  Frames therefore degrade to unsequenced
+    only while no buffer is live, never in the gap between an expiry
+    and the next periodic replan.
+
+    Every run is checked against the delivery invariants
+    ({!Mmt_fault.Invariant}): each sequenced frame ends in exactly one
+    of delivered / lost / abandoned, nothing is delivered to the
+    application twice, and the run terminates.  E-X1, E-R1 and the
+    pilot campaign all run here. *)
 
 open Mmt_util
 
@@ -83,6 +96,12 @@ type outcome = {
 val run : params -> outcome
 (** Execute the plan.  Every host, switch and link creates and retires
     its packets through the topology's ring. *)
+
+val failover_trial :
+  ?fragment_count:int -> ?fail_at:Units.Time.t -> unit -> params
+(** E-X1's parameters: 12 000 fragments (default) over a 0.5 % lossy
+    last hop, seed 31.  [fail_at] installs a one-event plan that fails
+    buffer A at that time; without it the plan is empty. *)
 
 (** {2 Campaign wiring}
 

@@ -420,17 +420,11 @@ let build config =
   in
   Mmt_sim.Node.set_handler sensor (fun packet ->
       (if not packet.Mmt_sim.Packet.corrupted then
-         match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
+         match Mmt.Encap.parse (Mmt_sim.Packet.frame packet) with
          | Error _ -> ()
-         | Ok (_encap, mmt_frame) -> (
-             match Mmt.Header.decode_bytes mmt_frame with
-             | Error _ -> ()
-             | Ok header ->
-                 let payload =
-                   Bytes.sub mmt_frame (Mmt.Header.size header)
-                     (Bytes.length mmt_frame - Mmt.Header.size header)
-                 in
-                 Mmt.Sender.on_control sender header payload));
+         | Ok (header, payload) ->
+             Mmt.Sender.on_control sender header
+               (Mmt_wire.Cursor.Reader.rest payload));
       (* The sensor consumes whatever reaches it (control + strays). *)
       Mmt_sim.Ring.in_packet_done ring packet);
 

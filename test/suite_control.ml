@@ -108,9 +108,10 @@ let test_encap_ethernet () =
       }
   in
   let wrapped = Mmt.Encap.wrap encap mmt_frame in
-  match Mmt.Encap.strip wrapped with
-  | Ok (Mmt.Encap.Over_ethernet _, inner) ->
-      Alcotest.(check bool) "payload preserved" true (Bytes.equal inner mmt_frame)
+  match Mmt.Encap.locate wrapped with
+  | Ok (Mmt.Encap.Over_ethernet _, off) ->
+      Alcotest.(check bool) "payload preserved" true
+        (Bytes.equal (Bytes.sub wrapped off (Bytes.length wrapped - off)) mmt_frame)
   | Ok _ -> Alcotest.fail "misidentified"
   | Error e -> Alcotest.fail e
 

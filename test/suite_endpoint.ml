@@ -37,17 +37,9 @@ let drain_queue queue =
   List.rev !out
 
 let decode_control packet =
-  match Mmt.Encap.strip (Mmt_sim.Packet.frame packet) with
+  match Mmt.Encap.parse (Mmt_sim.Packet.frame packet) with
   | Error e -> Alcotest.fail e
-  | Ok (_encap, mmt) -> (
-      match Mmt.Header.decode_bytes mmt with
-      | Error e -> Alcotest.fail e
-      | Ok header ->
-          let payload =
-            Bytes.sub mmt (Mmt.Header.size header)
-              (Bytes.length mmt - Mmt.Header.size header)
-          in
-          (header, payload))
+  | Ok (header, payload) -> (header, Mmt_wire.Cursor.Reader.rest payload)
 
 (* Receiver --------------------------------------------------------------- *)
 
@@ -364,7 +356,7 @@ let test_buffer_advert_retargets_recovery () =
   Alcotest.(check int) "source update counted" 1 stats.Mmt.Receiver.source_updates;
   (match drain_queue queue with
   | retargeted_nak :: _ -> (
-      match Mmt.Encap.strip (Mmt_sim.Packet.frame retargeted_nak) with
+      match Mmt.Encap.locate (Mmt_sim.Packet.frame retargeted_nak) with
       | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _) ->
           Alcotest.(check bool) "NAK re-aimed" true (Addr.Ip.equal dst new_buffer)
       | _ -> Alcotest.fail "expected IPv4 NAK")

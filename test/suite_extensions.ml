@@ -278,25 +278,19 @@ let test_alert_generator_thresholds () =
   Alcotest.(check int) "triggered" 1 stats.Mmt_innet.Alert_generator.triggers_seen;
   (* The alert parses back to a Telescope_alert fragment. *)
   let alert_packet = Queue.pop queue in
-  match Mmt.Encap.strip (Mmt_sim.Packet.frame alert_packet) with
+  match Mmt.Encap.parse (Mmt_sim.Packet.frame alert_packet) with
   | Error e -> Alcotest.fail e
-  | Ok (_encap, mmt) -> (
-      match Mmt.Header.decode_bytes mmt with
-      | Error e -> Alcotest.fail e
-      | Ok header -> (
-          let payload =
-            Bytes.sub mmt (Mmt.Header.size header) (Bytes.length mmt - Mmt.Header.size header)
-          in
-          match Mmt_daq.Fragment.decode payload with
-          | Ok
-              {
-                Mmt_daq.Fragment.detector =
-                  Mmt_daq.Fragment.Telescope_alert { severity; _ };
-                _;
-              } ->
-              Alcotest.(check bool) "severity scaled" true (severity >= 0)
-          | Ok _ -> Alcotest.fail "expected a telescope alert"
-          | Error e -> Alcotest.fail e))
+  | Ok (_header, payload) -> (
+      match Mmt_daq.Fragment.read payload with
+      | Ok
+          {
+            Mmt_daq.Fragment.detector =
+              Mmt_daq.Fragment.Telescope_alert { severity; _ };
+            _;
+          } ->
+          Alcotest.(check bool) "severity scaled" true (severity >= 0)
+      | Ok _ -> Alcotest.fail "expected a telescope alert"
+      | Error e -> Alcotest.fail e)
 
 let test_alert_generator_rate_limit () =
   let engine = Mmt_sim.Engine.create () in
@@ -337,17 +331,19 @@ let test_alert_generator_rate_limit () =
 (* Failover integration ------------------------------------------------------- *)
 
 let test_failover_end_to_end () =
+  let module C = Mmt_pilot.Chaos_run in
   let outcome =
-    Mmt_pilot.Failover_run.run
-      (Mmt_pilot.Failover_run.params ~fragment_count:12_000
-         ~fail_buffer_a_at:(Units.Time.ms 5.) ())
+    C.run
+      (C.failover_trial ~fragment_count:12_000 ~fail_at:(Units.Time.ms 5.) ())
   in
-  Alcotest.(check int) "all delivered" 12_000 outcome.Mmt_pilot.Failover_run.delivered;
-  Alcotest.(check int) "none lost" 0 outcome.Mmt_pilot.Failover_run.lost;
-  Alcotest.(check string) "switched to B" "B" outcome.Mmt_pilot.Failover_run.final_buffer;
-  Alcotest.(check int) "one mode change" 1 outcome.Mmt_pilot.Failover_run.mode_changes;
-  Alcotest.(check bool) "B served recoveries" true
-    (outcome.Mmt_pilot.Failover_run.naks_served_by_b > 0)
+  Alcotest.(check int) "all delivered" 12_000 outcome.C.delivered;
+  Alcotest.(check int) "none lost" 0 outcome.C.lost;
+  Alcotest.(check string) "switched to B" "B" outcome.C.final_buffer;
+  Alcotest.(check int) "one mode change" 1 outcome.C.mode_changes;
+  Alcotest.(check bool) "B served recoveries" true (outcome.C.naks_served_by_b > 0);
+  (* A's expiry replans at once, so no frame leaves unsequenced. *)
+  Alcotest.(check int) "none degraded" 0 outcome.C.degraded_delivered;
+  Alcotest.(check (list string)) "no violations" [] outcome.C.violations
 
 let test_priority_runner_shapes () =
   let run deadline_aware =

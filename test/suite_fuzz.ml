@@ -11,6 +11,7 @@ let never_raises name decode =
 
 let qcheck_header = never_raises "Header.decode_bytes total" Mmt.Header.decode_bytes
 let qcheck_encap = never_raises "Encap.locate total" Mmt.Encap.locate
+let qcheck_parse = never_raises "Encap.parse total" Mmt.Encap.parse
 let qcheck_fragment = never_raises "Fragment.decode total" Mmt_daq.Fragment.decode
 let qcheck_segment = never_raises "Segment.decode total" Mmt_tcp.Segment.decode
 let qcheck_nak = never_raises "Nak.decode total" Mmt.Control.Nak.decode
@@ -104,6 +105,7 @@ let suite =
     [
       qcheck_header;
       qcheck_encap;
+      qcheck_parse;
       qcheck_fragment;
       qcheck_segment;
       qcheck_nak;

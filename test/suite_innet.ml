@@ -76,12 +76,9 @@ let wan_mode =
     ~age_budget_us:15_000 ()
 
 let header_of_packet packet =
-  match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
+  match Mmt.Encap.parse (Mmt_sim.Packet.frame packet) with
+  | Ok (header, _payload) -> header
   | Error e -> Alcotest.fail e
-  | Ok (_encap, off) -> (
-      match Mmt.Header.decode_bytes ~off (Mmt_sim.Packet.frame packet) with
-      | Ok header -> header
-      | Error e -> Alcotest.fail e)
 
 let test_rewriter_activates_mode () =
   let engine = Mmt_sim.Engine.create () in
@@ -175,6 +172,52 @@ let test_rewriter_strips_features () =
       Alcotest.(check bool) "features empty" true
         (Mmt.Feature.Set.equal h.Mmt.Header.features Mmt.Feature.Set.empty)
   | _ -> Alcotest.fail "expected forward"
+
+(* The liveness oracle may replan: re-pointed at a live standby, the
+   frame names it and nothing degrades.  With no live buffer left to
+   re-point at, the frame degrades to unsequenced. *)
+let test_rewriter_oracle_replans () =
+  let engine = Mmt_sim.Engine.create () in
+  let standby = Addr.Ip.of_octets 10 0 1 2 in
+  let standby_live = ref true in
+  let rewriter = ref None in
+  let liveness ip ~now:_ =
+    if Addr.Ip.equal ip standby then !standby_live
+    else
+      (* [buffer_ip] is dead: replan onto the standby while it lives. *)
+      !standby_live
+      && Result.is_ok
+           (Mmt_innet.Mode_rewriter.set_mode (Option.get !rewriter)
+              (Mmt.Mode.make ~name:"standby" ~reliable:standby ()))
+  in
+  let r =
+    Mmt_innet.Mode_rewriter.create ~pool:(Mmt_sim.Pool.create ())
+      ~mode:(Mmt.Mode.make ~name:"primary" ~reliable:buffer_ip ())
+      ~liveness ()
+  in
+  rewriter := Some r;
+  let element = Mmt_innet.Mode_rewriter.element r in
+  let run_one id =
+    match
+      element.Mmt_innet.Element.process ~now:(Units.Time.ms 1.)
+        (mode0_packet ~engine ~id 64)
+    with
+    | Mmt_innet.Element.Forward p -> header_of_packet p
+    | _ -> Alcotest.fail "expected forward"
+  in
+  let h = run_one 0 in
+  Alcotest.(check (option int)) "sequenced" (Some 0) h.Mmt.Header.sequence;
+  Alcotest.(check bool) "names the standby" true
+    (match h.Mmt.Header.retransmit_from with
+    | Some ip -> Addr.Ip.equal ip standby
+    | None -> false);
+  Alcotest.(check int) "not degraded" 0
+    (Mmt_innet.Mode_rewriter.stats r).Mmt_innet.Mode_rewriter.degraded;
+  standby_live := false;
+  let h = run_one 1 in
+  Alcotest.(check (option int)) "unsequenced" None h.Mmt.Header.sequence;
+  Alcotest.(check int) "degraded" 1
+    (Mmt_innet.Mode_rewriter.stats r).Mmt_innet.Mode_rewriter.degraded
 
 let test_rewriter_passes_control () =
   let rewriter =
@@ -531,6 +574,7 @@ let suite =
     Alcotest.test_case "rewriter activates mode" `Quick test_rewriter_activates_mode;
     Alcotest.test_case "rewriter re-encapsulates" `Quick test_rewriter_re_encapsulates;
     Alcotest.test_case "rewriter strips features" `Quick test_rewriter_strips_features;
+    Alcotest.test_case "rewriter oracle replans" `Quick test_rewriter_oracle_replans;
     Alcotest.test_case "rewriter passes control" `Quick test_rewriter_passes_control;
     Alcotest.test_case "per-experiment counters" `Quick test_rewriter_per_experiment_counters;
     Alcotest.test_case "age tracker accumulates" `Quick test_age_tracker_accumulates;
