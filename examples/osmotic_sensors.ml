@@ -161,7 +161,9 @@ let () =
         payload = Bytes.make reading_size 's';
       }
     in
-    Mmt.Sender.send mmt_sender (Mmt_daq.Fragment.encode fragment)
+    Mmt.Sender.send_with mmt_sender
+      ~length:(Mmt_daq.Fragment.total_size fragment)
+      (fun w -> Mmt_daq.Fragment.write w fragment)
   in
   List.iter
     (fun (i, sender, _, received) ->

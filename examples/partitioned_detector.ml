@@ -55,16 +55,17 @@ let () =
   Mmt_sim.Node.set_handler facility (fun packet ->
       (match
          Result.bind (Mmt.Encap.parse (Mmt_sim.Packet.frame packet))
-           (fun (_header, payload) -> Mmt_daq.Fragment.read payload)
+           (fun (_header, payload) -> Mmt_daq.Fragment.read_header payload)
        with
       | Error _ -> ()
-      | Ok fragment ->
-          let slice = Mmt.Experiment_id.slice fragment.Mmt_daq.Fragment.experiment in
+      | Ok h ->
+          let slice = Mmt.Experiment_id.slice h.Mmt_daq.Fragment.experiment in
           Hashtbl.replace per_slice slice
             (1 + Option.value ~default:0 (Hashtbl.find_opt per_slice slice));
           (match
              Mmt_daq.Event_builder.add builder ~now:(Mmt_sim.Engine.now engine)
-               fragment
+               ~run:h.Mmt_daq.Fragment.run ~trigger:h.Mmt_daq.Fragment.trigger
+               ~slice
            with
           | Some event -> complete_events := event :: !complete_events
           | None -> ()));
@@ -110,7 +111,9 @@ let () =
                    payload = Mmt_daq.Lartpc.serialize_window window;
                  }
                in
-               Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment)))
+               Mmt.Sender.send_with sender
+                 ~length:(Mmt_daq.Fragment.total_size fragment)
+                 (fun w -> Mmt_daq.Fragment.write w fragment)))
       done)
     senders;
   Mmt_sim.Engine.run engine;
@@ -134,7 +137,7 @@ let () =
       in
       Printf.printf "sample event: run %d trigger %d, %d fragments, built in %s\n"
         event.Mmt_daq.Event_builder.run event.Mmt_daq.Event_builder.trigger
-        (List.length event.Mmt_daq.Event_builder.fragments)
+        (List.length event.Mmt_daq.Event_builder.slices)
         (Units.Time.to_string build_time)
   | [] -> ());
   if stats.Mmt_daq.Event_builder.complete = triggers then

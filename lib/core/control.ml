@@ -154,4 +154,6 @@ let send env ?(experiment = Experiment_id.make ~experiment:0 ~slice:0) ~dst
     Encap.Over_ipv4
       { src = env.Mmt_runtime.Env.local_ip; dst; dscp = 0; ttl = 64 }
   in
-  env.Mmt_runtime.Env.send dst (Encap.packet env encap header payload)
+  env.Mmt_runtime.Env.send dst
+    (Encap.packet env encap header ~length:(Bytes.length payload) (fun w ->
+         Cursor.Writer.bytes w payload))

@@ -39,20 +39,27 @@ let wrap t mmt_frame =
       Bytes.blit mmt_frame 0 out off (Bytes.length mmt_frame);
       out
 
-let packet env ?padding t header payload =
-  let mmt = Header.encode header in
+let packet env ?padding t header ~length write =
   let off = overhead t in
-  let mmt_length = Bytes.length mmt + Bytes.length payload in
+  let mmt_length = Header.size header + length in
+  let ring = env.Mmt_runtime.Env.ring in
   let packet =
-    Mmt_sim.Ring.in_packet env.Mmt_runtime.Env.ring ?padding
+    Mmt_sim.Ring.in_packet ring ?padding
       ~id:(env.Mmt_runtime.Env.fresh_id ())
       ~born:(Mmt_runtime.Env.now env) (off + mmt_length)
   in
   let frame = Mmt_sim.Packet.frame packet in
   wrap_into t ~mmt_length frame;
-  Bytes.blit mmt 0 frame off (Bytes.length mmt);
-  Bytes.blit payload 0 frame (off + Bytes.length mmt) (Bytes.length payload);
-  packet
+  let w = Cursor.Writer.over ~off frame in
+  Header.encode_into w header;
+  if Cursor.Writer.writes_exactly w length write then packet
+  else begin
+    (* Short or long, the pool frame would carry bytes nobody wrote. *)
+    Mmt_sim.Ring.in_packet_done ring packet;
+    invalid_arg
+      (Printf.sprintf "Encap.packet: writer did not fill exactly %d bytes"
+         length)
+  end
 
 let locate frame =
   if Bytes.length frame = 0 then Error "empty frame"

@@ -37,13 +37,25 @@ val wrap_into : t -> mmt_length:int -> bytes -> unit
     allocation-free counterpart of {!wrap}. *)
 
 val packet :
-  Mmt_runtime.Env.t -> ?padding:int -> t -> Header.t -> bytes -> Mmt_sim.Packet.t
-(** [packet env encap header payload] is the one frame builder for
-    packets a host originates: it takes a frame of the final length
-    from [env]'s ring pool and writes the encapsulation, the encoded
-    header and [payload] into it, each once.  The packet has a fresh
-    identity and is born now; [payload] is copied, so the caller keeps
-    it. *)
+  Mmt_runtime.Env.t ->
+  ?padding:int ->
+  t ->
+  Header.t ->
+  length:int ->
+  (Mmt_wire.Cursor.Writer.t -> unit) ->
+  Mmt_sim.Packet.t
+(** [packet env encap header ~length write] is the one frame builder
+    for packets a host originates: it takes a frame of the final length
+    from [env]'s ring pool, writes the encapsulation and the encoded
+    header into it, then hands [write] a writer positioned at the
+    payload, which must write exactly [length] bytes.  Each byte of the
+    frame is written once: a fragment is written by its codec straight
+    from the caller's data, and a payload already in a buffer is copied
+    in with [Cursor.Writer.bytes].  The packet has a fresh identity and
+    is born now.
+    @raise Invalid_argument when [write] writes fewer or more than
+    [length] bytes; the ring slot is retired first, so a recycled frame
+    never carries bytes nobody wrote. *)
 
 val locate : bytes -> (t * int, string) result
 (** [locate frame] identifies the encapsulation and returns the byte

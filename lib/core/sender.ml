@@ -1,5 +1,6 @@
 open Mmt_util
 open Mmt_frame
+module Cursor = Mmt_wire.Cursor
 
 type config = {
   experiment : Experiment_id.t;
@@ -60,15 +61,20 @@ let header_for t ~now =
   | None -> header
   | Some control -> Header.with_backpressure_to header control
 
-let transmit t payload =
+let transmit t ~length write =
   let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
   let packet =
-    Encap.packet t.env ~padding:t.config.padding t.config.encap header payload
+    Encap.packet t.env ~padding:t.config.padding t.config.encap header ~length
+      write
   in
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <-
     t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
   t.env.Mmt_runtime.Env.send t.config.destination packet
+
+let transmit_queued t payload =
+  transmit t ~length:(Bytes.length payload) (fun w ->
+      Cursor.Writer.bytes w payload)
 
 let message_wire_size t payload =
   (* The pacer's view of one message on the wire. *)
@@ -86,12 +92,12 @@ let rec drain t =
       match t.pace with
       | None ->
           (* Pace was removed while queued: flush everything. *)
-          Queue.iter (transmit t) t.queue;
+          Queue.iter (transmit_queued t) t.queue;
           Queue.clear t.queue
       | Some pace ->
           if Units.Time.(t.next_departure <= now) then begin
             ignore (Queue.pop t.queue);
-            transmit t payload;
+            transmit_queued t payload;
             let gap = Units.Rate.transmission_time pace (message_wire_size t payload) in
             t.next_departure <- Units.Time.add now gap
           end;
@@ -105,12 +111,24 @@ and schedule_drain t =
     ignore (Mmt_runtime.Env.after t.env delay (fun () -> drain t))
   end
 
-let send t payload =
+let send_with t ~length write =
   match t.pace with
-  | None when Queue.is_empty t.queue -> transmit t payload
+  | None when Queue.is_empty t.queue -> transmit t ~length write
   | _ ->
+      (* The message waits: write it into its own buffer now, so
+         nothing the caller lent is read after this call returns. *)
+      let payload = Bytes.create length in
+      if not (Cursor.Writer.writes_exactly (Cursor.Writer.over payload) length write)
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Sender.send_with: writer did not fill exactly %d bytes" length);
       Queue.push payload t.queue;
       schedule_drain t
+
+let send t payload =
+  send_with t ~length:(Bytes.length payload) (fun w ->
+      Cursor.Writer.bytes w payload)
 
 let on_control t header payload =
   match header.Header.kind with

@@ -42,13 +42,23 @@ type t
 
 val create : env:Mmt_runtime.Env.t -> config -> t
 
+val send_with : t -> length:int -> (Mmt_wire.Cursor.Writer.t -> unit) -> unit
+(** [send_with t ~length write] sends one message of [length] bytes
+    that [write] produces, e.g. [Fragment.write w fragment].  [write]
+    runs once, before [send_with] returns, and nothing it reads is kept
+    afterwards, so it may read buffers the caller lends only for the
+    call.  The message departs immediately when unpaced and the queue is
+    empty: [write] then fills the payload of a frame from the
+    environment's ring pool after the encapsulation and header
+    ({!Encap.packet}), the message's one copy.  Otherwise it waits for
+    the pace, and [write] fills a buffer of its own that the frame is
+    written from at departure.
+    @raise Invalid_argument when [write] does not write exactly
+    [length] bytes. *)
+
 val send : t -> bytes -> unit
-(** Enqueue one message.  Departs immediately when unpaced and the
-    queue is empty; otherwise at the pace.  At departure the payload
-    is copied once, with the encapsulation and header, into a frame
-    from the environment's ring pool.  A message queued behind the
-    pacer is held by reference until then, so the caller must not
-    mutate the payload after [send]. *)
+(** [send_with] writing [payload]: the caller may reuse [payload] as
+    soon as [send] returns. *)
 
 val on_control : t -> Header.t -> bytes -> unit
 (** Feed a control-kind transport message addressed to this sender

@@ -3,7 +3,7 @@ open Mmt_util
 type event = {
   run : int;
   trigger : int;
-  fragments : Fragment.t list;
+  slices : int list;
   opened_at : Units.Time.t;
   completed_at : Units.Time.t;
 }
@@ -16,10 +16,7 @@ type stats = {
   pending : int;
 }
 
-type pending = {
-  p_opened_at : Units.Time.t;
-  by_slice : (int, Fragment.t) Hashtbl.t;
-}
+type pending = { p_opened_at : Units.Time.t; mutable seen : int list }
 
 type t = {
   slices : int list;
@@ -43,38 +40,31 @@ let create ~slices ~timeout =
     fragments_seen = 0;
   }
 
-let add t ~now fragment =
+let add t ~now ~run ~trigger ~slice =
   t.fragments_seen <- t.fragments_seen + 1;
-  let slice = Mmt.Experiment_id.slice fragment.Fragment.experiment in
-  let key = (fragment.Fragment.run, fragment.Fragment.trigger) in
+  let key = (run, trigger) in
   let pending =
     match Hashtbl.find_opt t.open_events key with
     | Some pending -> pending
     | None ->
-        let pending = { p_opened_at = now; by_slice = Hashtbl.create 8 } in
+        let pending = { p_opened_at = now; seen = [] } in
         Hashtbl.replace t.open_events key pending;
         pending
   in
-  if Hashtbl.mem pending.by_slice slice then begin
+  if List.mem slice pending.seen then begin
     t.duplicates <- t.duplicates + 1;
     None
   end
   else begin
-    Hashtbl.replace pending.by_slice slice fragment;
-    let have_all =
-      List.for_all (fun s -> Hashtbl.mem pending.by_slice s) t.slices
-    in
-    if have_all then begin
+    pending.seen <- slice :: pending.seen;
+    if List.for_all (fun s -> List.mem s pending.seen) t.slices then begin
       Hashtbl.remove t.open_events key;
       t.complete <- t.complete + 1;
-      let fragments =
-        List.map (fun s -> Hashtbl.find pending.by_slice s) t.slices
-      in
       Some
         {
-          run = fst key;
-          trigger = snd key;
-          fragments;
+          run;
+          trigger;
+          slices = t.slices;
           opened_at = pending.p_opened_at;
           completed_at = now;
         }

@@ -18,6 +18,15 @@ type detector =
       severity : int;
     }
 
+type header = {
+  run : int;
+  trigger : int;
+  timestamp : Units.Time.t;
+  experiment : Mmt.Experiment_id.t;
+  detector : detector;
+  payload_length : int;
+}
+
 type t = {
   run : int;
   trigger : int;
@@ -102,9 +111,7 @@ let decode_subheader r code =
       Ok (Telescope_alert { alert_id; ra_udeg; dec_udeg; severity })
   | other -> Error (Printf.sprintf "unknown detector kind %d" other)
 
-let encode t =
-  let buf = Bytes.create (total_size t) in
-  let w = Cursor.Writer.over buf in
+let write w t =
   Cursor.Writer.u16 w magic;
   Cursor.Writer.u8 w 1 (* format version *);
   Cursor.Writer.u8 w (detector_kind_code t.detector);
@@ -114,10 +121,14 @@ let encode t =
   Cursor.Writer.u32 w (Mmt.Experiment_id.to_int32 t.experiment);
   Cursor.Writer.u32_int w (Bytes.length t.payload);
   encode_subheader w t.detector;
-  Cursor.Writer.bytes w t.payload;
+  Cursor.Writer.bytes w t.payload
+
+let encode t =
+  let buf = Bytes.create (total_size t) in
+  write (Cursor.Writer.over buf) t;
   buf
 
-let read r =
+let read_header r =
   match
     let seen_magic = Cursor.Reader.u16 r in
     if seen_magic <> magic then Error "bad fragment magic"
@@ -137,13 +148,27 @@ let read r =
             if Cursor.Reader.remaining r < payload_length then
               Error "fragment payload truncated"
             else
-              let payload = Cursor.Reader.take r payload_length in
-              Ok { run; trigger; timestamp; experiment; detector; payload }
+              Ok
+                ({ run; trigger; timestamp; experiment; detector; payload_length }
+                  : header)
       end
     end
   with
   | result -> result
   | exception Cursor.Out_of_bounds _ -> Error "truncated fragment"
+
+let read r =
+  Result.map
+    (fun (h : header) ->
+      {
+        run = h.run;
+        trigger = h.trigger;
+        timestamp = h.timestamp;
+        experiment = h.experiment;
+        detector = h.detector;
+        payload = Cursor.Reader.take r h.payload_length;
+      })
+    (read_header r)
 
 let decode buf = read (Cursor.Reader.of_bytes buf)
 

@@ -29,6 +29,16 @@ type detector =
       severity : int;
     }  (** Vera-Rubin-style alert (§ 2.1) *)
 
+type header = {
+  run : int;
+  trigger : int;
+  timestamp : Units.Time.t;
+  experiment : Mmt.Experiment_id.t;
+  detector : detector;
+  payload_length : int;  (** bytes of payload that follow the subheader *)
+}
+(** Everything a fragment says about itself except its payload bytes. *)
+
 type t = {
   run : int;
   trigger : int;  (** trigger/sequence number within the run *)
@@ -46,12 +56,30 @@ val subheader_size : int
 
 val total_size : t -> int
 val detector_kind_code : detector -> int
+
+val write : Mmt_wire.Cursor.Writer.t -> t -> unit
+(** The codec: serialize the fragment, [total_size] bytes, at the
+    writer's position.  Senders write straight into the ring frame this
+    way (see [Mmt.Sender.send_with]), so the fragment's bytes are copied
+    once, from its payload into the frame.
+    @raise Mmt_wire.Cursor.Out_of_bounds when the writer has too little
+    room. *)
+
 val encode : t -> bytes
+(** [write] into a fresh buffer of [total_size] bytes. *)
+
+val read_header : Mmt_wire.Cursor.Reader.t -> (header, string) result
+(** Parse one fragment's header and subheader from the reader's
+    position and check what {!read} checks: magic, version, detector
+    kind, and that the whole payload lies within the reader.  It copies
+    nothing and leaves the reader at the first payload byte, so a
+    consumer that needs only the fragment's identity (e.g. an
+    {!Event_builder}) reads a receiver's payload view in place.  Accepts
+    exactly the inputs {!read} accepts. *)
 
 val read : Mmt_wire.Cursor.Reader.t -> (t, string) result
-(** Parse one fragment from the reader's position, e.g. a receiver's
-    payload view; the payload is copied out, so the result outlives
-    the underlying buffer. *)
+(** {!read_header}, then the payload is copied out, so the result
+    outlives the underlying buffer. *)
 
 val decode : bytes -> (t, string) result
 (** [read] over the whole buffer. *)

@@ -44,6 +44,7 @@ type t = {
   mutable bytes_emitted : int;
   mutable events : int;
   started_at : Units.Time.t;
+  mutable readout : bytes;  (* lent to [emit] for Synthetic payloads *)
 }
 
 let payload_size config =
@@ -63,13 +64,19 @@ let expected_interval config =
   in
   Units.Rate.transmission_time rate (Units.Size.bytes fragment_bytes)
 
-let build_payload t =
+(* Synthetic payloads come from the stream's one readout buffer: 0xA5
+   filler, reallocated only when the size changes, with a random word
+   stamped over its head so payloads differ packet to packet. *)
+let lend_readout t size =
+  if Bytes.length t.readout <> size then t.readout <- Bytes.make size '\xA5';
+  if size >= 8 then Bytes.set_int64_be t.readout 0 (Rng.int64 t.rng);
+  t.readout
+
+let build_payload ?payload_bytes t =
   match t.config.payload with
   | Synthetic size ->
-      let buf = Bytes.make (Units.Size.to_bytes size) '\xA5' in
-      (* Stamp a random word so payloads differ packet to packet. *)
-      if Bytes.length buf >= 8 then Bytes.set_int64_be buf 0 (Rng.int64 t.rng);
-      buf
+      lend_readout t
+        (Option.value payload_bytes ~default:(Units.Size.to_bytes size))
   | Raw_window (lconfig, activity) ->
       Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity)
   | Trigger_primitives (lconfig, activity, threshold) ->
@@ -109,14 +116,7 @@ let detector_for t =
 
 let emit_fragment ?payload_bytes t =
   let now = Mmt_sim.Engine.now t.engine in
-  let payload =
-    match (payload_bytes, t.config.payload) with
-    | Some bytes, Synthetic _ ->
-        let buf = Bytes.make bytes '\xA5' in
-        if Bytes.length buf >= 8 then Bytes.set_int64_be buf 0 (Rng.int64 t.rng);
-        buf
-    | _ -> build_payload t
-  in
+  let payload = build_payload ?payload_bytes t in
   let fragment =
     {
       Fragment.run = t.config.run;
@@ -229,6 +229,7 @@ let start ~engine ~rng config ~emit ~until =
       bytes_emitted = 0;
       events = 0;
       started_at = Mmt_sim.Engine.now engine;
+      readout = Bytes.empty;
     }
   in
   let interval = expected_interval config in

@@ -68,6 +68,14 @@ val start :
   until:Units.Time.t ->
   t
 (** Schedules fragment emission on the engine from now to [until].
+
+    The fragment passed to [emit] is lent: its payload is valid until
+    [emit] returns.  A [Synthetic] stream has one readout buffer that
+    every fragment's payload is, re-stamped for the next fragment, so
+    [emit] must send or copy what it needs before returning (e.g.
+    [Mmt.Sender.send_with] with [Fragment.write]), never keep the
+    payload.  This is the transmit twin of the [deliver] contract of
+    [Mmt.Receiver.create].  Other payload kinds are fresh per fragment.
     @raise Invalid_argument on a non-positive scale or duty outside
     (0, 1]. *)
 

@@ -210,7 +210,9 @@ let payload_alerts () =
                payload = Mmt_daq.Lartpc.serialize_hits hits;
              }
            in
-           Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment)))
+           Mmt.Sender.send_with sender
+             ~length:(Mmt_daq.Fragment.total_size fragment)
+             (fun w -> Mmt_daq.Fragment.write w fragment)))
   done;
   Mmt_sim.Engine.run engine;
   let stats = Mmt_innet.Alert_generator.stats generator in

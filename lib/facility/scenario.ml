@@ -585,7 +585,9 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         Mmt_daq.Workload.start ~engine ~rng:flow_rngs.(f)
           (workload_config (kind_of_flow f))
           ~emit:(fun fragment ->
-            Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment))
+            Mmt.Sender.send_with sender
+              ~length:(Mmt_daq.Fragment.total_size fragment)
+              (fun w -> Mmt_daq.Fragment.write w fragment))
           ~until:config.duration)
   in
   let senders =

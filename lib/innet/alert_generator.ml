@@ -62,7 +62,7 @@ let send_alert t ~(source : Mmt_daq.Fragment.t) ~total_charge =
   let header =
     Mmt.Header.create ~experiment:source.Mmt_daq.Fragment.experiment ()
   in
-  let payload = Mmt_daq.Fragment.encode alert_fragment in
+  let length = Mmt_daq.Fragment.total_size alert_fragment in
   List.iter
     (fun subscriber ->
       let packet =
@@ -74,7 +74,8 @@ let send_alert t ~(source : Mmt_daq.Fragment.t) ~total_charge =
                dscp = 46;
                ttl = 64;
              })
-          header payload
+          header ~length
+          (fun w -> Mmt_daq.Fragment.write w alert_fragment)
       in
       t.alerts_emitted <- t.alerts_emitted + 1;
       t.env.Mmt_runtime.Env.send subscriber packet)
@@ -105,10 +106,10 @@ let process t ~now:_ packet =
       match Mmt.Header.View.of_frame ~off:mmt_offset frame with
       | Ok view when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data -> (
           let payload_offset = mmt_offset + Mmt.Header.View.size view in
-          let payload =
-            Bytes.sub frame payload_offset (Bytes.length frame - payload_offset)
-          in
-          match Mmt_daq.Fragment.decode payload with
+          match
+            Mmt_daq.Fragment.read
+              (Mmt_wire.Cursor.Reader.of_bytes ~off:payload_offset frame)
+          with
           | Error _ -> ()
           | Ok fragment -> (
               t.inspected <- t.inspected + 1;

@@ -353,11 +353,13 @@ let build config =
   let receiver =
     Mmt.Receiver.create ~env:env_d2 (receiver_config config)
       ~deliver:(fun _meta payload ->
-        match Mmt_daq.Fragment.read payload with
-        | Ok fragment ->
+        match Mmt_daq.Fragment.read_header payload with
+        | Ok h ->
             ignore
               (Mmt_daq.Event_builder.add event_builder
-                 ~now:(Mmt_sim.Engine.now engine) fragment)
+                 ~now:(Mmt_sim.Engine.now engine) ~run:h.Mmt_daq.Fragment.run
+                 ~trigger:h.Mmt_daq.Fragment.trigger
+                 ~slice:(Mmt.Experiment_id.slice h.Mmt_daq.Fragment.experiment))
         | Error _ -> ())
   in
   let to_receiver packet =
@@ -448,7 +450,9 @@ let build config =
           ~rng:(Rng.split workload_rng)
           (workload_config slice)
           ~emit:(fun fragment ->
-            Mmt.Sender.send sender (Mmt_daq.Fragment.encode fragment))
+            Mmt.Sender.send_with sender
+              ~length:(Mmt_daq.Fragment.total_size fragment)
+              (fun w -> Mmt_daq.Fragment.write w fragment))
           ~until)
   in
 

@@ -63,14 +63,18 @@ module Reader = struct
 end
 
 module Writer = struct
-  type t = { buf : bytes; mutable pos : int }
+  type t = { buf : bytes; start : int; mutable pos : int }
 
-  let create capacity = { buf = Bytes.create capacity; pos = 0 }
+  let create capacity = { buf = Bytes.create capacity; start = 0; pos = 0 }
 
-  (* Write into a caller-owned buffer (e.g. a pool frame) instead of a
-     fresh one; bounds-checked against its full length. *)
-  let over buf = { buf; pos = 0 }
-  let length t = t.pos
+  (* Write into a caller-owned buffer (e.g. a pool frame) from [off]
+     instead of a fresh one; bounds-checked against its full length. *)
+  let over ?(off = 0) buf =
+    if off < 0 || off > Bytes.length buf then
+      invalid_arg "Cursor.Writer.over: bad offset";
+    { buf; start = off; pos = off }
+
+  let length t = t.pos - t.start
 
   let need t n what =
     if t.pos + n > Bytes.length t.buf then
@@ -113,7 +117,13 @@ module Writer = struct
     Bytes.blit b 0 t.buf t.pos n;
     t.pos <- t.pos + n
 
-  let contents t = Bytes.sub t.buf 0 t.pos
+  let contents t = Bytes.sub t.buf t.start (length t)
+
+  let writes_exactly t n write =
+    let start = t.pos in
+    match write t with
+    | () -> t.pos - start = n
+    | exception Out_of_bounds _ -> false
 end
 
 let checksum buf ~off ~len =

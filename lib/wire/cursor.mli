@@ -43,12 +43,16 @@ module Writer : sig
       {!Out_of_bounds} rather than grow, because on-wire headers have
       known sizes. *)
 
-  val over : bytes -> t
-  (** Writer positioned at offset 0 of a caller-owned buffer (e.g. a
-      pool frame), so headers can be serialized without allocating.
-      Capacity is the buffer's full length; {!contents} still copies. *)
+  val over : ?off:int -> bytes -> t
+  (** Writer positioned at offset [off] (default 0) of a caller-owned
+      buffer (e.g. a pool frame), so headers and payloads can be
+      serialized in place without allocating.  Writes may run to the
+      buffer's end; {!contents} still copies.
+      @raise Invalid_argument when [off] is outside the buffer. *)
 
   val length : t -> int
+  (** Bytes written so far, counted from the writer's start offset. *)
+
   val u8 : t -> int -> unit
   (** Low 8 bits of the argument. *)
 
@@ -60,6 +64,10 @@ module Writer : sig
   val bytes : t -> bytes -> unit
   val contents : t -> bytes
   (** Copy of the written prefix. *)
+
+  val writes_exactly : t -> int -> (t -> unit) -> bool
+  (** [writes_exactly w n write] runs [write w] and tells whether it
+      wrote exactly [n] bytes; running out of room counts as [false]. *)
 end
 
 val checksum : bytes -> off:int -> len:int -> int

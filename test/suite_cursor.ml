@@ -62,13 +62,31 @@ let test_writer_overflow () =
   Alcotest.(check bool) "raises past capacity" true
     (match Cursor.Writer.u8 w 1 with
     | () -> false
-    | exception Cursor.Out_of_bounds _ -> true)
+    | exception Cursor.Out_of_bounds _ -> true);
+  (* Two bytes of room left after offset 6 of an 8-byte buffer. *)
+  let exactly n k =
+    Cursor.Writer.writes_exactly
+      (Cursor.Writer.over ~off:6 (Bytes.create 8))
+      n
+      (fun w -> for _ = 1 to k do Cursor.Writer.u8 w 0 done)
+  in
+  Alcotest.(check (list bool)) "writes_exactly: short, exact, past the end"
+    [ false; true; false ]
+    [ exactly 2 1; exactly 2 2; exactly 3 3 ]
 
 let test_writer_length_tracks () =
   let w = Cursor.Writer.create 16 in
   Alcotest.(check int) "empty" 0 (Cursor.Writer.length w);
   Cursor.Writer.u24 w 7;
-  Alcotest.(check int) "after u24" 3 (Cursor.Writer.length w)
+  Alcotest.(check int) "after u24" 3 (Cursor.Writer.length w);
+  let buf = Bytes.make 8 'x' in
+  let w = Cursor.Writer.over ~off:5 buf in
+  Alcotest.(check int) "empty at an offset" 0 (Cursor.Writer.length w);
+  Cursor.Writer.u16 w 0x4142;
+  Alcotest.(check int) "after u16 at an offset" 2 (Cursor.Writer.length w);
+  Alcotest.(check string) "written in place" "xxxxxABx" (Bytes.to_string buf);
+  Alcotest.(check string) "contents from the offset" "AB"
+    (Bytes.to_string (Cursor.Writer.contents w))
 
 let test_checksum_known_vector () =
   (* Classic RFC 1071 example: checksum of 0x0001 0xf203 0xf4f5 0xf6f7. *)

@@ -473,36 +473,23 @@ let test_workload_validation () =
 
 (* Event builder -------------------------------------------------------------------- *)
 
-let eb_fragment ~trigger ~slice =
-  {
-    Mmt_daq.Fragment.run = 1;
-    trigger;
-    timestamp = Units.Time.zero;
-    experiment = Mmt.Experiment_id.make ~experiment:2 ~slice;
-    detector =
-      Mmt_daq.Fragment.Wib_ethernet
-        { crate = 0; slot = slice; fiber = 0; first_channel = 0; channel_count = 8 };
-    payload = Bytes.empty;
-  }
+let eb_add eb ~now ~trigger ~slice =
+  Mmt_daq.Event_builder.add eb ~now ~run:1 ~trigger ~slice
 
 let test_event_builder_completes () =
   let eb = Mmt_daq.Event_builder.create ~slices:[ 0; 1; 2 ] ~timeout:(Units.Time.ms 10.) in
   let now = Units.Time.zero in
   Alcotest.(check bool) "pending" true
-    (Mmt_daq.Event_builder.add eb ~now (eb_fragment ~trigger:5 ~slice:0) = None);
+    (eb_add eb ~now ~trigger:5 ~slice:0 = None);
   Alcotest.(check bool) "pending" true
-    (Mmt_daq.Event_builder.add eb ~now (eb_fragment ~trigger:5 ~slice:2) = None);
-  (match Mmt_daq.Event_builder.add eb ~now (eb_fragment ~trigger:5 ~slice:1) with
+    (eb_add eb ~now ~trigger:5 ~slice:2 = None);
+  (match eb_add eb ~now ~trigger:5 ~slice:1 with
   | Some event ->
       Alcotest.(check int) "trigger" 5 event.Mmt_daq.Event_builder.trigger;
-      Alcotest.(check int) "all slices" 3 (List.length event.Mmt_daq.Event_builder.fragments);
-      (* fragments come back in slice order *)
-      let slices =
-        List.map
-          (fun f -> Mmt.Experiment_id.slice f.Mmt_daq.Fragment.experiment)
-          event.Mmt_daq.Event_builder.fragments
-      in
-      Alcotest.(check (list int)) "slice order" [ 0; 1; 2 ] slices
+      Alcotest.(check int) "all slices" 3 (List.length event.Mmt_daq.Event_builder.slices);
+      (* slices come back in slice order *)
+      Alcotest.(check (list int)) "slice order" [ 0; 1; 2 ]
+        event.Mmt_daq.Event_builder.slices
   | None -> Alcotest.fail "expected completion");
   let stats = Mmt_daq.Event_builder.stats eb in
   Alcotest.(check int) "complete" 1 stats.Mmt_daq.Event_builder.complete;
@@ -511,14 +498,14 @@ let test_event_builder_completes () =
 let test_event_builder_duplicates () =
   let eb = Mmt_daq.Event_builder.create ~slices:[ 0; 1 ] ~timeout:(Units.Time.ms 10.) in
   let now = Units.Time.zero in
-  ignore (Mmt_daq.Event_builder.add eb ~now (eb_fragment ~trigger:1 ~slice:0));
-  ignore (Mmt_daq.Event_builder.add eb ~now (eb_fragment ~trigger:1 ~slice:0));
+  ignore (eb_add eb ~now ~trigger:1 ~slice:0);
+  ignore (eb_add eb ~now ~trigger:1 ~slice:0);
   Alcotest.(check int) "duplicate counted" 1
     (Mmt_daq.Event_builder.stats eb).Mmt_daq.Event_builder.duplicates
 
 let test_event_builder_timeout () =
   let eb = Mmt_daq.Event_builder.create ~slices:[ 0; 1 ] ~timeout:(Units.Time.ms 10.) in
-  ignore (Mmt_daq.Event_builder.add eb ~now:Units.Time.zero (eb_fragment ~trigger:1 ~slice:0));
+  ignore (eb_add eb ~now:Units.Time.zero ~trigger:1 ~slice:0);
   Alcotest.(check int) "nothing stale yet" 0
     (Mmt_daq.Event_builder.sweep eb ~now:(Units.Time.ms 5.));
   Alcotest.(check int) "timed out" 1 (Mmt_daq.Event_builder.sweep eb ~now:(Units.Time.ms 20.));
@@ -526,8 +513,7 @@ let test_event_builder_timeout () =
   Alcotest.(check int) "counted" 1 stats.Mmt_daq.Event_builder.timed_out;
   (* A late fragment for the swept trigger reopens a fresh event. *)
   Alcotest.(check bool) "reopens" true
-    (Mmt_daq.Event_builder.add eb ~now:(Units.Time.ms 21.) (eb_fragment ~trigger:1 ~slice:1)
-     = None)
+    (eb_add eb ~now:(Units.Time.ms 21.) ~trigger:1 ~slice:1 = None)
 
 let test_event_builder_rejects_empty_slices () =
   Alcotest.(check bool) "empty rejected" true

@@ -505,6 +505,142 @@ let test_copy_audit () =
     Alcotest.failf "%.0f major words per message, bound %.0f" per_message
       half_payload
 
+(* The DAQ case of the copy audit: an 8 KiB fragment is written through
+   the writer send straight into the ring frame, and the receiver's
+   payload view feeds the event builder through [Fragment.read_header],
+   so no copy of the payload reaches the major heap. *)
+let test_copy_audit_fragment () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let sender = Mmt.Sender.create ~env (sender_config ()) in
+  let builder =
+    Mmt_daq.Event_builder.create ~slices:[ 0 ] ~timeout:(Units.Time.ms 10.)
+  in
+  let receiver =
+    Mmt.Receiver.create ~env (receiver_config ()) ~deliver:(fun _ payload ->
+        match Mmt_daq.Fragment.read_header payload with
+        | Ok h ->
+            ignore
+              (Mmt_daq.Event_builder.add builder ~now:(Mmt_sim.Engine.now engine)
+                 ~run:h.Mmt_daq.Fragment.run ~trigger:h.Mmt_daq.Fragment.trigger
+                 ~slice:(Mmt.Experiment_id.slice h.Mmt_daq.Fragment.experiment))
+        | Error e -> Alcotest.fail e)
+  in
+  let fragment =
+    {
+      Mmt_daq.Fragment.run = 1;
+      trigger = 0;
+      timestamp = Units.Time.zero;
+      experiment;
+      detector =
+        Mmt_daq.Fragment.Beam_instrument
+          { device = 0; sample_rate_khz = 2000; adc_bits = 14 };
+      payload = Bytes.make 8192 'p';
+    }
+  in
+  let message trigger =
+    let f = { fragment with Mmt_daq.Fragment.trigger } in
+    Mmt.Sender.send_with sender ~length:(Mmt_daq.Fragment.total_size f)
+      (fun w -> Mmt_daq.Fragment.write w f);
+    Mmt.Receiver.on_packet receiver (Queue.pop queue)
+  in
+  for trigger = 1 to 10 do
+    message trigger
+  done;
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for trigger = 11 to 210 do
+    message trigger
+  done;
+  let per_message = ((Gc.quick_stat ()).Gc.major_words -. before) /. 200. in
+  let half_payload = float_of_int (Bytes.length fragment.Mmt_daq.Fragment.payload / 8 / 2) in
+  Alcotest.(check int) "events built" 210
+    (Mmt_daq.Event_builder.stats builder).Mmt_daq.Event_builder.complete;
+  if per_message >= half_payload then
+    Alcotest.failf "%.0f major words per message, bound %.0f" per_message
+      half_payload
+
+(* Lending safety: a Synthetic workload lends one readout buffer and
+   re-stamps it for every fragment, while a slow pacer holds messages
+   back.  Each message must still reach the wire with its own trigger
+   and random stamp, which fails if the sender queues the writer or a
+   reference to the lent buffer instead of the written bytes. *)
+let test_paced_sender_outlives_lent_payload () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let sender =
+    Mmt.Sender.create ~env (sender_config ~pace:(Units.Rate.mbps 1.) ())
+  in
+  let config =
+    {
+      Mmt_daq.Workload.experiment = Mmt_daq.Experiment.find Mmt_daq.Experiment.Dune;
+      scale = 1e-6;
+      profile = Mmt_daq.Workload.Steady;
+      payload = Mmt_daq.Workload.Synthetic (Units.Size.bytes 256);
+      run = 1;
+      slice = 0;
+    }
+  in
+  let lent = ref [] and buffers = ref [] and max_queued = ref 0 in
+  let emit f =
+    let payload = f.Mmt_daq.Fragment.payload in
+    lent := (f.Mmt_daq.Fragment.trigger, Bytes.get_int64_be payload 0) :: !lent;
+    buffers := payload :: !buffers;
+    Mmt.Sender.send_with sender ~length:(Mmt_daq.Fragment.total_size f)
+      (fun w -> Mmt_daq.Fragment.write w f);
+    max_queued := max !max_queued (Mmt.Sender.stats sender).Mmt.Sender.queued
+  in
+  ignore
+    (Mmt_daq.Workload.start ~engine ~rng:(Rng.create ~seed:3L) config ~emit
+       ~until:(Units.Time.ms 1.));
+  Mmt_sim.Engine.run engine;
+  let lent = List.rev !lent in
+  let wire =
+    List.map
+      (fun packet ->
+        match
+          Result.bind (Mmt.Encap.parse (Mmt_sim.Packet.frame packet))
+            (fun (_header, payload) -> Mmt_daq.Fragment.read payload)
+        with
+        | Ok f ->
+            (f.Mmt_daq.Fragment.trigger, Bytes.get_int64_be f.Mmt_daq.Fragment.payload 0)
+        | Error e -> Alcotest.fail e)
+      (drain_queue queue)
+  in
+  Alcotest.(check bool) "one lent readout buffer" true
+    (List.length !buffers > 10 && List.for_all (( == ) (List.hd !buffers)) !buffers);
+  Alcotest.(check bool) "messages waited behind the pacer" true (!max_queued > 10);
+  Alcotest.(check bool) "stamps differ" true
+    (List.length (List.sort_uniq compare (List.map snd lent)) = List.length lent);
+  Alcotest.(check (list (pair int int64))) "each message carries its own stamp"
+    lent wire
+
+(* [Encap.packet] takes a writer that must fill exactly [length] bytes:
+   one byte short or one byte long raises before the packet escapes, and
+   the ring slot it took is back. *)
+let test_encap_packet_exact_length () =
+  let engine = Mmt_sim.Engine.create () in
+  let ring = Mmt_sim.Ring.create () in
+  let env, _queue = Mmt_runtime.Env.loopback ~ring engine in
+  let header = Mmt.Header.mode0 ~experiment in
+  let build written =
+    Mmt.Encap.packet env Mmt.Encap.Raw header ~length:64 (fun w ->
+        Mmt_wire.Cursor.Writer.bytes w (Bytes.make written 'w'))
+  in
+  List.iter
+    (fun written ->
+      (match build written with
+      | _ -> Alcotest.failf "writer of %d bytes accepted for 64" written
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int)
+        (Printf.sprintf "no slot in use after %d bytes" written)
+        0 (Mmt_sim.Ring.stats ring).Mmt_sim.Ring.in_use)
+    [ 63; 65 ];
+  let packet = build 64 in
+  Alcotest.(check int) "exact length takes a slot" 1
+    (Mmt_sim.Ring.stats ring).Mmt_sim.Ring.in_use;
+  Alcotest.(check string) "payload written" (String.make 64 'w')
+    (Bytes.to_string (snd (decode_control packet)))
+
 (* Buffer host ----------------------------------------------------------------- *)
 
 let nak_packet ~engine ~requester ranges =
@@ -609,6 +745,11 @@ let suite =
     Alcotest.test_case "sender pacing" `Quick test_sender_pacing_spacing;
     Alcotest.test_case "sender backpressure" `Quick test_sender_backpressure_adjusts_pace;
     Alcotest.test_case "copy audit" `Quick test_copy_audit;
+    Alcotest.test_case "copy audit: fragment" `Quick test_copy_audit_fragment;
+    Alcotest.test_case "paced sender outlives lent payload" `Quick
+      test_paced_sender_outlives_lent_payload;
+    Alcotest.test_case "encap packet writes exactly length" `Quick
+      test_encap_packet_exact_length;
     Alcotest.test_case "buffer host serves NAK" `Quick test_buffer_host_serves_nak;
     Alcotest.test_case "buffer host escalates" `Quick test_buffer_host_escalates_misses;
     Alcotest.test_case "buffer host unserviceable" `Quick

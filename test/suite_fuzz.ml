@@ -12,7 +12,56 @@ let never_raises name decode =
 let qcheck_header = never_raises "Header.decode_bytes total" Mmt.Header.decode_bytes
 let qcheck_encap = never_raises "Encap.locate total" Mmt.Encap.locate
 let qcheck_parse = never_raises "Encap.parse total" Mmt.Encap.parse
-let qcheck_fragment = never_raises "Fragment.decode total" Mmt_daq.Fragment.decode
+(* Fragments: [decode] never raises, and [read_header] accepts exactly
+   what [read] accepts without raising either.  Arbitrary bytes rarely
+   pass the magic, so half the inputs are a valid fragment of each
+   detector kind with one byte overwritten, and half of those are cut
+   short at a random length. *)
+let fragment_inputs =
+  let valid =
+    List.map
+      (fun detector ->
+        Mmt_daq.Fragment.encode
+          {
+            Mmt_daq.Fragment.run = 3;
+            trigger = 7;
+            timestamp = Mmt_util.Units.Time.us 5.;
+            experiment = Mmt.Experiment_id.make ~experiment:2 ~slice:1;
+            detector;
+            payload = Bytes.make 40 'f';
+          })
+      [
+        Mmt_daq.Fragment.Wib_ethernet
+          { crate = 1; slot = 2; fiber = 3; first_channel = 0; channel_count = 64 };
+        Mmt_daq.Fragment.Photon_detector { module_id = 9; sipm_count = 48; gain = 7 };
+        Mmt_daq.Fragment.Beam_instrument { device = 7; sample_rate_khz = 2000; adc_bits = 14 };
+        Mmt_daq.Fragment.Telescope_alert
+          { alert_id = 5; ra_udeg = 0x123456; dec_udeg = 0x0ABCDE; severity = 9 };
+      ]
+  in
+  let mutated =
+    QCheck.Gen.(
+      map
+        (fun ((frame, cut), (position, value, keep)) ->
+          let buf = Bytes.copy frame in
+          Bytes.set buf (position mod Bytes.length buf) (Char.chr value);
+          if cut then Bytes.sub buf 0 (keep mod Bytes.length buf) else buf)
+        (pair (pair (oneofl valid) bool) (triple nat (int_range 0 255) nat)))
+  in
+  QCheck.make
+    ~print:(fun b -> String.escaped (Bytes.to_string b))
+    QCheck.Gen.(oneof [ QCheck.gen arbitrary_bytes; mutated ])
+
+let qcheck_fragment =
+  QCheck.Test.make ~name:"Fragment.decode total" ~count:1000 fragment_inputs
+    (fun buf ->
+      match
+        ( Mmt_daq.Fragment.decode buf,
+          Mmt_daq.Fragment.read_header (Mmt_wire.Cursor.Reader.of_bytes buf) )
+      with
+      | Ok _, Ok _ | Error _, Error _ -> true
+      | Ok _, Error _ | Error _, Ok _ -> false
+      | exception _ -> false)
 let qcheck_segment = never_raises "Segment.decode total" Mmt_tcp.Segment.decode
 let qcheck_nak = never_raises "Nak.decode total" Mmt.Control.Nak.decode
 
