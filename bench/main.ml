@@ -402,6 +402,69 @@ let check_forward_path () =
     rstats.Mmt_sim.Ring.retired rstats.Mmt_sim.Ring.overflow recycle_ratio;
   (ns, words, rstats, recycle_ratio)
 
+(* Burst cost: the forward path with the wire full.  1 000 packets of
+   1 KiB are queued at t = 0 on a 100 Gbps link whose propagation is
+   1 000 serialization times, so every packet is on the wire before the
+   first arrives.  When each packet in flight held its own heap entry,
+   every event paid for a heap 1 000 deep.  The reference is the same
+   packets forwarded one at a time on the same link, timed in windows
+   alternating with the bursts' so that both see the same machine; the
+   gate bounds the ratio. *)
+let burst_packets = 1_000
+
+let check_burst () =
+  let engine = Mmt_sim.Engine.create () in
+  let ring = Mmt_sim.Ring.create () in
+  let rate = Units.Rate.gbps 100. in
+  let serialization = Units.Rate.transmission_time rate (Units.Size.kib 1) in
+  let link =
+    Mmt_sim.Link.create ~engine ~name:"burst" ~rate
+      ~propagation:(Units.Time.scale serialization (float_of_int burst_packets))
+      ~ring
+      ~deliver:(fun p -> Mmt_sim.Ring.in_packet_done ring p)
+      ()
+  in
+  let send i =
+    Mmt_sim.Link.send link
+      (Mmt_sim.Ring.in_packet ring ~id:i ~born:(Mmt_sim.Engine.now engine) 1024)
+  in
+  let burst () =
+    for i = 0 to burst_packets - 1 do
+      send i
+    done;
+    Mmt_sim.Engine.run engine
+  in
+  let one_at_a_time () =
+    for i = 0 to burst_packets - 1 do
+      send i;
+      Mmt_sim.Engine.run engine
+    done
+  in
+  (* Best of [reps] windows of [per_window] rounds of each. *)
+  let reps = 20 and per_window = 8 in
+  let window run =
+    let started = Unix.gettimeofday () in
+    for _ = 1 to per_window do
+      run ()
+    done;
+    (Unix.gettimeofday () -. started)
+    *. 1e9
+    /. float_of_int (per_window * burst_packets)
+  in
+  (* Warm: ring arena, pool fill, engine and queue growth. *)
+  ignore (window burst);
+  ignore (window one_at_a_time);
+  let best_burst = ref infinity and best_single = ref infinity in
+  for _ = 1 to reps do
+    best_burst := Float.min !best_burst (window burst);
+    best_single := Float.min !best_single (window one_at_a_time)
+  done;
+  Printf.printf
+    "burst (%d x 1 KiB on the wire at once): %.0f ns/packet, %.0f ns/packet \
+     one at a time (%.2fx)\n"
+    burst_packets !best_burst !best_single (!best_burst /. !best_single);
+  (!best_burst, !best_single)
+
 (* E-F4 pilot allocation audit: the whole pilot (senders, links,
    rewriter, INT path, receiver, event builder) on its packet ring.  The
    ring must account for (and retire) the packets it handed out, and the
@@ -603,11 +666,12 @@ let json_escape s =
   Buffer.contents buf
 
 let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
-    ~pilot_audit ~sweep =
+    ~burst ~pilot_audit ~sweep =
   let results, sequential_wall, parallel, _ = sweep in
   let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
   in
+  let burst_ns, single_ns = burst in
   let gc = Gc.get () in
   let ring_json (r : Mmt_sim.Ring.stats) =
     Printf.sprintf
@@ -632,6 +696,10 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
     (Printf.sprintf "    \"ns_per_packet\": %.1f,\n" fwd_ns);
   Buffer.add_string buf
     (Printf.sprintf "    \"alloc_minor_words_per_packet\": %.3f,\n" fwd_words);
+  Buffer.add_string buf
+    (Printf.sprintf "    \"burst_ns_per_packet\": %.1f,\n" burst_ns);
+  Buffer.add_string buf
+    (Printf.sprintf "    \"burst_single_ns_per_packet\": %.1f,\n" single_ns);
   Buffer.add_string buf
     (Printf.sprintf "    \"pool_recycle_ratio\": %.4f,\n" fwd_recycle);
   Buffer.add_string buf
@@ -716,6 +784,7 @@ let run json jobs quota limit =
   let micro = micro @ [ facility_per_event () ] in
   print_newline ();
   let forward = check_forward_path () in
+  let burst = check_burst () in
   print_newline ();
   let pilot_audit = check_pilot_allocation () in
   print_newline ();
@@ -723,7 +792,7 @@ let run json jobs quota limit =
   Option.iter
     (fun path ->
       write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
-        ~pilot_audit ~sweep)
+        ~burst ~pilot_audit ~sweep)
     json;
   let _, _, _, all_ok = sweep in
   if all_ok then begin

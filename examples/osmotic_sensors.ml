@@ -73,14 +73,14 @@ let () =
         let port = i + 1 in
         let received = ref 0 in
         let receiver =
-          Mmt_tcp.Connection.create ~engine ~fresh_id ~config:tcp_config ~port
-            ~tx:(Mmt_sim.Link.send down)
+          Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config:tcp_config
+            ~port ~tx:(Mmt_sim.Link.send down)
             ~deliver:(fun n -> received := !received + n)
             ()
         in
         let sender =
-          Mmt_tcp.Connection.create ~engine ~fresh_id ~config:tcp_config ~port
-            ~tx:(Mmt_sim.Link.send up) ()
+          Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config:tcp_config
+            ~port ~tx:(Mmt_sim.Link.send up) ()
         in
         Mmt_sim.Node.set_handler node (Mmt_tcp.Connection.on_packet sender);
         (i, sender, receiver, received))
@@ -131,6 +131,10 @@ let () =
   let mmt_sender = Mmt.Sender.create ~env:env_rewriting (Mmt.Sender.config mmt_sender) in
 
   let aggregated = ref 0 in
+  let to_receivers =
+    Mmt_tcp.Connection.dispatch ~ring
+      (List.map (fun (_, _, receiver, _) -> receiver) connections)
+  in
   Mmt_sim.Node.set_handler gateway (fun packet ->
       (* NAKs from the facility terminate at the gateway's buffer. *)
       let is_nak =
@@ -142,9 +146,7 @@ let () =
         | Error _ -> false
       in
       if is_nak then Mmt.Buffer_host.on_packet buffer packet
-      else
-        List.iter (fun (_, _, receiver, _) -> Mmt_tcp.Connection.on_packet receiver packet)
-          connections);
+      else to_receivers packet);
 
   (* Every completed sensor reading becomes one aggregated fragment. *)
   let forward_reading sensor_id =

@@ -47,6 +47,7 @@ let multi_stream ~streams ~per_stream_transfer =
   (* N tuned connections sharing one 100 GbE link, demuxed by port. *)
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let a = Mmt_sim.Topology.add_node topo ~name:"src" in
   let b = Mmt_sim.Topology.add_node topo ~name:"dst" in
@@ -71,19 +72,19 @@ let multi_stream ~streams ~per_stream_transfer =
     List.init streams (fun i ->
         let port = i + 1 in
         let sender =
-          Mmt_tcp.Connection.create ~engine ~fresh_id ~config ~port
+          Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config ~port
             ~tx:(Mmt_sim.Link.send forward) ()
         in
         let receiver =
-          Mmt_tcp.Connection.create ~engine ~fresh_id ~config ~port
+          Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config ~port
             ~tx:(Mmt_sim.Link.send reverse) ()
         in
         (sender, receiver))
   in
-  Mmt_sim.Node.set_handler a (fun packet ->
-      List.iter (fun (s, _) -> Mmt_tcp.Connection.on_packet s packet) pairs);
-  Mmt_sim.Node.set_handler b (fun packet ->
-      List.iter (fun (_, r) -> Mmt_tcp.Connection.on_packet r packet) pairs);
+  Mmt_sim.Node.set_handler a
+    (Mmt_tcp.Connection.dispatch ~ring (List.map fst pairs));
+  Mmt_sim.Node.set_handler b
+    (Mmt_tcp.Connection.dispatch ~ring (List.map snd pairs));
   List.iter
     (fun (sender, _) ->
       Mmt_tcp.Connection.write sender (Units.Size.to_bytes per_stream_transfer);

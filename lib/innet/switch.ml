@@ -21,11 +21,9 @@ type t = {
   elements : Element.t list;
   route : Mmt_sim.Packet.t -> (Mmt_sim.Packet.t -> unit) option;
   ring : Mmt_sim.Ring.t;
-  mutable on_pipeline : unit -> unit; (* preallocated; set in attach *)
-  (* Ingress FIFO: the pipeline latency is a per-device constant, so
-     packets leave the pipeline in arrival order and one shared closure
-     popping this queue replaces a fresh closure per packet. *)
-  pending : Mmt_sim.Packet.Fifo.t;
+  (* The pipeline latency is a per-device constant, so packets in the
+     pipeline are one delay line and hold one heap entry between them. *)
+  mutable pending : Mmt_sim.Packet.t Mmt_sim.Engine.Line.t; (* set in attach *)
   mutable processed : int;
   mutable forwarded : int;
   mutable replicated : int;
@@ -45,8 +43,7 @@ let emit t packet =
       (* No sink: the switch was the packet's last holder. *)
       retire t packet
 
-let pipeline t =
-  let packet = Mmt_sim.Packet.Fifo.pop t.pending in
+let pipeline t packet =
   let now = Mmt_sim.Engine.now t.engine in
   match Element.chain t.elements ~now packet with
   | Element.Forward packet -> emit t packet
@@ -59,10 +56,13 @@ let pipeline t =
 
 let handle t packet =
   t.processed <- t.processed + 1;
-  Mmt_sim.Packet.Fifo.push t.pending packet;
-  ignore
-    (Mmt_sim.Engine.schedule_after t.engine ~delay:t.profile.pipeline_latency
-       t.on_pipeline)
+  Mmt_sim.Engine.Line.push t.pending packet
+
+(* Placeholder for [pending] until [attach] has the switch its line
+   delivers to; never pushed. *)
+let no_pipeline =
+  Mmt_sim.Engine.Line.create (Mmt_sim.Engine.create ())
+    ~delay:Units.Time.zero ~filler:Mmt_sim.Packet.none ignore
 
 let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
     ~route () =
@@ -80,8 +80,7 @@ let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
       elements;
       route;
       ring;
-      on_pipeline = ignore;
-      pending = Mmt_sim.Packet.Fifo.create ();
+      pending = no_pipeline;
       processed = 0;
       forwarded = 0;
       replicated = 0;
@@ -89,7 +88,9 @@ let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
       unrouted = 0;
     }
   in
-  t.on_pipeline <- (fun () -> pipeline t);
+  t.pending <-
+    Mmt_sim.Engine.Line.create engine ~delay:profile.pipeline_latency
+      ~filler:Mmt_sim.Packet.none (pipeline t);
   Mmt_sim.Node.set_handler node (handle t);
   t
 

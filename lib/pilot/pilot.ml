@@ -362,10 +362,10 @@ let build config =
                  ~slice:(Mmt.Experiment_id.slice h.Mmt_daq.Fragment.experiment))
         | Error _ -> ())
   in
-  let to_receiver packet =
-    ignore
-      (Mmt_sim.Engine.schedule_after engine ~delay:p.Profile.host_overhead
-         (fun () -> Mmt.Receiver.on_packet receiver packet))
+  let to_receiver =
+    Mmt_sim.Engine.Line.push
+      (Mmt_sim.Engine.Line.create engine ~delay:p.Profile.host_overhead
+         ~filler:Mmt_sim.Packet.none (Mmt.Receiver.on_packet receiver))
   in
   (match int_state with
   | Some state ->

@@ -47,6 +47,7 @@ module Tcp_run = struct
   let run p =
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
+    let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let rng = Rng.create ~seed:p.seed in
     let a = Mmt_sim.Topology.add_node topo ~name:"dtn-src" in
@@ -65,11 +66,11 @@ module Tcp_run = struct
     in
     let framing = Mmt_tcp.Framing.create () in
     let sender =
-      Mmt_tcp.Connection.create ~engine ~fresh_id ~config:p.config
+      Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config:p.config
         ~tx:(Mmt_sim.Link.send forward) ()
     in
     let receiver =
-      Mmt_tcp.Connection.create ~engine ~fresh_id ~config:p.config
+      Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config:p.config
         ~tx:(Mmt_sim.Link.send reverse)
         ~deliver:(fun n ->
           ignore
@@ -146,6 +147,7 @@ module Udp_run = struct
       ?(size = Units.Size.bytes 7200) ?(seed = 3L) () =
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
+    let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
     let rng = Rng.create ~seed in
     let a = Mmt_sim.Topology.add_node topo ~name:"sensor" in
@@ -159,13 +161,13 @@ module Udp_run = struct
         ()
     in
     let receiver =
-      Mmt_tcp.Udp_transport.create_receiver
+      Mmt_tcp.Udp_transport.create_receiver ~ring
         ~deliver:(fun ~src:_ ~src_port:_ _payload -> ())
         ()
     in
     Mmt_sim.Node.set_handler b (Mmt_tcp.Udp_transport.on_packet receiver);
     let sender =
-      Mmt_tcp.Udp_transport.create_sender ~engine ~fresh_id
+      Mmt_tcp.Udp_transport.create_sender ~engine ~ring ~fresh_id
         ~src:(Mmt_frame.Addr.Ip.of_octets 10 0 0 1)
         ~dst:(Mmt_frame.Addr.Ip.of_octets 10 0 0 2)
         ~src_port:4000 ~dst_port:4001 ~tx:(Mmt_sim.Link.send link) ()

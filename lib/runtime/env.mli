@@ -1,12 +1,14 @@
 (** Protocol runtime environment.
 
-    Transport endpoints (both the multi-modal transport and the TCP/UDP
-    baselines) are written against this capability record instead of a
-    concrete topology: a clock and timers from the simulation engine,
-    an IP-addressed send primitive, fresh packet identities, and the
-    topology's packet {!Mmt_sim.Ring}.
-    The pilot layer constructs one per host from a
-    {!Mmt_sim.Topology}. *)
+    The multi-modal transport's endpoints (sender, receiver, buffer
+    host, control messages) are written against this capability record
+    instead of a concrete topology: a clock and timers from the
+    simulation engine, an IP-addressed send primitive, fresh packet
+    identities, and the topology's packet {!Mmt_sim.Ring}.  The pilot
+    layer constructs one per host from a {!Mmt_sim.Topology}.  The
+    TCP and UDP baselines do not use it: they take the engine, the
+    ring, an identity source and a link-level transmit function
+    directly. *)
 
 open Mmt_util
 open Mmt_frame

@@ -151,20 +151,29 @@ let free_slot t slot =
   t.s_free.(slot) <- t.free_head;
   t.free_head <- slot
 
-let schedule t ~at fn =
-  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
+(* Push a live entry keyed (at, seq) that runs [fn]; returns its slot. *)
+let[@inline] insert t at seq fn =
   let slot = alloc_slot t in
   t.s_fn.(slot) <- fn;
   (* Heap arrays share capacity with the slot table and at most one
      slot per heap entry is live, so after [alloc_slot] there is room. *)
   let i = t.size in
   t.h_at.(i) <- at;
-  t.h_seq.(i) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+  t.h_seq.(i) <- seq;
   t.h_slot.(i) <- slot;
   t.size <- i + 1;
   t.live <- t.live + 1;
   sift_up t i;
+  slot
+
+let[@inline] draw_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let schedule t ~at fn =
+  let at = Stdlib.max (Units.Time.to_ns at) t.clock in
+  let slot = insert t at (draw_seq t) fn in
   (slot lsl 31) lor t.s_gen.(slot)
 
 let schedule_after t ~delay fn =
@@ -305,3 +314,95 @@ let run ?until t =
   let limit = match until with None -> max_int | Some l -> Units.Time.to_ns l in
   run_loop t limit max_int;
   clamp t limit
+
+(* A delay line keeps its items' keys beside them and only its head in
+   the heap.  Each key is what [schedule_after ~delay] would have drawn
+   at push time: the delay is constant and the clock never goes back,
+   so keys within a line increase, and the least key in the heap is the
+   least key overall -- the same pop order as one entry per item. *)
+module Line = struct
+  type engine = t
+
+  type 'a t = {
+    engine : engine;
+    delay : int; (* ns *)
+    filler : 'a;
+    deliver : 'a -> unit;
+    (* Circular buffer, three parallel arrays: item and its key. *)
+    mutable items : 'a array;
+    mutable at : int array;
+    mutable seq : int array;
+    mutable head : int;
+    mutable len : int;
+    mutable fire : unit -> unit; (* preallocated; set in create *)
+  }
+
+  (* Small, like [Packet.Fifo]: a facility builds a line per link. *)
+  let initial_capacity = 16
+
+  let[@inline] wrap line i =
+    if i >= Array.length line.items then i - Array.length line.items else i
+
+  (* The head's entry just ran: the engine has set the clock and counted
+     the event.  Queue the next head under its stored key, then hand the
+     item over. *)
+  let arrive line =
+    let h = line.head in
+    let item = line.items.(h) in
+    line.items.(h) <- line.filler;
+    let next = wrap line (h + 1) in
+    line.head <- next;
+    line.len <- line.len - 1;
+    if line.len > 0 then
+      ignore (insert line.engine line.at.(next) line.seq.(next) line.fire);
+    line.deliver item
+
+  let create engine ~delay ~filler deliver =
+    let delay = Units.Time.to_ns delay in
+    if delay < 0 then invalid_arg "Engine.Line.create: negative delay";
+    let line =
+      {
+        engine;
+        delay;
+        filler;
+        deliver;
+        items = Array.make initial_capacity filler;
+        at = Array.make initial_capacity 0;
+        seq = Array.make initial_capacity 0;
+        head = 0;
+        len = 0;
+        fire = ignore;
+      }
+    in
+    line.fire <- (fun () -> arrive line);
+    line
+
+  (* Unroll the circular buffer into arrays twice the size. *)
+  let grow line =
+    let cap = Array.length line.items in
+    let items = Array.make (2 * cap) line.filler in
+    let at = Array.make (2 * cap) 0 in
+    let seq = Array.make (2 * cap) 0 in
+    for i = 0 to line.len - 1 do
+      let src = wrap line (line.head + i) in
+      items.(i) <- line.items.(src);
+      at.(i) <- line.at.(src);
+      seq.(i) <- line.seq.(src)
+    done;
+    line.items <- items;
+    line.at <- at;
+    line.seq <- seq;
+    line.head <- 0
+
+  let push line item =
+    if line.len = Array.length line.items then grow line;
+    let e = line.engine in
+    let at = e.clock + line.delay in
+    let seq = draw_seq e in
+    let tail = wrap line (line.head + line.len) in
+    line.items.(tail) <- item;
+    line.at.(tail) <- at;
+    line.seq.(tail) <- seq;
+    line.len <- line.len + 1;
+    if line.len = 1 then ignore (insert e at seq line.fire)
+end

@@ -47,7 +47,8 @@ val cancel : t -> handle -> unit
     bounded. *)
 
 val pending : t -> int
-(** Live (uncancelled) events still queued.  O(1). *)
+(** Live (uncancelled) entries in the event heap.  O(1).  A non-empty
+    {!Line} counts once, however many items it holds. *)
 
 val processed : t -> int
 (** Events executed so far. *)
@@ -76,3 +77,39 @@ val run_bounded : t -> until:Units.Time.t -> budget:int -> bool
     work still inside the window, which is how a chaos campaign
     detects an event livelock that a pure time cap would spin on
     forever.  On [false] the clock is left where the budget ran out. *)
+
+(** {2 Delay lines} *)
+
+(** A constant-delay FIFO that keeps only its head in the event heap.
+
+    Links (propagation), switch pipelines and host hand-offs delay
+    every item by the same constant.  Scheduling one event per item
+    would hold one heap entry per item in flight; a line holds one
+    entry while it is non-empty, so the heap stays as deep as the
+    number of busy lines.
+
+    Output is identical by construction.  {!push} stores beside the
+    item the key [schedule_after ~delay] would have drawn at that
+    instant: the arrival time [now + delay] and the next value of the
+    engine's one sequence counter.  The delay is constant and the
+    clock never goes back, so keys within a line increase, and the
+    least key in the heap is the least key overall.  Items therefore
+    arrive in exactly the order, and at exactly the count of
+    {!processed}, that one event per item would give. *)
+module Line : sig
+  type engine := t
+  type 'a t
+
+  val create :
+    engine -> delay:Units.Time.t -> filler:'a -> ('a -> unit) -> 'a t
+  (** [create engine ~delay ~filler deliver] is an empty line whose
+      items reach [deliver] [delay] after their {!push}.  [filler]
+      occupies empty slots (as {!Packet.none} does in {!Packet.Fifo}),
+      so a delivered item is not kept alive by the line.
+      @raise Invalid_argument if [delay] is negative. *)
+
+  val push : 'a t -> 'a -> unit
+  (** Deliver the item at [now + delay], keyed as if
+      [schedule_after ~delay] were called now.  Allocation-free once
+      the line has grown to its high-water mark. *)
+end

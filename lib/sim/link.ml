@@ -28,6 +28,12 @@ type stats = {
    common case. *)
 let no_observer (_ : event) (_ : Packet.t) = ()
 
+(* Placeholder for [flight] until [create] has the link its line
+   delivers to; never pushed. *)
+let no_flight =
+  Engine.Line.create (Engine.create ()) ~delay:Units.Time.zero
+    ~filler:Packet.none ignore
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -41,13 +47,9 @@ type t = {
   mutable transmitting : bool;
   mutable serializing : Packet.t; (* the packet on the transmitter *)
   mutable on_serialized : unit -> unit; (* preallocated; set in create *)
-  mutable on_propagated : unit -> unit; (* preallocated; set in create *)
-  (* In-flight FIFO.  Propagation is constant per link and engine time
-     is monotonic, so deliveries complete in the order serializations
-     complete: the delivery closures can be one shared preallocated
-     closure popping this queue instead of a fresh closure capturing
-     each packet. *)
-  flight : Packet.Fifo.t;
+  (* The wire: propagation is constant per link, so packets in flight
+     are one delay line and hold one heap entry between them. *)
+  mutable flight : Packet.t Engine.Line.t; (* set in create *)
   mutable up : bool;
   mutable tamper : (Packet.t -> bool) option;
   mutable offered : int;
@@ -75,8 +77,7 @@ let retire t packet = Ring.in_packet_done t.ring packet
 let[@inline] observe link ev packet =
   if link.observer != no_observer then link.observer ev packet
 
-let propagated t =
-  let packet = Packet.Fifo.pop t.flight in
+let propagated t packet =
   t.delivered <- t.delivered + 1;
   t.delivered_bytes <-
     t.delivered_bytes + Units.Size.to_bytes (Packet.wire_size packet);
@@ -84,9 +85,7 @@ let propagated t =
   observe t Delivered packet;
   t.deliver packet
 
-let deliver_after_propagation t packet =
-  Packet.Fifo.push t.flight packet;
-  ignore (Engine.schedule_after t.engine ~delay:t.propagation t.on_propagated)
+let deliver_after_propagation t packet = Engine.Line.push t.flight packet
 
 let serialization_time t packet =
   let size = Packet.wire_size packet in
@@ -166,8 +165,7 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
       transmitting = false;
       serializing = Packet.none;
       on_serialized = ignore;
-      on_propagated = ignore;
-      flight = Packet.Fifo.create ();
+      flight = no_flight;
       up = true;
       tamper = None;
       offered = 0;
@@ -185,7 +183,9 @@ let create ~engine ~name ~rate ~propagation ?(loss = Loss.perfect)
     }
   in
   t.on_serialized <- (fun () -> serialized t);
-  t.on_propagated <- (fun () -> propagated t);
+  t.flight <-
+    Engine.Line.create engine ~delay:propagation ~filler:Packet.none
+      (propagated t);
   t
 
 let send t packet =

@@ -55,7 +55,9 @@ val create :
     Every hop is two engine events: a serialize event when the packet
     leaves the transmitter (up check, loss draw, tamper, observer
     callbacks, stats, and the poll for the next packet), then a
-    propagate event that hands the packet to [deliver]. *)
+    propagate event that hands the packet to [deliver].  Packets on
+    the wire are one {!Engine.Line}: however many are in flight, the
+    link holds at most two heap entries. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue for transmission; drops (with accounting) if the queue is

@@ -45,20 +45,77 @@ type stats = {
   completed_at : Units.Time.t option;
 }
 
-type unacked = {
-  u_seq : int64;
-  u_len : int;
-  mutable u_sent_at : Units.Time.t;
-  mutable u_retx : int;
-  mutable u_retx_epoch : int;
-      (* value of the connection's retransmit counter when (re)sent;
-         RTT samples are only taken when no retransmission happened in
-         between (extended Karn rule), since cumulative ACKs released
-         by a hole-fill would otherwise yield wildly stale samples *)
-}
+(* Unacknowledged segments, oldest first, in a growable circular buffer
+   of parallel int arrays, so a segment in flight owns no heap block.  A
+   record and a queue cell per segment would each live an RTT; a
+   DTN-tuned window holds tens of thousands of them, which overflows the
+   major GC's mark stack, and the overflow handling depends on addresses,
+   so GC work and the heap peak would vary from run to run. *)
+module Unacked = struct
+  type t = {
+    mutable seq : int array;
+    mutable len : int array;
+    mutable sent_at : Units.Time.t array;
+    mutable retx : int array;
+    (* the connection's retransmit counter when (re)sent; RTT samples
+       are only taken when no retransmission happened in between
+       (extended Karn rule), since cumulative ACKs released by a
+       hole-fill would otherwise yield wildly stale samples *)
+    mutable retx_epoch : int array;
+    mutable head : int; (* index of the oldest segment *)
+    mutable length : int;
+  }
+
+  let create () =
+    {
+      seq = Array.make 16 0;
+      len = Array.make 16 0;
+      sent_at = Array.make 16 Units.Time.zero;
+      retx = Array.make 16 0;
+      retx_epoch = Array.make 16 0;
+      head = 0;
+      length = 0;
+    }
+
+  let is_empty u = u.length = 0
+
+  let[@inline] wrap u i =
+    if i >= Array.length u.seq then i - Array.length u.seq else i
+
+  (* Full: unroll into arrays twice the size. *)
+  let grow u =
+    let cap = Array.length u.seq in
+    let unroll a =
+      let b = Array.make (2 * cap) a.(0) in
+      Array.blit a u.head b 0 (cap - u.head);
+      Array.blit a 0 b (cap - u.head) u.head;
+      b
+    in
+    u.seq <- unroll u.seq;
+    u.len <- unroll u.len;
+    u.sent_at <- unroll u.sent_at;
+    u.retx <- unroll u.retx;
+    u.retx_epoch <- unroll u.retx_epoch;
+    u.head <- 0
+
+  let push u ~seq ~len ~sent_at ~retx_epoch =
+    if u.length = Array.length u.seq then grow u;
+    let i = wrap u (u.head + u.length) in
+    u.seq.(i) <- seq;
+    u.len.(i) <- len;
+    u.sent_at.(i) <- sent_at;
+    u.retx.(i) <- 0;
+    u.retx_epoch.(i) <- retx_epoch;
+    u.length <- u.length + 1
+
+  let drop_head u =
+    u.head <- wrap u (u.head + 1);
+    u.length <- u.length - 1
+end
 
 type t = {
   engine : Mmt_sim.Engine.t;
+  ring : Mmt_sim.Ring.t;
   fresh_id : unit -> int;
   config : config;
   port : int;
@@ -66,13 +123,13 @@ type t = {
   deliver : int -> unit;
   cc : Congestion.t;
   (* sender state *)
-  mutable snd_una : int64;
-  mutable snd_nxt : int64;
-  mutable write_total : int64;  (* bytes the app has written *)
+  mutable snd_una : int;
+  mutable snd_nxt : int;
+  mutable write_total : int;  (* bytes the app has written *)
   mutable finished : bool;
-  unacked : unacked Queue.t;
+  unacked : Unacked.t;
   mutable dupacks : int;
-  mutable recover : int64;  (* fast-recovery high-water mark *)
+  mutable recover : int;  (* fast-recovery high-water mark *)
   mutable in_recovery : bool;
   mutable peer_window : int;
   (* RTT estimation (RFC 6298) *)
@@ -80,9 +137,10 @@ type t = {
   mutable rttvar : float;
   mutable rto : Units.Time.t;
   mutable rto_timer : Mmt_sim.Engine.handle;
+  mutable on_rto : unit -> unit;  (* preallocated; set in create *)
   (* receiver state *)
-  mutable rcv_nxt : int64;
-  ooo : (int64, int) Hashtbl.t;  (* out-of-order: seq -> len *)
+  mutable rcv_nxt : int;
+  ooo : (int, int) Hashtbl.t;  (* out-of-order: seq -> len *)
   (* accounting *)
   mutable bytes_delivered : int;
   mutable segments_sent : int;
@@ -94,68 +152,27 @@ type t = {
   mutable completed_at : Units.Time.t option;
 }
 
-let create ~engine ~fresh_id ~config ?(port = 1) ~tx ?(deliver = fun _ -> ()) () =
-  {
-    engine;
-    fresh_id;
-    config;
-    port;
-    tx;
-    deliver;
-    cc =
-      Congestion.create config.algorithm ~mss:config.mss
-        ~initial_window:config.initial_window ~max_window:config.max_window;
-    snd_una = 0L;
-    snd_nxt = 0L;
-    write_total = 0L;
-    finished = false;
-    unacked = Queue.create ();
-    dupacks = 0;
-    recover = 0L;
-    in_recovery = false;
-    peer_window = config.max_window;
-    srtt = None;
-    rttvar = 0.;
-    rto = config.min_rto;
-    rto_timer = Mmt_sim.Engine.null;
-    rcv_nxt = 0L;
-    ooo = Hashtbl.create 64;
-    bytes_delivered = 0;
-    segments_sent = 0;
-    retransmits = 0;
-    fast_retransmits = 0;
-    timeouts = 0;
-    duplicate_acks = 0;
-    out_of_order_segments = 0;
-    completed_at = None;
-  }
-
 let now t = Mmt_sim.Engine.now t.engine
 
-let send_segment t ~seq ~len ~retransmission =
-  let segment =
-    Segment.data ~src_port:t.port ~dst_port:t.port ~seq ~ack:t.rcv_nxt
-      ~window:t.config.max_window (Bytes.create 0)
-  in
-  (* The logical payload length rides exclusively in the packet's
-     padding: segments never materialize content bytes. *)
-  let frame = Segment.encode segment in
+(* A header-only ring frame: the logical payload length rides in the
+   packet's padding, so segments never materialize content bytes. *)
+let segment t ~seq ~padding =
   let packet =
-    Mmt_sim.Packet.create ~padding:len ~id:(t.fresh_id ()) ~born:(now t) frame
+    Mmt_sim.Ring.in_packet t.ring ~padding ~id:(t.fresh_id ()) ~born:(now t)
+      Segment.header_size
   in
+  Segment.write (Mmt_sim.Packet.frame packet) ~flags:Segment.ack_only
+    ~src_port:t.port ~dst_port:t.port ~seq ~ack:t.rcv_nxt
+    ~window:t.config.max_window ~length:0;
+  packet
+
+let send_segment t ~seq ~len ~retransmission =
+  let packet = segment t ~seq ~padding:len in
   t.segments_sent <- t.segments_sent + 1;
   if retransmission then t.retransmits <- t.retransmits + 1;
   t.tx packet
 
-let send_pure_ack t =
-  let segment =
-    Segment.pure_ack ~src_port:t.port ~dst_port:t.port ~ack:t.rcv_nxt
-      ~window:t.config.max_window
-  in
-  let packet =
-    Mmt_sim.Packet.create ~id:(t.fresh_id ()) ~born:(now t) (Segment.encode segment)
-  in
-  t.tx packet
+let send_pure_ack t = t.tx (segment t ~seq:0 ~padding:0)
 
 (* RTO management ------------------------------------------------------ *)
 
@@ -177,53 +194,93 @@ let update_rto_estimate t ~sample_s =
     Units.Time.max t.config.min_rto
       (Units.Time.min t.config.max_rto (Units.Time.seconds raw))
 
+(* Resend the oldest unacknowledged segment; there must be one. *)
+let resend_head t =
+  let u = t.unacked in
+  let h = u.head in
+  u.retx.(h) <- u.retx.(h) + 1;
+  u.sent_at.(h) <- now t;
+  send_segment t ~seq:u.seq.(h) ~len:u.len.(h) ~retransmission:true;
+  u.retx_epoch.(h) <- t.retransmits
+
 let rec arm_rto t =
   cancel_rto t;
-  if not (Queue.is_empty t.unacked) then
-    t.rto_timer <-
-      Mmt_sim.Engine.schedule_after t.engine ~delay:t.rto (fun () -> on_rto t)
+  if not (Unacked.is_empty t.unacked) then
+    t.rto_timer <- Mmt_sim.Engine.schedule_after t.engine ~delay:t.rto t.on_rto
 
 and on_rto t =
   t.rto_timer <- Mmt_sim.Engine.null;
-  match Queue.peek_opt t.unacked with
-  | None -> ()
-  | Some head ->
-      t.timeouts <- t.timeouts + 1;
-      head.u_retx <- head.u_retx + 1;
-      head.u_sent_at <- now t;
-      send_segment t ~seq:head.u_seq ~len:head.u_len ~retransmission:true;
-      head.u_retx_epoch <- t.retransmits;
-      Congestion.on_timeout t.cc ~now:(now t);
-      t.in_recovery <- true;
-      t.recover <- t.snd_nxt;
-      t.rto <- Units.Time.min t.config.max_rto (Units.Time.scale t.rto 2.);
-      t.dupacks <- 0;
-      arm_rto t
+  if not (Unacked.is_empty t.unacked) then begin
+    t.timeouts <- t.timeouts + 1;
+    resend_head t;
+    Congestion.on_timeout t.cc ~now:(now t);
+    t.in_recovery <- true;
+    t.recover <- t.snd_nxt;
+    t.rto <- Units.Time.min t.config.max_rto (Units.Time.scale t.rto 2.);
+    t.dupacks <- 0;
+    arm_rto t
+  end
+
+let create ~engine ~ring ~fresh_id ~config ?(port = 1) ~tx
+    ?(deliver = fun _ -> ()) () =
+  let t =
+    {
+      engine;
+      ring;
+      fresh_id;
+      config;
+      port;
+      tx;
+      deliver;
+      cc =
+        Congestion.create config.algorithm ~mss:config.mss
+          ~initial_window:config.initial_window ~max_window:config.max_window;
+      snd_una = 0;
+      snd_nxt = 0;
+      write_total = 0;
+      finished = false;
+      unacked = Unacked.create ();
+      dupacks = 0;
+      recover = 0;
+      in_recovery = false;
+      peer_window = config.max_window;
+      srtt = None;
+      rttvar = 0.;
+      rto = config.min_rto;
+      rto_timer = Mmt_sim.Engine.null;
+      on_rto = ignore;
+      rcv_nxt = 0;
+      ooo = Hashtbl.create 64;
+      bytes_delivered = 0;
+      segments_sent = 0;
+      retransmits = 0;
+      fast_retransmits = 0;
+      timeouts = 0;
+      duplicate_acks = 0;
+      out_of_order_segments = 0;
+      completed_at = None;
+    }
+  in
+  t.on_rto <- (fun () -> on_rto t);
+  t
 
 (* Sender pump --------------------------------------------------------- *)
 
-let in_flight t = Int64.to_int (Int64.sub t.snd_nxt t.snd_una)
+let in_flight t = t.snd_nxt - t.snd_una
 
 let effective_window t = min (Congestion.window t.cc) t.peer_window
 
 let rec pump t =
-  let available = Int64.to_int (Int64.sub t.write_total t.snd_nxt) in
+  let available = t.write_total - t.snd_nxt in
   if available > 0 && in_flight t < effective_window t then begin
     let len = min t.config.mss available in
     let len = min len (effective_window t - in_flight t) in
     if len > 0 then begin
       let seq = t.snd_nxt in
       send_segment t ~seq ~len ~retransmission:false;
-      Queue.push
-        {
-          u_seq = seq;
-          u_len = len;
-          u_sent_at = now t;
-          u_retx = 0;
-          u_retx_epoch = t.retransmits;
-        }
-        t.unacked;
-      t.snd_nxt <- Int64.add t.snd_nxt (Int64.of_int len);
+      Unacked.push t.unacked ~seq ~len ~sent_at:(now t)
+        ~retx_epoch:t.retransmits;
+      t.snd_nxt <- t.snd_nxt + len;
       if t.rto_timer = Mmt_sim.Engine.null then arm_rto t;
       pump t
     end
@@ -231,7 +288,7 @@ let rec pump t =
 
 let write t n =
   if n < 0 then invalid_arg "Connection.write: negative length";
-  t.write_total <- Int64.add t.write_total (Int64.of_int n);
+  t.write_total <- t.write_total + n;
   pump t
 
 let finish t =
@@ -242,13 +299,7 @@ let finish t =
 (* ACK processing (sender side) ---------------------------------------- *)
 
 let retransmit_head t =
-  match Queue.peek_opt t.unacked with
-  | None -> ()
-  | Some head ->
-      head.u_retx <- head.u_retx + 1;
-      head.u_sent_at <- now t;
-      send_segment t ~seq:head.u_seq ~len:head.u_len ~retransmission:true;
-      head.u_retx_epoch <- t.retransmits
+  if not (Unacked.is_empty t.unacked) then resend_head t
 
 let fast_retransmit t =
   t.fast_retransmits <- t.fast_retransmits + 1;
@@ -257,54 +308,52 @@ let fast_retransmit t =
   t.in_recovery <- true;
   t.recover <- t.snd_nxt
 
-let handle_ack t (segment : Segment.t) =
-  t.peer_window <- segment.Segment.window;
-  let ack = segment.Segment.ack in
-  if Int64.compare ack t.snd_una > 0 then begin
-    let acked = Int64.to_int (Int64.sub ack t.snd_una) in
+let handle_ack t ~ack ~window =
+  t.peer_window <- window;
+  if ack > t.snd_una then begin
+    let acked = ack - t.snd_una in
     t.snd_una <- ack;
     t.dupacks <- 0;
     (* Retire covered segments; sample RTT from a never-retransmitted
        one (Karn's rule). *)
-    let continue = ref true in
+    let u = t.unacked in
     let rtt_sample = ref None in
-    while !continue do
-      match Queue.peek_opt t.unacked with
-      | Some head
-        when Int64.compare (Int64.add head.u_seq (Int64.of_int head.u_len)) ack <= 0
-        ->
-          if head.u_retx = 0 && head.u_retx_epoch = t.retransmits then begin
-            let sample =
-              Units.Time.to_float_s (Units.Time.diff (now t) head.u_sent_at)
-            in
-            if sample > 0. then begin
-              update_rto_estimate t ~sample_s:sample;
-              rtt_sample := Some sample
-            end
-          end;
-          ignore (Queue.pop t.unacked)
-      | _ -> continue := false
+    while
+      (not (Unacked.is_empty u))
+      && u.seq.(u.head) + u.len.(u.head) <= ack
+    do
+      let h = u.head in
+      if u.retx.(h) = 0 && u.retx_epoch.(h) = t.retransmits then begin
+        let sample =
+          Units.Time.to_float_s (Units.Time.diff (now t) u.sent_at.(h))
+        in
+        if sample > 0. then begin
+          update_rto_estimate t ~sample_s:sample;
+          rtt_sample := Some sample
+        end
+      end;
+      Unacked.drop_head u
     done;
     (* NewReno partial ACK: still inside the recovery window means the
        next hole starts at the new head — retransmit it immediately
        rather than waiting out an RTO per hole. *)
     if t.in_recovery then begin
-      if Int64.compare ack t.recover >= 0 then t.in_recovery <- false
+      if ack >= t.recover then t.in_recovery <- false
       else begin
         retransmit_head t
       end
     end;
     Congestion.on_ack ?rtt_sample:!rtt_sample t.cc ~acked ~now:(now t);
-    if Queue.is_empty t.unacked then cancel_rto t else arm_rto t;
+    if Unacked.is_empty t.unacked then cancel_rto t else arm_rto t;
     if t.finished && t.snd_una = t.write_total && t.completed_at = None then
       t.completed_at <- Some (now t);
     pump t
   end
-  else if Int64.equal ack t.snd_una && Int64.compare t.snd_nxt t.snd_una > 0 then begin
+  else if ack = t.snd_una && t.snd_nxt > t.snd_una then begin
     t.duplicate_acks <- t.duplicate_acks + 1;
     t.dupacks <- t.dupacks + 1;
     (* NewReno-style guard: one fast retransmit per window of data. *)
-    if t.dupacks = 3 && Int64.compare ack t.recover >= 0 then fast_retransmit t
+    if t.dupacks = 3 && ack >= t.recover then fast_retransmit t
   end
 
 (* Data processing (receiver side) -------------------------------------- *)
@@ -315,22 +364,21 @@ let drain_ooo t =
     match Hashtbl.find_opt t.ooo t.rcv_nxt with
     | Some len ->
         Hashtbl.remove t.ooo t.rcv_nxt;
-        t.rcv_nxt <- Int64.add t.rcv_nxt (Int64.of_int len);
+        t.rcv_nxt <- t.rcv_nxt + len;
         t.bytes_delivered <- t.bytes_delivered + len;
         t.deliver len
     | None -> progressed := false
   done
 
-let handle_data t (segment : Segment.t) ~len =
+let handle_data t ~seq ~len =
   if len > 0 then begin
-    let seq = segment.Segment.seq in
-    if Int64.equal seq t.rcv_nxt then begin
-      t.rcv_nxt <- Int64.add t.rcv_nxt (Int64.of_int len);
+    if seq = t.rcv_nxt then begin
+      t.rcv_nxt <- t.rcv_nxt + len;
       t.bytes_delivered <- t.bytes_delivered + len;
       t.deliver len;
       drain_ooo t
     end
-    else if Int64.compare seq t.rcv_nxt > 0 then begin
+    else if seq > t.rcv_nxt then begin
       t.out_of_order_segments <- t.out_of_order_segments + 1;
       if not (Hashtbl.mem t.ooo seq) then Hashtbl.replace t.ooo seq len
     end;
@@ -338,20 +386,39 @@ let handle_data t (segment : Segment.t) ~len =
     send_pure_ack t
   end
 
-let on_packet t packet =
+let consume t packet =
+  let frame = Mmt_sim.Packet.frame packet in
   if not packet.Mmt_sim.Packet.corrupted then
-    match Segment.decode (Mmt_sim.Packet.frame packet) with
+    match Segment.check frame with
     | Error _ -> ()
-    | Ok segment when segment.Segment.dst_port = t.port ->
+    | Ok () when Segment.dst_port frame = t.port ->
         let len = packet.Mmt_sim.Packet.padding in
-        if len > 0 then handle_data t segment ~len
-        else if segment.Segment.flags.Segment.ack then handle_ack t segment
-    | Ok _other_port -> ()
+        if len > 0 then handle_data t ~seq:(Segment.seq frame) ~len
+        else if (Segment.flags frame).Segment.ack then
+          handle_ack t ~ack:(Segment.ack frame) ~window:(Segment.window frame)
+    | Ok () -> ()
+
+let on_packet t packet =
+  consume t packet;
+  (* Nothing the connection keeps points into the frame. *)
+  Mmt_sim.Ring.in_packet_done t.ring packet
+
+let dispatch ~ring connections =
+  let by_port = Hashtbl.create 8 in
+  List.iter (fun c -> Hashtbl.replace by_port c.port c) connections;
+  fun packet ->
+    let frame = Mmt_sim.Packet.frame packet in
+    match Segment.check frame with
+    | Ok () -> (
+        match Hashtbl.find by_port (Segment.dst_port frame) with
+        | c -> on_packet c packet
+        | exception Not_found -> Mmt_sim.Ring.in_packet_done ring packet)
+    | Error _ -> Mmt_sim.Ring.in_packet_done ring packet
 
 let stats t =
   {
-    bytes_written = Int64.to_int t.write_total;
-    bytes_acked = Int64.to_int t.snd_una;
+    bytes_written = t.write_total;
+    bytes_acked = t.snd_una;
     bytes_delivered = t.bytes_delivered;
     segments_sent = t.segments_sent;
     retransmits = t.retransmits;

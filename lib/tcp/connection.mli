@@ -13,7 +13,11 @@
     (as wire padding) but no materialized bytes, so multi-gigabyte
     streams simulate in O(1) memory.  All measurements made on the
     baseline are timing and ordering measurements, which are
-    unaffected. *)
+    unaffected.
+
+    Segments live in the topology's packet ring: each is a
+    header-only ring frame written in place ({!Segment.write}), read in
+    place by the peer, and retired by the endpoint that consumes it. *)
 
 open Mmt_util
 
@@ -54,6 +58,7 @@ type t
 
 val create :
   engine:Mmt_sim.Engine.t ->
+  ring:Mmt_sim.Ring.t ->
   fresh_id:(unit -> int) ->
   config:config ->
   ?port:int ->
@@ -61,15 +66,27 @@ val create :
   ?deliver:(int -> unit) ->
   unit ->
   t
-(** [tx] transmits a packet toward the peer; [deliver n] reports [n]
-    new in-order bytes to the receiving application.  [port] (default
-    1) tags this connection's segments; arriving segments for other
-    ports are ignored, so several connections can share one link for
-    multi-stream experiments. *)
+(** [tx] transmits a packet toward the peer; segments are taken from
+    [ring], the ring of the topology [tx] sends on.  [deliver n]
+    reports [n] new in-order bytes to the receiving application.
+    [port] (default 1) tags this connection's segments; several
+    connections can share one link for multi-stream experiments, with
+    {!dispatch} handing each arriving segment to its connection. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
-(** Feed a packet from the peer; corrupted packets are dropped as a
-    checksum failure would. *)
+(** Feed a packet from the peer.  Corrupted packets are dropped as a
+    checksum failure would, and packets that are not a segment for
+    this connection's port are ignored.  The connection is the
+    packet's last holder on every path: it retires the packet into the
+    ring before returning, and keeps nothing that points into the
+    frame. *)
+
+val dispatch : ring:Mmt_sim.Ring.t -> t list -> Mmt_sim.Packet.t -> unit
+(** [dispatch ~ring connections] is the packet handler of a node that
+    terminates several connections (one per port): it reads each
+    segment's destination port once and hands the packet to that
+    connection's {!on_packet}.  A packet that is not a segment, or is
+    for no listed port, is retired into [ring]. *)
 
 val write : t -> int -> unit
 (** Append [n] synthetic bytes to the send stream. *)

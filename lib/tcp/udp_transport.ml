@@ -6,6 +6,7 @@ type sender_stats = { datagrams_sent : int; bytes_sent : int }
 
 type sender = {
   engine : Mmt_sim.Engine.t;
+  ring : Mmt_sim.Ring.t;
   fresh_id : unit -> int;
   src : Addr.Ip.t;
   dst : Addr.Ip.t;
@@ -17,10 +18,11 @@ type sender = {
   mutable bytes_sent : int;
 }
 
-let create_sender ~engine ~fresh_id ~src ~dst ~src_port ~dst_port ~tx
+let create_sender ~engine ~ring ~fresh_id ~src ~dst ~src_port ~dst_port ~tx
     ?(padding = 0) () =
   {
     engine;
+    ring;
     fresh_id;
     src;
     dst;
@@ -34,7 +36,11 @@ let create_sender ~engine ~fresh_id ~src ~dst ~src_port ~dst_port ~tx
 
 let send (t : sender) payload =
   let udp_len = Udp.header_size + Bytes.length payload in
-  let w = Cursor.Writer.create (Ipv4.header_size + udp_len) in
+  let packet =
+    Mmt_sim.Ring.in_packet t.ring ~padding:t.padding ~id:(t.fresh_id ())
+      ~born:(Mmt_sim.Engine.now t.engine) (Ipv4.header_size + udp_len)
+  in
+  let w = Cursor.Writer.over (Mmt_sim.Packet.frame packet) in
   Ipv4.write w
     {
       Ipv4.dscp = 0;
@@ -51,10 +57,6 @@ let send (t : sender) payload =
       payload_length = Bytes.length payload;
     };
   Cursor.Writer.bytes w payload;
-  let packet =
-    Mmt_sim.Packet.create ~padding:t.padding ~id:(t.fresh_id ())
-      ~born:(Mmt_sim.Engine.now t.engine) (Cursor.Writer.contents w)
-  in
   t.datagrams_sent <- t.datagrams_sent + 1;
   t.bytes_sent <- t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
   t.tx packet
@@ -70,15 +72,17 @@ type receiver_stats = {
 }
 
 type receiver = {
-  deliver : src:Addr.Ip.t -> src_port:int -> bytes -> unit;
+  ring : Mmt_sim.Ring.t;
+  deliver : src:Addr.Ip.t -> src_port:int -> Cursor.Reader.t -> unit;
   mutable datagrams_received : int;
   mutable bytes_received : int;
   mutable corrupted : int;
   mutable decode_failures : int;
 }
 
-let create_receiver ~deliver () =
+let create_receiver ~ring ~deliver () =
   {
+    ring;
     deliver;
     datagrams_received = 0;
     bytes_received = 0;
@@ -86,7 +90,7 @@ let create_receiver ~deliver () =
     decode_failures = 0;
   }
 
-let on_packet (t : receiver) packet =
+let consume (t : receiver) packet =
   if packet.Mmt_sim.Packet.corrupted then t.corrupted <- t.corrupted + 1
   else begin
     let frame = Mmt_sim.Packet.frame packet in
@@ -94,7 +98,10 @@ let on_packet (t : receiver) packet =
       let r = Cursor.Reader.of_bytes frame in
       let ip = Ipv4.read r in
       let udp = Udp.read r in
-      (ip, udp, Cursor.Reader.take r udp.Udp.payload_length)
+      ( ip,
+        udp,
+        Cursor.Reader.of_bytes ~off:(Cursor.Reader.position r)
+          ~len:udp.Udp.payload_length frame )
     with
     | exception _ -> t.decode_failures <- t.decode_failures + 1
     | ip, udp, payload ->
@@ -107,6 +114,11 @@ let on_packet (t : receiver) packet =
           t.deliver ~src:ip.Ipv4.src ~src_port:udp.Udp.src_port payload
         end
   end
+
+let on_packet (t : receiver) packet =
+  consume t packet;
+  (* [deliver]'s payload view dies with the call. *)
+  Mmt_sim.Ring.in_packet_done t.ring packet
 
 let receiver_stats (t : receiver) : receiver_stats =
   {

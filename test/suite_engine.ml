@@ -170,13 +170,17 @@ let test_compaction_preserves_order () =
 
 (* Differential fuzz: drive the SoA heap and a naive reference model
    (linear scan for the minimum (at, seq) live event) through the same
-   random schedule/cancel/step/run_bounded stream and demand identical
-   pop order, clocks, termination verdicts and pending counts — across
-   array growth and the compactions the cancel bursts trigger. *)
+   random schedule/push/cancel/step/run_bounded stream and demand
+   identical pop order, clocks, termination verdicts and pending counts
+   — across array growth and the compactions the cancel bursts trigger.
+   A delay-line push is, in the model, an ordinary event keyed with the
+   sequence number current at push time; it counts towards pending only
+   as its line's one heap entry. *)
 type model_event = {
   m_at : int; (* effective fire time, clamped at schedule *)
   m_seq : int;
   m_id : int;
+  m_line : int; (* -1 for a scheduled event *)
   mutable m_cancelled : bool;
   mutable m_popped : bool;
 }
@@ -216,6 +220,22 @@ let test_fuzz_matches_reference_model () =
       let next_seq = ref 0 in
       let engine_pops = ref [] in
       let model_pops = ref [] in
+      let lines =
+        Array.map
+          (fun delay ->
+            ( delay,
+              Engine.Line.create engine ~delay:(Units.Time.of_int_ns delay)
+                ~filler:(-1) (fun id -> engine_pops := id :: !engine_pops) ))
+          [| 0; 7; at_bound / 50; at_bound / 3 |]
+      in
+      let model_pending () =
+        let live =
+          List.filter (fun e -> not (e.m_cancelled || e.m_popped)) !events
+        in
+        let busy l = List.exists (fun e -> e.m_line = l) live in
+        List.length (List.filter (fun e -> e.m_line < 0) live)
+        + List.length (List.filter busy (List.init (Array.length lines) Fun.id))
+      in
       let schedule () =
         let at_req = Rng.int rng ~bound:at_bound in
         let id = !next_id in
@@ -230,6 +250,7 @@ let test_fuzz_matches_reference_model () =
             m_at = max at_req !model_clock;
             m_seq = !next_seq;
             m_id = id;
+            m_line = -1;
             m_cancelled = false;
             m_popped = false;
           }
@@ -238,15 +259,35 @@ let test_fuzz_matches_reference_model () =
         events := event :: !events;
         Hashtbl.replace by_id id (handle, event)
       in
+      let push () =
+        let l = Rng.int rng ~bound:(Array.length lines) in
+        let delay, line = lines.(l) in
+        let id = !next_id in
+        incr next_id;
+        Engine.Line.push line id;
+        events :=
+          {
+            m_at = !model_clock + delay;
+            m_seq = !next_seq;
+            m_id = id;
+            m_line = l;
+            m_cancelled = false;
+            m_popped = false;
+          }
+          :: !events;
+        incr next_seq
+      in
       let cancel () =
         if !next_id > 0 then begin
           (* Any id ever issued: live, already-run and already-cancelled
              handles all get exercised. *)
           let victim = Rng.int rng ~bound:!next_id in
-          let handle, event = Hashtbl.find by_id victim in
-          Engine.cancel engine handle;
-          if not (event.m_popped || event.m_cancelled) then
-            event.m_cancelled <- true
+          match Hashtbl.find_opt by_id victim with
+          | None -> () (* a line item: not cancellable *)
+          | Some (handle, event) ->
+              Engine.cancel engine handle;
+              if not (event.m_popped || event.m_cancelled) then
+                event.m_cancelled <- true
         end
       in
       let pop () =
@@ -284,15 +325,13 @@ let test_fuzz_matches_reference_model () =
         Alcotest.(check int)
           "run_bounded clock" !model_clock
           (Units.Time.to_ns (Engine.now engine));
-        let live =
-          List.length
-            (List.filter (fun e -> not (e.m_cancelled || e.m_popped)) !events)
-        in
-        Alcotest.(check int) "run_bounded pending" live (Engine.pending engine)
+        Alcotest.(check int)
+          "run_bounded pending" (model_pending ()) (Engine.pending engine)
       in
       for _ = 1 to 3_000 do
         let r = Rng.int rng ~bound:100 in
-        if r < 55 then schedule ()
+        if r < 40 then schedule ()
+        else if r < 55 then push ()
         else if r < 80 then cancel ()
         else if r < 92 then pop ()
         else run_bounded ()

@@ -137,6 +137,39 @@ let qcheck_ipv4_roundtrip =
       Ipv4.write w header;
       Ipv4.equal header (Ipv4.read (Cursor.Reader.of_bytes (Cursor.Writer.contents w))))
 
+(* The codec sums header fields as it writes and reads them; the bytes
+   must still be the RFC 1071 checksum of the header, and [read] must
+   reject exactly the headers whose bytes do not sum clean. *)
+let qcheck_ipv4_checksum_matches_bytes =
+  QCheck.Test.make ~name:"ipv4 checksum matches the header bytes" ~count:500
+    QCheck.(
+      pair
+        (quad (int_range 0 63) (int_range 0 255) (int_range 0 65535) int32)
+        (pair (int_range 0 19) (int_range 0 255)))
+    (fun ((dscp, ttl, payload_length, addr), (position, value)) ->
+      let header =
+        {
+          Ipv4.dscp;
+          ttl;
+          protocol = Ipv4.protocol_udp;
+          src = Addr.Ip.of_int32 addr;
+          dst = Addr.Ip.of_int32 (Int32.mul addr 7l);
+          payload_length;
+        }
+      in
+      let w = Cursor.Writer.create Ipv4.header_size in
+      Ipv4.write w header;
+      let raw = Cursor.Writer.contents w in
+      let written_clean = Cursor.checksum raw ~off:0 ~len:Ipv4.header_size = 0 in
+      Bytes.set raw position (Char.chr value);
+      let sums_clean = Cursor.checksum raw ~off:0 ~len:Ipv4.header_size = 0 in
+      let checksum_rejected =
+        match Ipv4.read (Cursor.Reader.of_bytes raw) with
+        | _ -> false
+        | exception Failure msg -> msg = "Ipv4.read: bad checksum"
+      in
+      written_clean && sums_clean = not checksum_rejected)
+
 let suite =
   [
     Alcotest.test_case "mac string roundtrip" `Quick test_mac_string_roundtrip;
@@ -157,4 +190,5 @@ let suite =
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_ip_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_ipv4_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_ipv4_checksum_matches_bytes;
   ]

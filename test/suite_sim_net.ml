@@ -292,6 +292,66 @@ let test_link_delivers_with_latency () =
       Alcotest.(check int) "hop counted" 1 p.Sim.Packet.hops
   | _ -> Alcotest.fail "expected one arrival"
 
+(* Packets on the wire are a delay line: a packet's delivery is keyed
+   when it finishes serializing, not when the packet ahead of it
+   arrives.  A finishes at 10 us and arrives at 110 us; B finishes at
+   20 us and arrives at 120 us.  E is scheduled at 50 us for 120 us, so
+   B's key (drawn at 20 us) precedes E's, and B must arrive first. *)
+let test_link_keys_delivery_at_serialization () =
+  let engine = Sim.Engine.create () in
+  let order = ref [] in
+  let link =
+    Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 1.)
+      ~ring:(Sim.Ring.create ())
+      ~propagation:(Units.Time.us 100.)
+      ~deliver:(fun p ->
+        order := Printf.sprintf "%d@%d" p.Sim.Packet.id
+          (Units.Time.to_ns (Sim.Engine.now engine)) :: !order)
+      ()
+  in
+  Sim.Link.send link (mk_packet ~id:1 1250);
+  Sim.Link.send link (mk_packet ~id:2 1250);
+  ignore
+    (Sim.Engine.schedule engine ~at:(Units.Time.us 50.) (fun () ->
+         ignore
+           (Sim.Engine.schedule engine ~at:(Units.Time.us 120.) (fun () ->
+                order := "E@120000" :: !order))));
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "B before E" [ "1@110000"; "2@120000"; "E@120000" ] (List.rev !order)
+
+(* However many packets are on the wire, the link holds one heap entry
+   for them (plus its transmitter's). *)
+let test_link_in_flight_one_heap_entry () =
+  let engine = Sim.Engine.create () in
+  let ring = Sim.Ring.create () in
+  let delivered = ref 0 in
+  let link =
+    Sim.Link.create ~engine ~name:"l" ~rate:(Units.Rate.gbps 100.) ~ring
+      ~propagation:(Units.Time.ms 1.)
+      ~deliver:(fun p ->
+        incr delivered;
+        Sim.Ring.in_packet_done ring p)
+      ()
+  in
+  let n = 10_000 in
+  for i = 1 to n do
+    Sim.Link.send link (Sim.Ring.in_packet ring ~id:i ~born:Units.Time.zero 100)
+  done;
+  let deepest = ref (Sim.Engine.pending engine) in
+  let in_flight_peak = ref 0 in
+  while Sim.Engine.step engine do
+    deepest := max !deepest (Sim.Engine.pending engine);
+    let s = Sim.Link.stats link in
+    in_flight_peak :=
+      max !in_flight_peak (s.Sim.Link.transmitted - s.Sim.Link.delivered)
+  done;
+  Alcotest.(check int) "all on the wire at once" n !in_flight_peak;
+  Alcotest.(check int) "all delivered" n !delivered;
+  Alcotest.(check bool)
+    (Printf.sprintf "heap depth %d <= 2" !deepest)
+    true (!deepest <= 2)
+
 let test_link_serializes_back_to_back () =
   let engine = Sim.Engine.create () in
   let arrivals = ref [] in
@@ -501,6 +561,10 @@ let suite =
     Alcotest.test_case "loss gilbert corrupt validation" `Quick
       test_loss_gilbert_corrupt_validation;
     Alcotest.test_case "link latency" `Quick test_link_delivers_with_latency;
+    Alcotest.test_case "link keys delivery at serialization" `Quick
+      test_link_keys_delivery_at_serialization;
+    Alcotest.test_case "link in flight one heap entry" `Quick
+      test_link_in_flight_one_heap_entry;
     Alcotest.test_case "link serialization queueing" `Quick test_link_serializes_back_to_back;
     Alcotest.test_case "link ideal rate" `Quick test_link_zero_rate_is_ideal;
     Alcotest.test_case "link loss accounting" `Quick test_link_loss_accounting;

@@ -6,15 +6,15 @@ open Mmt_util
 
 let test_segment_roundtrip () =
   let seg =
-    Mmt_tcp.Segment.data ~src_port:42 ~dst_port:17 ~seq:123456789012L
-      ~ack:987654321098L ~window:1_000_000 (Bytes.of_string "abc")
+    Mmt_tcp.Segment.data ~src_port:42 ~dst_port:17 ~seq:123456789012
+      ~ack:987654321098 ~window:1_000_000 (Bytes.of_string "abc")
   in
   match Mmt_tcp.Segment.decode (Mmt_tcp.Segment.encode seg) with
   | Ok decoded -> Alcotest.(check bool) "equal" true (Mmt_tcp.Segment.equal seg decoded)
   | Error e -> Alcotest.fail e
 
 let test_pure_ack_roundtrip () =
-  let seg = Mmt_tcp.Segment.pure_ack ~src_port:1 ~dst_port:1 ~ack:55L ~window:4096 in
+  let seg = Mmt_tcp.Segment.pure_ack ~src_port:1 ~dst_port:1 ~ack:55 ~window:4096 in
   match Mmt_tcp.Segment.decode (Mmt_tcp.Segment.encode seg) with
   | Ok decoded ->
       Alcotest.(check bool) "flags" true decoded.Mmt_tcp.Segment.flags.Mmt_tcp.Segment.ack;
@@ -148,6 +148,7 @@ let test_window_capped_at_max () =
 
 type path = {
   engine : Mmt_sim.Engine.t;
+  ring : Mmt_sim.Ring.t;
   sender : Mmt_tcp.Connection.t;
   receiver : Mmt_tcp.Connection.t;
 }
@@ -156,6 +157,7 @@ let make_path ?(rate = Units.Rate.gbps 10.) ?(rtt = Units.Time.ms 10.) ?(loss = 
     ?(config = Mmt_tcp.Connection.default_config) ?(seed = 21L) ?deliver () =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let rng = Rng.create ~seed in
   let a = Mmt_sim.Topology.add_node topo ~name:"a" in
@@ -171,15 +173,16 @@ let make_path ?(rate = Units.Rate.gbps 10.) ?(rtt = Units.Time.ms 10.) ?(loss = 
   in
   let reverse = Mmt_sim.Topology.connect topo ~src:b ~dst:a ~rate ~propagation:half () in
   let sender =
-    Mmt_tcp.Connection.create ~engine ~fresh_id ~config ~tx:(Mmt_sim.Link.send forward) ()
+    Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config
+      ~tx:(Mmt_sim.Link.send forward) ()
   in
   let receiver =
-    Mmt_tcp.Connection.create ~engine ~fresh_id ~config ~tx:(Mmt_sim.Link.send reverse)
-      ?deliver ()
+    Mmt_tcp.Connection.create ~engine ~ring ~fresh_id ~config
+      ~tx:(Mmt_sim.Link.send reverse) ?deliver ()
   in
   Mmt_sim.Node.set_handler a (Mmt_tcp.Connection.on_packet sender);
   Mmt_sim.Node.set_handler b (Mmt_tcp.Connection.on_packet receiver);
-  { engine; sender; receiver }
+  { engine; ring; sender; receiver }
 
 let test_lossless_transfer_completes () =
   let p = make_path () in
@@ -205,6 +208,95 @@ let test_lossy_transfer_still_completes () =
   Alcotest.(check int) "all delivered" 500_000 r.Mmt_tcp.Connection.bytes_delivered;
   Alcotest.(check bool) "recovered via retransmission" true
     (s.Mmt_tcp.Connection.retransmits > 0)
+
+(* Every segment is a ring frame, retired where it dies: by the link
+   that loses it or by the endpoint that consumes it. *)
+let test_lossy_transfer_retires_every_segment () =
+  let p = make_path ~loss:0.01 () in
+  Mmt_tcp.Connection.write p.sender 500_000;
+  Mmt_tcp.Connection.finish p.sender;
+  Mmt_sim.Engine.run ~until:(Units.Time.seconds 120.) p.engine;
+  let s = Mmt_tcp.Connection.stats p.sender in
+  Alcotest.(check bool) "lossy" true (s.Mmt_tcp.Connection.retransmits > 0);
+  let ring = Mmt_sim.Ring.stats p.ring in
+  Alcotest.(check bool) "segments came from the ring" true
+    (ring.Mmt_sim.Ring.acquired > s.Mmt_tcp.Connection.segments_sent);
+  Alcotest.(check int) "no slot in use" 0 ring.Mmt_sim.Ring.in_use;
+  Alcotest.(check int) "acquired = retired" ring.Mmt_sim.Ring.acquired
+    ring.Mmt_sim.Ring.retired;
+  Alcotest.(check int) "no double done" 0 ring.Mmt_sim.Ring.double_done
+
+(* A segment in flight owns no heap block on the sender: what it keeps
+   until its ACK lives in preallocated arrays.  A block per segment
+   would survive the RTT into the major heap (a record and a queue cell
+   promote about nine words a segment), and a DTN-tuned window of such
+   blocks overflows the major GC's mark stack. *)
+let test_sender_keeps_no_block_per_segment () =
+  let rate = Units.Rate.gbps 10. in
+  let rtt = Units.Time.ms 10. in
+  let bdp = Units.Rate.bytes_in rate rtt in
+  let p = make_path ~rate ~rtt ~config:(Mmt_tcp.Connection.tuned_config ~bdp) () in
+  let transfer bytes =
+    Mmt_tcp.Connection.write p.sender bytes;
+    Mmt_sim.Engine.run p.engine
+  in
+  let segments () =
+    (Mmt_tcp.Connection.stats p.sender).Mmt_tcp.Connection.segments_sent
+  in
+  (* Warm up until every buffer on the path has grown to the window. *)
+  transfer 100_000_000;
+  let sent = segments () in
+  (* [Gc.minor] first, so the counter covers exactly the transfer. *)
+  let promoted () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.promoted_words
+  in
+  let before = promoted () in
+  transfer 200_000_000;
+  let after = promoted () in
+  let per_segment = (after -. before) /. float_of_int (segments () - sent) in
+  Alcotest.(check int) "all delivered" 300_000_000
+    (Mmt_tcp.Connection.stats p.receiver).Mmt_tcp.Connection.bytes_delivered;
+  if per_segment >= 2. then
+    Alcotest.failf "%.2f promoted words per segment" per_segment
+
+(* Several connections on one node: each segment reaches only the
+   connection its port names, and whatever no connection takes goes
+   back to the ring. *)
+let test_dispatch_by_port () =
+  let engine = Mmt_sim.Engine.create () in
+  let ring = Mmt_sim.Ring.create () in
+  let sent = ref [] in
+  let connection port =
+    Mmt_tcp.Connection.create ~engine ~ring ~fresh_id:(fun () -> 0)
+      ~config:Mmt_tcp.Connection.default_config ~port
+      ~tx:(fun packet ->
+        sent := port :: !sent;
+        Mmt_sim.Ring.in_packet_done ring packet)
+      ()
+  in
+  let c1 = connection 1 and c2 = connection 2 in
+  let handler = Mmt_tcp.Connection.dispatch ~ring [ c1; c2 ] in
+  let data ~port =
+    let frame =
+      Mmt_tcp.Segment.encode
+        (Mmt_tcp.Segment.data ~src_port:port ~dst_port:port ~seq:0 ~ack:0
+           ~window:65536 Bytes.empty)
+    in
+    Mmt_sim.Ring.alloc ring ~padding:1000 ~id:0 ~born:Units.Time.zero frame
+  in
+  handler (data ~port:2);
+  handler (data ~port:3);
+  handler
+    (Mmt_sim.Ring.alloc ring ~id:0 ~born:Units.Time.zero (Bytes.make 40 'x'));
+  Alcotest.(check (list int)) "only port 2 acknowledged" [ 2 ] !sent;
+  Alcotest.(check int) "port 2 delivered" 1000
+    (Mmt_tcp.Connection.stats c2).Mmt_tcp.Connection.bytes_delivered;
+  Alcotest.(check int) "port 1 untouched" 0
+    (Mmt_tcp.Connection.stats c1).Mmt_tcp.Connection.bytes_delivered;
+  let stats = Mmt_sim.Ring.stats ring in
+  Alcotest.(check int) "everything retired" 0 stats.Mmt_sim.Ring.in_use;
+  Alcotest.(check int) "no double done" 0 stats.Mmt_sim.Ring.double_done
 
 let test_untuned_window_limits_throughput () =
   (* 64 KiB window over 10 ms RTT is ~52 Mbps no matter the link rate. *)
@@ -331,49 +423,115 @@ let test_framing_rejects_empty () =
 
 (* UDP transport -------------------------------------------------------------- *)
 
-let test_udp_end_to_end () =
+type udp_path = {
+  u_engine : Mmt_sim.Engine.t;
+  u_ring : Mmt_sim.Ring.t;
+  u_sender : Mmt_tcp.Udp_transport.sender;
+  u_receiver : Mmt_tcp.Udp_transport.receiver;
+}
+
+let make_udp_path ?(loss = 0.) ?(rate = Units.Rate.gbps 1.) deliver =
   let engine = Mmt_sim.Engine.create () in
   let topo = Mmt_sim.Topology.create ~engine () in
+  let ring = Option.get (Mmt_sim.Topology.ring topo) in
   let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
   let a = Mmt_sim.Topology.add_node topo ~name:"a" in
   let b = Mmt_sim.Topology.add_node topo ~name:"b" in
   let link =
-    Mmt_sim.Topology.connect topo ~src:a ~dst:b ~rate:(Units.Rate.gbps 1.)
-      ~propagation:(Units.Time.us 10.) ()
-  in
-  let got = ref [] in
-  let receiver =
-    Mmt_tcp.Udp_transport.create_receiver
-      ~deliver:(fun ~src:_ ~src_port payload -> got := (src_port, payload) :: !got)
+    Mmt_sim.Topology.connect topo ~src:a ~dst:b ~rate
+      ~propagation:(Units.Time.us 10.)
+      ~loss:
+        (if loss > 0. then
+           Mmt_sim.Loss.bernoulli ~drop:loss ~corrupt:0. ~rng:(Rng.create ~seed:9L)
+         else Mmt_sim.Loss.perfect)
       ()
   in
+  let receiver = Mmt_tcp.Udp_transport.create_receiver ~ring ~deliver () in
   Mmt_sim.Node.set_handler b (Mmt_tcp.Udp_transport.on_packet receiver);
   let sender =
-    Mmt_tcp.Udp_transport.create_sender ~engine ~fresh_id
+    Mmt_tcp.Udp_transport.create_sender ~engine ~ring ~fresh_id
       ~src:(Mmt_frame.Addr.Ip.of_octets 10 0 0 1)
       ~dst:(Mmt_frame.Addr.Ip.of_octets 10 0 0 2)
       ~src_port:7777 ~dst_port:8888 ~tx:(Mmt_sim.Link.send link) ()
   in
-  Mmt_tcp.Udp_transport.send sender (Bytes.of_string "hello daq");
-  Mmt_sim.Engine.run engine;
+  { u_engine = engine; u_ring = ring; u_sender = sender; u_receiver = receiver }
+
+let test_udp_end_to_end () =
+  let got = ref [] in
+  let p =
+    make_udp_path (fun ~src:_ ~src_port payload ->
+        got := (src_port, Mmt_wire.Cursor.Reader.rest payload) :: !got)
+  in
+  Mmt_tcp.Udp_transport.send p.u_sender (Bytes.of_string "hello daq");
+  Mmt_sim.Engine.run p.u_engine;
   (match !got with
   | [ (port, payload) ] ->
       Alcotest.(check int) "src port" 7777 port;
       Alcotest.(check string) "payload" "hello daq" (Bytes.to_string payload)
   | _ -> Alcotest.fail "expected one datagram");
-  let r = Mmt_tcp.Udp_transport.receiver_stats receiver in
+  let r = Mmt_tcp.Udp_transport.receiver_stats p.u_receiver in
   Alcotest.(check int) "received" 1 r.Mmt_tcp.Udp_transport.datagrams_received
 
 let test_udp_corrupted_dropped () =
+  let ring = Mmt_sim.Ring.create () in
   let receiver =
-    Mmt_tcp.Udp_transport.create_receiver ~deliver:(fun ~src:_ ~src_port:_ _ -> ()) ()
+    Mmt_tcp.Udp_transport.create_receiver ~ring
+      ~deliver:(fun ~src:_ ~src_port:_ _ -> ())
+      ()
   in
-  let packet = Mmt_sim.Packet.create ~id:0 ~born:Units.Time.zero (Bytes.create 40) in
+  let packet = Mmt_sim.Ring.in_packet ring ~id:0 ~born:Units.Time.zero 40 in
   packet.Mmt_sim.Packet.corrupted <- true;
   Mmt_tcp.Udp_transport.on_packet receiver packet;
   let r = Mmt_tcp.Udp_transport.receiver_stats receiver in
   Alcotest.(check int) "corrupted" 1 r.Mmt_tcp.Udp_transport.corrupted;
-  Alcotest.(check int) "not delivered" 0 r.Mmt_tcp.Udp_transport.datagrams_received
+  Alcotest.(check int) "not delivered" 0 r.Mmt_tcp.Udp_transport.datagrams_received;
+  Alcotest.(check int) "retired" 0 (Mmt_sim.Ring.stats ring).Mmt_sim.Ring.in_use
+
+let test_udp_retires_every_datagram () =
+  let p = make_udp_path ~loss:0.05 (fun ~src:_ ~src_port:_ _ -> ()) in
+  let payload = Bytes.make 1000 'u' in
+  for _ = 1 to 2_000 do
+    Mmt_tcp.Udp_transport.send p.u_sender payload
+  done;
+  Mmt_sim.Engine.run p.u_engine;
+  let r = Mmt_tcp.Udp_transport.receiver_stats p.u_receiver in
+  Alcotest.(check bool) "some lost" true
+    (r.Mmt_tcp.Udp_transport.datagrams_received < 2_000);
+  let ring = Mmt_sim.Ring.stats p.u_ring in
+  Alcotest.(check int) "acquired one frame per datagram" 2_000
+    ring.Mmt_sim.Ring.acquired;
+  Alcotest.(check int) "no slot in use" 0 ring.Mmt_sim.Ring.in_use;
+  Alcotest.(check int) "acquired = retired" ring.Mmt_sim.Ring.acquired
+    ring.Mmt_sim.Ring.retired
+
+(* A DAQ-sized datagram lives on the major heap, so its copies are what
+   it costs: once the pool holds recycled frames, sending and receiving
+   one must not allocate even half a payload there (the datagram used
+   to be built in a scratch buffer, copied out, and copied again on
+   receipt). *)
+let test_udp_major_words_per_datagram () =
+  let size = 7200 in
+  let p = make_udp_path ~rate:(Units.Rate.gbps 100.) (fun ~src:_ ~src_port:_ _ -> ()) in
+  let payload = Bytes.make size 'd' in
+  let burst n =
+    for _ = 1 to n do
+      Mmt_tcp.Udp_transport.send p.u_sender payload;
+      Mmt_sim.Engine.run p.u_engine
+    done
+  in
+  burst 500;
+  let n = 2_000 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  burst n;
+  let after = (Gc.quick_stat ()).Gc.major_words in
+  let per_datagram = (after -. before) /. float_of_int n in
+  let payload_words = float_of_int (size / (Sys.word_size / 8)) in
+  Alcotest.(check int) "all received" (500 + n)
+    (Mmt_tcp.Udp_transport.receiver_stats p.u_receiver)
+      .Mmt_tcp.Udp_transport.datagrams_received;
+  if per_datagram >= payload_words /. 2. then
+    Alcotest.failf "%.0f major words per datagram (payload is %.0f words)"
+      per_datagram payload_words
 
 let suite =
   [
@@ -392,6 +550,11 @@ let suite =
     Alcotest.test_case "window cap" `Quick test_window_capped_at_max;
     Alcotest.test_case "lossless transfer" `Quick test_lossless_transfer_completes;
     Alcotest.test_case "lossy transfer completes" `Quick test_lossy_transfer_still_completes;
+    Alcotest.test_case "lossy transfer retires every segment" `Quick
+      test_lossy_transfer_retires_every_segment;
+    Alcotest.test_case "sender keeps no block per segment" `Quick
+      test_sender_keeps_no_block_per_segment;
+    Alcotest.test_case "dispatch by port" `Quick test_dispatch_by_port;
     Alcotest.test_case "untuned window-bound" `Quick test_untuned_window_limits_throughput;
     Alcotest.test_case "tuned fills pipe" `Quick test_tuned_fills_the_pipe;
     Alcotest.test_case "rtt estimation" `Quick test_rtt_estimation;
@@ -401,4 +564,7 @@ let suite =
     Alcotest.test_case "framing rejects empty" `Quick test_framing_rejects_empty;
     Alcotest.test_case "udp end to end" `Quick test_udp_end_to_end;
     Alcotest.test_case "udp corrupted" `Quick test_udp_corrupted_dropped;
+    Alcotest.test_case "udp retires every datagram" `Quick test_udp_retires_every_datagram;
+    Alcotest.test_case "udp major words per datagram" `Quick
+      test_udp_major_words_per_datagram;
   ]

@@ -12,6 +12,12 @@ The ring-buffer packet path adds two more families of checks:
   must stay allocation-free on the minor heap and must cost at most
   FORWARD_FACTOR raw engine events per packet, both measured in the
   same run.  Each hop is two engine events (serialize, propagate).
+  A burst of 1 000 packets on the wire at once may cost at most
+  BURST_FACTOR times per packet what the same packets cost forwarded
+  one at a time, timed alternately in the same run: the packets in
+  flight on a link are one delay line with one heap entry, and a link
+  that went back to an entry per packet would pay for a heap 1 000
+  deep on every event.
 - `pilot_audit`: over the E-F4 pilot window the packet ring must
   recycle what it acquires (ratio >= RECYCLE_FLOOR), end quiescent
   (`in_use` = 0 — a leaked slot means a retirement point was missed),
@@ -38,6 +44,7 @@ import sys
 SLACK_NS = 25.0  # absolute headroom so sub-50ns ops don't flap on noise
 SWEEP_HEADROOM = 1.15  # parallel may not exceed sequential by more than this
 FORWARD_FACTOR = 4.0  # forwarded packet may cost at most this many engine events
+BURST_FACTOR = 2.0  # burst packet may cost at most this many packets sent alone
 RECYCLE_FLOOR = 0.99  # pilot ring: retired / acquired must not drop below this
 MAJOR_COPY_FACTOR = 3.0  # pilot: major words per delivered fragment / payload words
 
@@ -94,6 +101,16 @@ def main() -> int:
                 f"forward path {fwd_ns:.1f} ns/packet exceeds "
                 f"{FORWARD_FACTOR:g}x engine event cost "
                 f"({event_ns:.1f} ns -> ceiling {ceiling:.1f} ns)"
+            )
+
+    burst_ns = forward.get("burst_ns_per_packet")
+    single_ns = forward.get("burst_single_ns_per_packet")
+    if burst_ns is not None and single_ns is not None:
+        if burst_ns > BURST_FACTOR * single_ns:
+            failures.append(
+                f"burst {burst_ns:.1f} ns/packet exceeds {BURST_FACTOR:g}x "
+                f"the same packets sent one at a time "
+                f"({single_ns:.1f} ns -> ceiling {BURST_FACTOR * single_ns:.1f} ns)"
             )
 
     audit = current.get("pilot_audit", {})
