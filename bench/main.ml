@@ -465,10 +465,46 @@ let check_burst () =
     burst_packets !best_burst !best_single (!best_burst /. !best_single);
   (!best_burst, !best_single)
 
+(* Payload copy audit: E-A1's placement run sends one caller-owned
+   4 KiB buffer per fragment with [Sender.send] through a rewriter, a
+   retransmission buffer and a receiver, so every payload byte is
+   materialized.  The major heap counts the full-payload copies each
+   delivered fragment costs; the buffer's retransmission copy is the one
+   kept on purpose. *)
+let copy_audit_payload = Units.Size.bytes 4096
+
+(* One copy of a [size] payload, in words. *)
+let payload_words size = float_of_int (Units.Size.to_bytes size / 8)
+
+type copy_audit = { copy_major_words : float; copy_delivered : int }
+
+let check_copy_audit () =
+  let params =
+    Mmt_pilot.Runners.Placement_run.params ~fragment_size:copy_audit_payload
+      ~loss:0.003 ~fragment_count:1500 ()
+  in
+  let measure () =
+    Gc.full_major ();
+    let major_before = (Gc.quick_stat ()).Gc.major_words in
+    let outcome = Mmt_pilot.Runners.Placement_run.run params in
+    ( (Gc.quick_stat ()).Gc.major_words -. major_before,
+      outcome.Mmt_pilot.Runners.Placement_run.delivered )
+  in
+  ignore (measure ()) (* warm *);
+  let major_words, delivered = measure () in
+  Printf.printf
+    "E-A1 placement major words: %.2e, %.0f words/delivered fragment (%.2f \
+     payload copies)\n"
+    major_words
+    (major_words /. float_of_int delivered)
+    (major_words /. float_of_int delivered /. payload_words copy_audit_payload);
+  { copy_major_words = major_words; copy_delivered = delivered }
+
 (* E-F4 pilot allocation audit: the whole pilot (senders, links,
    rewriter, INT path, receiver, event builder) on its packet ring.  The
-   ring must account for (and retire) the packets it handed out, and the
-   major heap counts the full-payload copies each fragment costs. *)
+   ring must account for (and retire) the packets it handed out.  The
+   pilot's Synthetic payloads are virtual (wire padding), so the major
+   heap should hold well under one payload copy per fragment. *)
 let pilot_audit_payload = Units.Size.bytes 4096
 
 let pilot_audit_config =
@@ -480,10 +516,6 @@ let pilot_audit_config =
     wan_corrupt = 0.001;
     int_telemetry = true;
   }
-
-(* One copy of the fragment payload, in words. *)
-let pilot_audit_frame_words =
-  float_of_int (Units.Size.to_bytes pilot_audit_payload / 8)
 
 type pilot_audit = {
   minor_words : float;
@@ -527,7 +559,7 @@ let check_pilot_allocation () =
      payload copies)\n"
     major_words
     (major_words /. float_of_int delivered)
-    (major_words /. float_of_int delivered /. pilot_audit_frame_words);
+    (major_words /. float_of_int delivered /. payload_words pilot_audit_payload);
   Printf.printf
     "E-F4 pilot ring: %d acquires, %d retired (recycle ratio %.3f), %d in \
      use at quiescence, %d overflow\n"
@@ -666,7 +698,7 @@ let json_escape s =
   Buffer.contents buf
 
 let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
-    ~burst ~pilot_audit ~sweep =
+    ~burst ~copy_audit ~pilot_audit ~sweep =
   let results, sequential_wall, parallel, _ = sweep in
   let fwd_ns, fwd_words, (fwd_ring : Mmt_sim.Ring.stats), fwd_recycle =
     forward
@@ -705,6 +737,16 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
   Buffer.add_string buf
     (Printf.sprintf "    \"ring\": %s\n" (ring_json fwd_ring));
   Buffer.add_string buf "  },\n";
+  Buffer.add_string buf "  \"copy_audit\": {\n";
+  Buffer.add_string buf
+    (Printf.sprintf "    \"major_words_per_delivered\": %.1f,\n"
+       (copy_audit.copy_major_words /. float_of_int copy_audit.copy_delivered));
+  Buffer.add_string buf
+    (Printf.sprintf "    \"frame_words\": %.0f,\n"
+       (payload_words copy_audit_payload));
+  Buffer.add_string buf
+    (Printf.sprintf "    \"delivered\": %d\n" copy_audit.copy_delivered);
+  Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"pilot_audit\": {\n";
   let pa = pilot_audit in
   Buffer.add_string buf
@@ -716,7 +758,8 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
     (Printf.sprintf "    \"major_words_per_delivered\": %.1f,\n"
        (pa.major_words /. float_of_int pa.delivered));
   Buffer.add_string buf
-    (Printf.sprintf "    \"frame_words\": %.0f,\n" pilot_audit_frame_words);
+    (Printf.sprintf "    \"frame_words\": %.0f,\n"
+       (payload_words pilot_audit_payload));
   Buffer.add_string buf (Printf.sprintf "    \"events\": %d,\n" pa.events);
   Buffer.add_string buf
     (Printf.sprintf "    \"delivered\": %d,\n" pa.delivered);
@@ -786,13 +829,14 @@ let run json jobs quota limit =
   let forward = check_forward_path () in
   let burst = check_burst () in
   print_newline ();
+  let copy_audit = check_copy_audit () in
   let pilot_audit = check_pilot_allocation () in
   print_newline ();
   let alloc_words = check_schedule_allocation () in
   Option.iter
     (fun path ->
       write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
-        ~burst ~pilot_audit ~sweep)
+        ~burst ~copy_audit ~pilot_audit ~sweep)
     json;
   let _, _, _, all_ok = sweep in
   if all_ok then begin

@@ -718,8 +718,8 @@ let trace_cmd =
       Mmt_innet.Mode_rewriter.create ~mode
         ~re_encap:(Mmt.Encap.Over_ipv4 { src = buf_ip; dst = dst_ip; dscp = 0; ttl = 64 })
         ~pool:(Mmt_sim.Ring.pool ring)
-        ~on_rewrite:(fun ~seq ~born frame ->
-          Option.iter (fun seq -> Mmt.Buffer_host.store buffer ~seq ~born frame) seq)
+        ~on_rewrite:(fun ~seq ~born:_ packet ->
+          Option.iter (fun seq -> Mmt.Buffer_host.store_packet buffer ~seq packet) seq)
         ()
     in
     let _sw =
@@ -761,7 +761,6 @@ let trace_cmd =
           deadline_budget = None;
           backpressure_to = None;
           pace = None;
-          padding = 0;
         }
     in
     for i = 0 to fragments - 1 do

@@ -98,9 +98,9 @@ let () =
   in
   let rewriter =
     Mmt_innet.Mode_rewriter.create ~mode:wan_mode ~pool:(Mmt_sim.Ring.pool ring)
-      ~on_rewrite:(fun ~seq ~born frame ->
+      ~on_rewrite:(fun ~seq ~born:_ packet ->
         match seq with
-        | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
+        | Some seq -> Mmt.Buffer_host.store_packet buffer ~seq packet
         | None -> ())
       ()
   in
@@ -115,7 +115,6 @@ let () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   (* Intercept the sender's frames through the rewriter before the WAN

@@ -40,7 +40,6 @@ let () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let senders = List.map (fun slice -> (slice, sender_for slice)) slices in

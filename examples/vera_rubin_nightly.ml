@@ -63,7 +63,6 @@ let run ~deadline_aware =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let alert_sender =
@@ -77,7 +76,6 @@ let run ~deadline_aware =
         deadline_budget = Some (alert_deadline, Addr.Ip.any);
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   (* Receivers: alerts vs bulk, demuxed by instrument slice. *)

@@ -31,6 +31,11 @@ let create ~env ~capacity ?upstream () =
 
 let store t ~seq ~born frame = Retx_buffer.store t.buffer ~seq ~born frame
 
+let store_packet t ~seq packet =
+  Retx_buffer.store t.buffer ~seq ~born:packet.Mmt_sim.Packet.born
+    ~padding:packet.Mmt_sim.Packet.padding
+    (Bytes.copy (Mmt_sim.Packet.frame packet))
+
 let resend t ~requester (entry : Retx_buffer.entry) =
   (* Preserve the original birth time: a recovered message's latency is
      end-to-end, not resend-to-delivery. *)
@@ -38,6 +43,7 @@ let resend t ~requester (entry : Retx_buffer.entry) =
   let len = Bytes.length src in
   let packet =
     Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
+      ~padding:entry.Retx_buffer.padding
       ~id:(t.env.Mmt_runtime.Env.fresh_id ())
       ~born:entry.Retx_buffer.born len
   in

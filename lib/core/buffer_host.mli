@@ -29,14 +29,20 @@ val create :
   ?upstream:Addr.Ip.t ->
   unit ->
   t
-(** Resent frames are copied into slots of the environment's ring. *)
+(** Resent frames are copied into slots of the environment's ring,
+    with the padding they were stored with. *)
+
+val store_packet : t -> seq:int -> Mmt_sim.Packet.t -> unit
+(** Record a packet as forwarded downstream under sequence [seq]: the
+    one place a frame is copied for retransmission.  The buffer keeps a
+    copy of the packet's materialized frame (encapsulation included, so
+    a resend is byte-identical), its padding, so a resend has the
+    original wire size, and its birth time, so a recovered message's
+    latency stays end-to-end.  The packet itself stays the caller's. *)
 
 val store : t -> seq:int -> born:Mmt_util.Units.Time.t -> bytes -> unit
-(** Record a frame as forwarded downstream under sequence [seq].  The
-    frame must be the full wire frame (encapsulation included) so a
-    resend is byte-identical; [born] is the original packet's birth
-    time, preserved across retransmission for honest latency
-    accounting. *)
+(** Record an unpadded wire frame under [seq], born at [born].  The
+    buffer keeps [frame] itself rather than a copy. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
 (** Feed a control packet; only NAKs addressed to this buffer are

@@ -39,17 +39,17 @@ let wrap t mmt_frame =
       Bytes.blit mmt_frame 0 out off (Bytes.length mmt_frame);
       out
 
-let packet env ?padding t header ~length write =
+let packet env ?(padding = 0) t header ~length write =
   let off = overhead t in
   let mmt_length = Header.size header + length in
   let ring = env.Mmt_runtime.Env.ring in
   let packet =
-    Mmt_sim.Ring.in_packet ring ?padding
+    Mmt_sim.Ring.in_packet ring ~padding
       ~id:(env.Mmt_runtime.Env.fresh_id ())
       ~born:(Mmt_runtime.Env.now env) (off + mmt_length)
   in
   let frame = Mmt_sim.Packet.frame packet in
-  wrap_into t ~mmt_length frame;
+  wrap_into t ~mmt_length:(mmt_length + padding) frame;
   let w = Cursor.Writer.over ~off frame in
   Header.encode_into w header;
   if Cursor.Writer.writes_exactly w length write then packet

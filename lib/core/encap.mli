@@ -32,9 +32,11 @@ val overhead : t -> int
 val wrap_into : t -> mmt_length:int -> bytes -> unit
 (** Serialize the encapsulation header for an [mmt_length]-byte
     transport frame at offset 0 of a caller-owned buffer (at least
-    [overhead t + mmt_length] long).  The caller blits the transport
-    frame at [overhead t]; together with a pool buffer this is the
-    allocation-free counterpart of {!wrap}. *)
+    [overhead t] long).  The caller blits the transport frame at
+    [overhead t]; together with a pool buffer this is the
+    allocation-free counterpart of {!wrap}.  [mmt_length] is the
+    transport frame's wire length: for a padded packet it counts the
+    padding, which the buffer does not hold. *)
 
 val packet :
   Mmt_runtime.Env.t ->
@@ -52,7 +54,10 @@ val packet :
     frame is written once: a fragment is written by its codec straight
     from the caller's data, and a payload already in a buffer is copied
     in with [Cursor.Writer.bytes].  The packet has a fresh identity and
-    is born now.
+    is born now.  [padding] (default 0) is the packet's wire padding:
+    payload bytes that follow the [length] written ones on the wire
+    but are not materialized.  The encapsulation header states the wire
+    length, so an IPv4 total length counts the padding.
     @raise Invalid_argument when [write] writes fewer or more than
     [length] bytes; the ring slot is retired first, so a recycled frame
     never carries bytes nobody wrote. *)
@@ -78,10 +83,10 @@ val rewrap : old_frame:bytes -> mmt_offset:int -> bytes -> bytes
 val rewrap_into :
   old_frame:bytes -> mmt_offset:int -> mmt_length:int -> bytes -> unit
 (** Allocation-free counterpart of {!rewrap}: copy [old_frame]'s
-    encapsulation prefix into a caller-owned buffer of length
-    [mmt_offset + mmt_length] and apply the IPv4 length/checksum fix.
-    The caller blits the [mmt_length]-byte replacement transport frame
-    at [mmt_offset] (before or after — the fix touches only the
-    prefix). *)
+    encapsulation prefix into a caller-owned buffer and apply the IPv4
+    length/checksum fix for an [mmt_length]-byte transport frame.  The
+    caller blits the replacement transport frame at [mmt_offset]
+    (before or after — the fix touches only the prefix).  As with
+    {!wrap_into}, [mmt_length] is the wire length, padding included. *)
 
 val describe : t -> string

@@ -399,7 +399,10 @@ let consume t packet =
             let payload_off = off + Header.size header in
             match header.Header.kind with
             | Feature.Kind.Data -> (
-                let payload = Cursor.Reader.of_bytes ~off:payload_off frame in
+                let payload =
+                  Cursor.Reader.of_bytes ~off:payload_off
+                    ~tail:packet.Mmt_sim.Packet.padding frame
+                in
                 match header.Header.sequence with
                 | Some seq -> handle_sequenced t packet header payload seq
                 | None ->

@@ -92,7 +92,10 @@ val create :
     frame, not a copy.  The frame goes back to the ring when
     {!on_packet} returns, so the reader is valid only until [deliver]
     returns.  A callback that keeps the payload copies it out, e.g.
-    with {!Mmt_wire.Cursor.Reader.rest}. *)
+    with {!Mmt_wire.Cursor.Reader.rest}.  The packet's padding is the
+    reader's virtual tail: it counts in [remaining], so a length field
+    covering a virtual payload checks out, but it has no bytes to
+    read. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
 (** Feed an arriving packet (any encapsulation).  Corrupted packets

@@ -12,7 +12,9 @@ type stats = {
   entries_high_water : int;
 }
 
-type entry = { frame : bytes; born : Units.Time.t }
+type entry = { frame : bytes; padding : int; born : Units.Time.t }
+
+let wire_size entry = Bytes.length entry.frame + entry.padding
 
 type t = {
   capacity : int;
@@ -55,18 +57,19 @@ let evict_one t =
       | None, None -> ()
       | None, Some entry ->
           Hashtbl.remove t.frames seq;
-          Gauge.add t.bytes (-Bytes.length entry.frame);
+          Gauge.add t.bytes (-wire_size entry);
           Gauge.add t.entries (-1);
           t.evicted <- t.evicted + 1)
 
-let store t ~seq ~born frame =
-  let size = Bytes.length frame in
+let store t ~seq ~born ?(padding = 0) frame =
+  let entry = { frame; padding; born } in
+  let size = wire_size entry in
   t.stored <- t.stored + 1;
   if size > t.capacity then t.evicted <- t.evicted + 1
   else begin
     (match Hashtbl.find_opt t.frames seq with
     | Some old ->
-        Gauge.add t.bytes (-Bytes.length old.frame);
+        Gauge.add t.bytes (-wire_size old);
         Gauge.add t.entries (-1);
         Hashtbl.remove t.frames seq;
         let stale = Option.value ~default:0 (Hashtbl.find_opt t.superseded seq) in
@@ -75,7 +78,7 @@ let store t ~seq ~born frame =
     while Gauge.value t.bytes + size > t.capacity do
       evict_one t
     done;
-    Hashtbl.replace t.frames seq { frame; born };
+    Hashtbl.replace t.frames seq entry;
     Queue.push seq t.order;
     Gauge.add t.bytes size;
     Gauge.add t.entries 1

@@ -5,14 +5,20 @@
     buffer" (§ 1), named in the header so a receiver NAKs the nearest
     copy (§ 5.3).  A buffer stores full transport frames keyed by
     sequence number, bounded by bytes, evicting oldest-first — matching
-    an FPGA ring buffer. *)
+    an FPGA ring buffer.
+
+    Every byte count here is a wire size: a frame's materialized bytes
+    plus its padding (the virtual payload of {!Mmt_sim.Packet.padding}),
+    so a buffer holds as many synthetic frames as it would hold
+    materialized ones. *)
 
 open Mmt_util
 
 type t
 
 type entry = {
-  frame : bytes;
+  frame : bytes;  (** the frame's materialized bytes *)
+  padding : int;  (** its wire padding, restored on a resend *)
   born : Units.Time.t;
       (** birth time of the original packet, preserved so a
           retransmission reports end-to-end (not resend-to-delivery)
@@ -24,21 +30,24 @@ type stats = {
   evicted : int;
   hits : int;
   misses : int;
-  occupancy : Units.Size.t;
+  occupancy : Units.Size.t;  (** wire bytes held *)
   entries : int;
   occupancy_high_water : Units.Size.t;
-      (** most bytes the buffer ever held at once — the FPGA ring's
-          required depth for this workload *)
+      (** most wire bytes the buffer ever held at once — the FPGA
+          ring's required depth for this workload *)
   entries_high_water : int;
 }
 
 val create : capacity:Units.Size.t -> t
+(** [capacity] bounds the wire bytes held. *)
 
-val store : t -> seq:int -> born:Units.Time.t -> bytes -> unit
-(** Insert (or overwrite) the frame for [seq]; evicts oldest entries
-    until the new frame fits.  An overwrite makes [seq] the newest
-    entry.  Frames larger than the whole capacity are rejected
-    silently (counted as immediate eviction). *)
+val store : t -> seq:int -> born:Units.Time.t -> ?padding:int -> bytes -> unit
+(** Insert (or overwrite) the frame for [seq], of wire size
+    [Bytes.length frame + padding] ([padding] defaults to 0); evicts
+    oldest entries until the new frame fits.  An overwrite makes [seq]
+    the newest entry.  Frames larger than the whole capacity are
+    rejected silently (counted as immediate eviction).  The buffer keeps
+    [frame] itself: the caller hands over a copy it will not reuse. *)
 
 val fetch : t -> seq:int -> entry option
 (** Lookup; counts a hit or a miss. *)

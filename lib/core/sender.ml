@@ -9,7 +9,6 @@ type config = {
   deadline_budget : (Units.Time.t * Addr.Ip.t) option;
   backpressure_to : Addr.Ip.t option;
   pace : Units.Rate.t option;
-  padding : int;
 }
 
 type stats = {
@@ -24,7 +23,7 @@ type stats = {
 type t = {
   env : Mmt_runtime.Env.t;
   config : config;
-  queue : bytes Queue.t;
+  queue : (bytes * int) Queue.t;  (* written messages and their padding *)
   mutable pace : Units.Rate.t option;
   mutable drain_scheduled : bool;
   mutable next_departure : Units.Time.t;
@@ -61,33 +60,29 @@ let header_for t ~now =
   | None -> header
   | Some control -> Header.with_backpressure_to header control
 
-let transmit t ~length write =
+let transmit t ~padding ~length write =
   let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
-  let packet =
-    Encap.packet t.env ~padding:t.config.padding t.config.encap header ~length
-      write
-  in
+  let packet = Encap.packet t.env ~padding t.config.encap header ~length write in
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <-
     t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
   t.env.Mmt_runtime.Env.send t.config.destination packet
 
-let transmit_queued t payload =
-  transmit t ~length:(Bytes.length payload) (fun w ->
+let transmit_queued t (payload, padding) =
+  transmit t ~padding ~length:(Bytes.length payload) (fun w ->
       Cursor.Writer.bytes w payload)
 
-let message_wire_size t payload =
+let message_wire_size t (payload, padding) =
   (* The pacer's view of one message on the wire. *)
   let header_size = Header.size (header_for t ~now:Units.Time.zero) in
   Units.Size.bytes
-    (Encap.overhead t.config.encap + header_size + Bytes.length payload
-    + t.config.padding)
+    (Encap.overhead t.config.encap + header_size + Bytes.length payload + padding)
 
 let rec drain t =
   t.drain_scheduled <- false;
   match Queue.peek_opt t.queue with
   | None -> ()
-  | Some payload -> (
+  | Some message -> (
       let now = Mmt_runtime.Env.now t.env in
       match t.pace with
       | None ->
@@ -97,8 +92,8 @@ let rec drain t =
       | Some pace ->
           if Units.Time.(t.next_departure <= now) then begin
             ignore (Queue.pop t.queue);
-            transmit_queued t payload;
-            let gap = Units.Rate.transmission_time pace (message_wire_size t payload) in
+            transmit_queued t message;
+            let gap = Units.Rate.transmission_time pace (message_wire_size t message) in
             t.next_departure <- Units.Time.add now gap
           end;
           if not (Queue.is_empty t.queue) then schedule_drain t)
@@ -111,9 +106,9 @@ and schedule_drain t =
     ignore (Mmt_runtime.Env.after t.env delay (fun () -> drain t))
   end
 
-let send_with t ~length write =
+let send_with t ?(padding = 0) ~length write =
   match t.pace with
-  | None when Queue.is_empty t.queue -> transmit t ~length write
+  | None when Queue.is_empty t.queue -> transmit t ~padding ~length write
   | _ ->
       (* The message waits: write it into its own buffer now, so
          nothing the caller lent is read after this call returns. *)
@@ -123,7 +118,7 @@ let send_with t ~length write =
         invalid_arg
           (Printf.sprintf
              "Sender.send_with: writer did not fill exactly %d bytes" length);
-      Queue.push payload t.queue;
+      Queue.push (payload, padding) t.queue;
       schedule_drain t
 
 let send t payload =

@@ -24,9 +24,6 @@ type config = {
       (** advertise this control address in the header so on-path
           elements know where congestion signals go *)
   pace : Units.Rate.t option;  (** initial pace; [None] = unpaced *)
-  padding : int;
-      (** extra wire bytes per message, to model jumbo payloads without
-          materializing them *)
 }
 
 type stats = {
@@ -42,7 +39,8 @@ type t
 
 val create : env:Mmt_runtime.Env.t -> config -> t
 
-val send_with : t -> length:int -> (Mmt_wire.Cursor.Writer.t -> unit) -> unit
+val send_with :
+  t -> ?padding:int -> length:int -> (Mmt_wire.Cursor.Writer.t -> unit) -> unit
 (** [send_with t ~length write] sends one message of [length] bytes
     that [write] produces, e.g. [Fragment.write w fragment].  [write]
     runs once, before [send_with] returns, and nothing it reads is kept
@@ -53,6 +51,12 @@ val send_with : t -> length:int -> (Mmt_wire.Cursor.Writer.t -> unit) -> unit
     ({!Encap.packet}), the message's one copy.  Otherwise it waits for
     the pace, and [write] fills a buffer of its own that the frame is
     written from at departure.
+
+    [padding] (default 0) adds that many virtual payload bytes after
+    the written ones: the frame carries them as wire padding, so the
+    message has its full size on every link, queue and pacer, queued
+    or not, without being materialized (e.g. [Fragment.write ~padding]
+    of a synthetic payload).
     @raise Invalid_argument when [write] does not write exactly
     [length] bytes. *)
 

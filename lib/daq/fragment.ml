@@ -111,7 +111,7 @@ let decode_subheader r code =
       Ok (Telescope_alert { alert_id; ra_udeg; dec_udeg; severity })
   | other -> Error (Printf.sprintf "unknown detector kind %d" other)
 
-let write w t =
+let write ?(padding = 0) w t =
   Cursor.Writer.u16 w magic;
   Cursor.Writer.u8 w 1 (* format version *);
   Cursor.Writer.u8 w (detector_kind_code t.detector);
@@ -119,7 +119,7 @@ let write w t =
   Cursor.Writer.u32_int w t.trigger;
   Cursor.Writer.u64 w (Units.Time.to_int64_ns t.timestamp);
   Cursor.Writer.u32 w (Mmt.Experiment_id.to_int32 t.experiment);
-  Cursor.Writer.u32_int w (Bytes.length t.payload);
+  Cursor.Writer.u32_int w (Bytes.length t.payload + padding);
   encode_subheader w t.detector;
   Cursor.Writer.bytes w t.payload
 
@@ -158,17 +158,19 @@ let read_header r =
   | exception Cursor.Out_of_bounds _ -> Error "truncated fragment"
 
 let read r =
-  Result.map
-    (fun (h : header) ->
-      {
-        run = h.run;
-        trigger = h.trigger;
-        timestamp = h.timestamp;
-        experiment = h.experiment;
-        detector = h.detector;
-        payload = Cursor.Reader.take r h.payload_length;
-      })
-    (read_header r)
+  Result.bind (read_header r) (fun (h : header) ->
+      match Cursor.Reader.take r h.payload_length with
+      | payload ->
+          Ok
+            {
+              run = h.run;
+              trigger = h.trigger;
+              timestamp = h.timestamp;
+              experiment = h.experiment;
+              detector = h.detector;
+              payload;
+            }
+      | exception Cursor.Out_of_bounds _ -> Error "fragment payload is virtual")
 
 let decode buf = read (Cursor.Reader.of_bytes buf)
 

@@ -55,13 +55,21 @@ val subheader_size : int
 (** All detector subheaders are padded to 12 bytes. *)
 
 val total_size : t -> int
+(** Bytes {!write} writes: the headers plus the materialized payload. *)
+
 val detector_kind_code : detector -> int
 
-val write : Mmt_wire.Cursor.Writer.t -> t -> unit
+val write : ?padding:int -> Mmt_wire.Cursor.Writer.t -> t -> unit
 (** The codec: serialize the fragment, [total_size] bytes, at the
     writer's position.  Senders write straight into the ring frame this
     way (see [Mmt.Sender.send_with]), so the fragment's bytes are copied
     once, from its payload into the frame.
+
+    [padding] (default 0) declares that many {e virtual} payload bytes
+    after [payload]: the header's payload length counts them, but they
+    are not written.  The frame carries them as wire padding
+    ([Mmt_sim.Packet.padding]), which is how a synthetic payload whose
+    content nothing reads travels without being materialized.
     @raise Mmt_wire.Cursor.Out_of_bounds when the writer has too little
     room. *)
 
@@ -71,15 +79,20 @@ val encode : t -> bytes
 val read_header : Mmt_wire.Cursor.Reader.t -> (header, string) result
 (** Parse one fragment's header and subheader from the reader's
     position and check what {!read} checks: magic, version, detector
-    kind, and that the whole payload lies within the reader.  It copies
-    nothing and leaves the reader at the first payload byte, so a
-    consumer that needs only the fragment's identity (e.g. an
-    {!Event_builder}) reads a receiver's payload view in place.  Accepts
-    exactly the inputs {!read} accepts. *)
+    kind, and that the whole payload lies within the reader, its
+    virtual tail included ({!Mmt_wire.Cursor.Reader.remaining}).  It
+    copies nothing and leaves the reader at the first payload byte, so
+    a consumer that needs only the fragment's identity (e.g. an
+    {!Event_builder}) reads a receiver's payload view in place, virtual
+    payload or not.  On a reader without a tail it accepts exactly the
+    inputs {!read} accepts; on a tail reader it also accepts a payload
+    that reaches into the tail, which {!read} cannot copy. *)
 
 val read : Mmt_wire.Cursor.Reader.t -> (t, string) result
 (** {!read_header}, then the payload is copied out, so the result
-    outlives the underlying buffer. *)
+    outlives the underlying buffer.  A payload that reaches into the
+    reader's virtual tail has no bytes to copy: [Error], never an
+    exception. *)
 
 val decode : bytes -> (t, string) result
 (** [read] over the whole buffer. *)

@@ -36,7 +36,7 @@ type t = {
   engine : Mmt_sim.Engine.t;
   rng : Rng.t;
   config : config;
-  emit : Fragment.t -> unit;
+  emit : padding:int -> Fragment.t -> unit;
   until : Units.Time.t;
   mutable running : bool;
   mutable trigger : int;
@@ -44,7 +44,6 @@ type t = {
   mutable bytes_emitted : int;
   mutable events : int;
   started_at : Units.Time.t;
-  mutable readout : bytes;  (* lent to [emit] for Synthetic payloads *)
 }
 
 let payload_size config =
@@ -64,21 +63,21 @@ let expected_interval config =
   in
   Units.Rate.transmission_time rate (Units.Size.bytes fragment_bytes)
 
-(* Synthetic payloads come from the stream's one readout buffer: 0xA5
-   filler, reallocated only when the size changes, with a random word
-   stamped over its head so payloads differ packet to packet. *)
-let lend_readout t size =
-  if Bytes.length t.readout <> size then t.readout <- Bytes.make size '\xA5';
-  if size >= 8 then Bytes.set_int64_be t.readout 0 (Rng.int64 t.rng);
-  t.readout
-
+(* The payload's materialized bytes and its virtual bytes.  Nothing
+   reads a Synthetic payload's content, so all of it is virtual: the
+   fragment carries an empty payload and the frame carries [size] bytes
+   of wire padding.  Each payload of 8 bytes or more still draws the
+   random word a materialized one would be stamped with, so the
+   stream's RNG sequence, and every report downstream of it, does not
+   depend on how the payload travels. *)
 let build_payload ?payload_bytes t =
   match t.config.payload with
   | Synthetic size ->
-      lend_readout t
-        (Option.value payload_bytes ~default:(Units.Size.to_bytes size))
+      let size = Option.value payload_bytes ~default:(Units.Size.to_bytes size) in
+      if size >= 8 then ignore (Rng.int64 t.rng : int64);
+      (Bytes.empty, size)
   | Raw_window (lconfig, activity) ->
-      Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity)
+      (Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity), 0)
   | Trigger_primitives (lconfig, activity, threshold) ->
       let window = Lartpc.generate_window lconfig t.rng ~activity in
       let hits =
@@ -87,10 +86,10 @@ let build_payload ?payload_bytes t =
                Lartpc.trigger_primitives lconfig ~threshold ~channel waveform)
         |> List.concat
       in
-      Lartpc.serialize_hits hits
+      (Lartpc.serialize_hits hits, 0)
   | Photon_flash (pconfig, mean_photons) ->
       let photons = Rng.poisson t.rng ~mean:(float_of_int mean_photons) in
-      Photon.serialize (Photon.generate pconfig t.rng ~photons)
+      (Photon.serialize (Photon.generate pconfig t.rng ~photons), 0)
 
 let detector_for t =
   match t.config.payload with
@@ -116,7 +115,7 @@ let detector_for t =
 
 let emit_fragment ?payload_bytes t =
   let now = Mmt_sim.Engine.now t.engine in
-  let payload = build_payload ?payload_bytes t in
+  let payload, padding = build_payload ?payload_bytes t in
   let fragment =
     {
       Fragment.run = t.config.run;
@@ -131,8 +130,8 @@ let emit_fragment ?payload_bytes t =
   in
   t.trigger <- t.trigger + 1;
   t.fragments_emitted <- t.fragments_emitted + 1;
-  t.bytes_emitted <- t.bytes_emitted + Fragment.total_size fragment;
-  t.emit fragment
+  t.bytes_emitted <- t.bytes_emitted + Fragment.total_size fragment + padding;
+  t.emit ~padding fragment
 
 (* Each profile is a self-rescheduling loop on the engine. *)
 
@@ -229,7 +228,6 @@ let start ~engine ~rng config ~emit ~until =
       bytes_emitted = 0;
       events = 0;
       started_at = Mmt_sim.Engine.now engine;
-      readout = Bytes.empty;
     }
   in
   let interval = expected_interval config in

@@ -35,7 +35,9 @@ type profile =
           recorded sizes override [Synthetic] sizes. *)
 
 type payload =
-  | Synthetic of Units.Size.t  (** patterned filler of the given size *)
+  | Synthetic of Units.Size.t
+      (** content-free payload of the given size, carried as wire
+          padding (see {!start}) *)
   | Raw_window of Lartpc.config * Lartpc.activity
   | Trigger_primitives of Lartpc.config * Lartpc.activity * int
       (** threshold; payload is the serialized hit list *)
@@ -54,7 +56,7 @@ type config = {
 
 type stats = {
   fragments_emitted : int;
-  bytes_emitted : int;  (** encoded fragment bytes *)
+  bytes_emitted : int;  (** encoded fragment bytes, virtual payload included *)
   events : int;  (** profile-level events (triggers, bursts) *)
 }
 
@@ -64,18 +66,19 @@ val start :
   engine:Mmt_sim.Engine.t ->
   rng:Rng.t ->
   config ->
-  emit:(Fragment.t -> unit) ->
+  emit:(padding:int -> Fragment.t -> unit) ->
   until:Units.Time.t ->
   t
 (** Schedules fragment emission on the engine from now to [until].
 
-    The fragment passed to [emit] is lent: its payload is valid until
-    [emit] returns.  A [Synthetic] stream has one readout buffer that
-    every fragment's payload is, re-stamped for the next fragment, so
-    [emit] must send or copy what it needs before returning (e.g.
-    [Mmt.Sender.send_with] with [Fragment.write]), never keep the
-    payload.  This is the transmit twin of the [deliver] contract of
-    [Mmt.Receiver.create].  Other payload kinds are fresh per fragment.
+    [emit ~padding fragment] receives each fragment with the number of
+    {e virtual} payload bytes that follow its materialized [payload].
+    A [Synthetic] payload is all virtual: nothing reads its content, so
+    the fragment's [payload] is empty and [padding] is its size.  Other
+    payload kinds have content and [padding = 0].  A sender writes the
+    fragment with [Fragment.write ~padding] and gives the frame the
+    same padding ([Mmt.Sender.send_with ~padding]), so the wire size is
+    the full fragment's.  Every fragment is fresh: [emit] may keep it.
     @raise Invalid_argument on a non-positive scale or duty outside
     (0, 1]. *)
 
@@ -85,7 +88,8 @@ val stop : t -> unit
 val stats : t -> stats
 
 val offered_rate : t -> over:Units.Time.t -> Units.Rate.t
-(** Average emitted rate across [over] (encoded bytes). *)
+(** Average emitted rate across [over] (encoded bytes, virtual payload
+    included). *)
 
 val expected_interval : config -> Units.Time.t
 (** Steady-state inter-fragment gap implied by the scaled rate. *)

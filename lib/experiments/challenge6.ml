@@ -171,7 +171,6 @@ let payload_alerts () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let fragment_count = 400 in

@@ -29,7 +29,9 @@ let offered_for experiment =
     }
   in
   let workload =
-    Mmt_daq.Workload.start ~engine ~rng config ~emit:(fun _ -> ()) ~until:horizon
+    Mmt_daq.Workload.start ~engine ~rng config
+      ~emit:(fun ~padding:_ _ -> ())
+      ~until:horizon
   in
   Mmt_sim.Engine.run engine;
   ( Mmt_daq.Workload.offered_rate workload ~over:horizon,

@@ -430,9 +430,9 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
         let buffer = Option.get (Flow_table.get buffers f) in
         Mmt_innet.Mode_rewriter.create ~mode
           ~pool:(Mmt_sim.Ring.pool ring)
-          ~on_rewrite:(fun ~seq ~born frame ->
+          ~on_rewrite:(fun ~seq ~born:_ packet ->
             match seq with
-            | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
+            | Some seq -> Mmt.Buffer_host.store_packet buffer ~seq packet
             | None -> ())
           ())
   in
@@ -578,16 +578,15 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
               deadline_budget = None;
               backpressure_to = None;
               pace = None;
-              padding = 0;
             }
         in
         sender_slots.(f) <- Some sender;
         Mmt_daq.Workload.start ~engine ~rng:flow_rngs.(f)
           (workload_config (kind_of_flow f))
-          ~emit:(fun fragment ->
-            Mmt.Sender.send_with sender
+          ~emit:(fun ~padding fragment ->
+            Mmt.Sender.send_with sender ~padding
               ~length:(Mmt_daq.Fragment.total_size fragment)
-              (fun w -> Mmt_daq.Fragment.write w fragment))
+              (fun w -> Mmt_daq.Fragment.write ~padding w fragment))
           ~until:config.duration)
   in
   let senders =

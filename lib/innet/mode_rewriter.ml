@@ -12,7 +12,8 @@ type t = {
   mutable mode : Mmt.Mode.t;
   re_encap : Mmt.Encap.t option;
   pool : Mmt_sim.Pool.t;
-  on_rewrite : (seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) option;
+  on_rewrite :
+    (seq:int option -> born:Mmt_util.Units.Time.t -> Mmt_sim.Packet.t -> unit) option;
   liveness : (Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) option;
   counters : (Mmt.Experiment_id.t, int) Hashtbl.t;
   mutable rewritten : int;
@@ -175,10 +176,13 @@ let rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header =
     | None -> mmt_offset
   in
   let new_frame = Mmt_sim.Pool.acquire t.pool (out_off + mmt_length) in
+  (* The encapsulation states the wire length, padding included. *)
+  let wire_mmt_length = mmt_length + packet.Mmt_sim.Packet.padding in
   (match t.re_encap with
-  | Some encap -> Mmt.Encap.wrap_into encap ~mmt_length new_frame
+  | Some encap -> Mmt.Encap.wrap_into encap ~mmt_length:wire_mmt_length new_frame
   | None ->
-      Mmt.Encap.rewrap_into ~old_frame:frame ~mmt_offset ~mmt_length new_frame);
+      Mmt.Encap.rewrap_into ~old_frame:frame ~mmt_offset
+        ~mmt_length:wire_mmt_length new_frame);
   Bytes.blit new_mmt_header 0 new_frame out_off new_header_size;
   Bytes.blit frame payload_offset new_frame (out_off + new_header_size)
     payload_len;
@@ -193,7 +197,7 @@ let rewrite_slow t ~mode ~now packet ~frame ~mmt_offset header =
   Option.iter
     (fun callback ->
       callback ~seq:new_header.Mmt.Header.sequence
-        ~born:packet.Mmt_sim.Packet.born (Bytes.copy new_frame))
+        ~born:packet.Mmt_sim.Packet.born packet)
     t.on_rewrite;
   Element.Forward packet
 
@@ -212,7 +216,9 @@ let rewrite_fast t ~mode packet ~frame ~mmt_offset view =
       let mmt_length = Bytes.length frame - mmt_offset in
       let out_off = Mmt.Encap.overhead encap in
       let out = Mmt_sim.Pool.acquire t.pool (out_off + mmt_length) in
-      Mmt.Encap.wrap_into encap ~mmt_length out;
+      Mmt.Encap.wrap_into encap
+        ~mmt_length:(mmt_length + packet.Mmt_sim.Packet.padding)
+        out;
       Bytes.blit frame mmt_offset out out_off mmt_length;
       Mmt_sim.Packet.set_frame packet out
   | None -> ());
@@ -224,8 +230,7 @@ let rewrite_fast t ~mode packet ~frame ~mmt_offset view =
           Some (Mmt.Header.View.sequence view)
         else None
       in
-      callback ~seq ~born:packet.Mmt_sim.Packet.born
-        (Bytes.copy (Mmt_sim.Packet.frame packet)))
+      callback ~seq ~born:packet.Mmt_sim.Packet.born packet)
     t.on_rewrite;
   (* Recycle the replaced frame only after the callback: [view] still
      reads from it for the sequence number. *)

@@ -19,8 +19,9 @@
     - optionally re-encapsulates (e.g. DAQ Ethernet → WAN IPv4 at the
       border, Req 1).
 
-    A callback observes each rewritten frame so a co-located
-    retransmission buffer ({!Mmt.Buffer_host}) can store it.
+    A callback observes each rewritten packet so a co-located
+    retransmission buffer can store it ({!Mmt.Buffer_host.store_packet},
+    which copies the frame and keeps its padding).
 
     {b Graceful degradation.}  With a [liveness] oracle installed, a
     rewriter whose target mode names a retransmission buffer that is no
@@ -49,7 +50,8 @@ val create :
   mode:Mmt.Mode.t ->
   ?re_encap:Mmt.Encap.t ->
   pool:Mmt_sim.Pool.t ->
-  ?on_rewrite:(seq:int option -> born:Mmt_util.Units.Time.t -> bytes -> unit) ->
+  ?on_rewrite:
+    (seq:int option -> born:Mmt_util.Units.Time.t -> Mmt_sim.Packet.t -> unit) ->
   ?liveness:(Mmt_frame.Addr.Ip.t -> now:Mmt_util.Units.Time.t -> bool) ->
   unit ->
   t
@@ -62,7 +64,14 @@ val create :
     [false].  Replacement
     frames are acquired from [pool] (the topology ring's) and each
     replaced frame is released back, so neither path leaks the old
-    frame to the GC.
+    frame to the GC.  A re-encapsulated or rewrapped frame's IPv4 total
+    length counts the packet's padding.
+
+    [on_rewrite ~seq ~born packet] sees the rewritten packet, [seq] its
+    sequence number if it has one and [born] its birth time, before the
+    switch forwards it.  The packet is lent for the call: a callback
+    that keeps the frame copies it (e.g. with
+    {!Mmt.Buffer_host.store_packet}).
     @raise Invalid_argument when [mode] fails {!Mmt.Mode.check}. *)
 
 val element : t -> Element.t

@@ -59,7 +59,9 @@ let process_clean t ~now packet =
                (set_frame used to leak it to the GC). *)
             let mmt_length = Mmt.Header.View.stripped_int_length view in
             let out = Mmt_sim.Pool.acquire t.pool (mmt_offset + mmt_length) in
-            Mmt.Encap.rewrap_into ~old_frame:frame ~mmt_offset ~mmt_length out;
+            Mmt.Encap.rewrap_into ~old_frame:frame ~mmt_offset
+              ~mmt_length:(mmt_length + packet.Mmt_sim.Packet.padding)
+              out;
             Mmt.Header.View.strip_int_into view out ~off:mmt_offset;
             Mmt_sim.Packet.set_frame packet out;
             if frame != out then Mmt_sim.Pool.release t.pool frame;

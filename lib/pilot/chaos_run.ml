@@ -109,9 +109,8 @@ let snoop_element (point : buffer_point) =
                | Ok view
                  when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
                       && Mmt.Header.View.has view Mmt.Feature.Sequenced ->
-                   Mmt.Buffer_host.store point.host
-                     ~seq:(Mmt.Header.View.sequence view)
-                     ~born:packet.Mmt_sim.Packet.born (Bytes.copy frame)
+                   Mmt.Buffer_host.store_packet point.host
+                     ~seq:(Mmt.Header.View.sequence view) packet
                | Ok _ | Error _ -> ()));
         Mmt_innet.Element.Forward packet);
   }
@@ -418,7 +417,6 @@ let run p =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xEE' in

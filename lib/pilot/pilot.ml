@@ -239,9 +239,9 @@ let build config =
         (Mmt.Encap.Over_ipv4
            { src = Address.dtn1_ip; dst = Address.dtn2_ip; dscp = 0; ttl = 64 })
       ~pool
-      ~on_rewrite:(fun ~seq ~born frame ->
+      ~on_rewrite:(fun ~seq ~born:_ packet ->
         match seq with
-        | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
+        | Some seq -> Mmt.Buffer_host.store_packet buffer ~seq packet
         | None -> ())
       ()
   in
@@ -417,7 +417,6 @@ let build config =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   Mmt_sim.Node.set_handler sensor (fun packet ->
@@ -449,10 +448,10 @@ let build config =
         Mmt_daq.Workload.start ~engine
           ~rng:(Rng.split workload_rng)
           (workload_config slice)
-          ~emit:(fun fragment ->
-            Mmt.Sender.send_with sender
+          ~emit:(fun ~padding fragment ->
+            Mmt.Sender.send_with sender ~padding
               ~length:(Mmt_daq.Fragment.total_size fragment)
-              (fun w -> Mmt_daq.Fragment.write w fragment))
+              (fun w -> Mmt_daq.Fragment.write ~padding w fragment))
           ~until)
   in
 

@@ -298,9 +298,9 @@ module Placement_run = struct
         ~re_encap:
           (Mmt.Encap.Over_ipv4 { src = buffer_ip; dst = sink_ip; dscp = 0; ttl = 64 })
         ~pool:(Mmt_sim.Ring.pool ring)
-        ~on_rewrite:(fun ~seq ~born frame ->
+        ~on_rewrite:(fun ~seq ~born:_ packet ->
           match seq with
-          | Some seq -> Mmt.Buffer_host.store buffer ~seq ~born frame
+          | Some seq -> Mmt.Buffer_host.store_packet buffer ~seq packet
           | None -> ())
         ()
     in
@@ -351,7 +351,6 @@ module Placement_run = struct
           deadline_budget = None;
           backpressure_to = None;
           pace = None;
-          padding = 0;
         }
     in
     let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xC3' in
@@ -455,7 +454,6 @@ module Priority_run = struct
         deadline_budget;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
     in
     let bulk_sender = Mmt.Sender.create ~env (sender_config 0) in

@@ -1,20 +1,24 @@
 exception Out_of_bounds of string
 
 module Reader = struct
-  type t = { buf : bytes; limit : int; mutable pos : int; start : int }
+  type t = { buf : bytes; limit : int; mutable pos : int; start : int; tail : int }
 
-  let of_bytes ?(off = 0) ?len buf =
+  let of_bytes ?(off = 0) ?len ?(tail = 0) buf =
     let len = match len with Some l -> l | None -> Bytes.length buf - off in
     if off < 0 || len < 0 || off + len > Bytes.length buf then
       invalid_arg "Cursor.Reader.of_bytes: bad window";
-    { buf; limit = off + len; pos = off; start = off }
+    if tail < 0 then invalid_arg "Cursor.Reader.of_bytes: negative tail";
+    { buf; limit = off + len; pos = off; start = off; tail }
 
-  let remaining t = t.limit - t.pos
+  let remaining t = t.limit - t.pos + t.tail
   let position t = t.pos - t.start
 
+  (* Reads are bounded by the real bytes: the tail only counts. *)
   let need t n what =
-    if remaining t < n then
-      raise (Out_of_bounds (Printf.sprintf "read %s: need %d, have %d" what n (remaining t)))
+    if t.limit - t.pos < n then
+      raise
+        (Out_of_bounds
+           (Printf.sprintf "read %s: need %d, have %d" what n (t.limit - t.pos)))
 
   let u8 t =
     need t 1 "u8";
@@ -59,7 +63,7 @@ module Reader = struct
     need t n "skip";
     t.pos <- t.pos + n
 
-  let rest t = take t (remaining t)
+  let rest t = take t (t.limit - t.pos)
 end
 
 module Writer = struct

@@ -11,11 +11,18 @@ exception Out_of_bounds of string
 module Reader : sig
   type t
 
-  val of_bytes : ?off:int -> ?len:int -> bytes -> t
+  val of_bytes : ?off:int -> ?len:int -> ?tail:int -> bytes -> t
   (** View over [bytes.(off .. off+len-1)]; defaults to the whole
-      buffer.  @raise Invalid_argument on a bad window. *)
+      buffer.  [tail] (default 0) adds that many {e virtual} bytes after
+      the window: bytes a frame carries on the wire as padding but never
+      materializes.  They count in {!remaining}, so a length field that
+      covers them checks out, but no read reaches them: every read is
+      bounded by the real bytes and raises {!Out_of_bounds} past them.
+      @raise Invalid_argument on a bad window or a negative tail. *)
 
   val remaining : t -> int
+  (** Bytes left to the end of the window, plus the tail. *)
+
   val position : t -> int
   (** Offset consumed so far, relative to the window start. *)
 
@@ -28,11 +35,18 @@ module Reader : sig
 
   val u64 : t -> int64
   val take : t -> int -> bytes
-  (** Copy out the next [n] bytes. *)
+  (** Copy out the next [n] bytes.  They must all be real: on a reader
+      with a tail, [take] raises {!Out_of_bounds} when [n] reaches into
+      it. *)
 
   val skip : t -> int -> unit
+  (** Move past the next [n] real bytes; bounded like a read. *)
+
   val rest : t -> bytes
-  (** Copy out everything remaining. *)
+  (** Copy out the real bytes remaining.  Without a tail that is
+      everything remaining; on a tail reader the result leaves the tail
+      out (its bytes do not exist), so it is [tail] bytes shorter than
+      {!remaining}. *)
 end
 
 module Writer : sig

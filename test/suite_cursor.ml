@@ -50,6 +50,30 @@ let test_reader_out_of_bounds () =
     | _ -> false
     | exception Cursor.Out_of_bounds _ -> true)
 
+(* A tail is virtual: [remaining] counts it, but every read is bounded
+   by the real bytes, and [rest] copies only those. *)
+let test_reader_virtual_tail () =
+  let buf = Bytes.of_string "XXabcdYY" in
+  let r = Cursor.Reader.of_bytes ~off:2 ~len:4 ~tail:100 buf in
+  let raises name read =
+    Alcotest.(check bool) name true
+      (match read r with _ -> false | exception Cursor.Out_of_bounds _ -> true)
+  in
+  Alcotest.(check int) "remaining counts the tail" 104 (Cursor.Reader.remaining r);
+  Alcotest.(check int) "u16 from the real bytes" 0x6162 (Cursor.Reader.u16 r);
+  Alcotest.(check int) "remaining after a read" 102 (Cursor.Reader.remaining r);
+  raises "u32 past the real bytes" Cursor.Reader.u32;
+  raises "take past the real bytes" (fun r -> Cursor.Reader.take r 3);
+  raises "skip past the real bytes" (fun r -> Cursor.Reader.skip r 3);
+  Alcotest.(check string) "rest copies the real bytes" "cd"
+    (Bytes.to_string (Cursor.Reader.rest r));
+  Alcotest.(check int) "the tail is left" 100 (Cursor.Reader.remaining r);
+  raises "u8 into the tail" Cursor.Reader.u8;
+  Alcotest.(check bool) "negative tail rejected" true
+    (match Cursor.Reader.of_bytes ~tail:(-1) buf with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_reader_bad_window () =
   Alcotest.(check bool) "bad window rejected" true
     (match Cursor.Reader.of_bytes ~off:2 ~len:10 (Bytes.create 4) with
@@ -135,6 +159,7 @@ let suite =
     Alcotest.test_case "reader window" `Quick test_reader_window;
     Alcotest.test_case "reader out of bounds" `Quick test_reader_out_of_bounds;
     Alcotest.test_case "reader bad window" `Quick test_reader_bad_window;
+    Alcotest.test_case "reader virtual tail" `Quick test_reader_virtual_tail;
     Alcotest.test_case "writer overflow" `Quick test_writer_overflow;
     Alcotest.test_case "writer length" `Quick test_writer_length_tracks;
     Alcotest.test_case "checksum known vector" `Quick test_checksum_known_vector;

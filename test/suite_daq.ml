@@ -208,7 +208,7 @@ let test_photon_workload_payload () =
   let fragments = ref [] in
   let _w =
     Mmt_daq.Workload.start ~engine ~rng config
-      ~emit:(fun f -> fragments := f :: !fragments)
+      ~emit:(fun ~padding:_ f -> fragments := f :: !fragments)
       ~until:(Units.Time.ms 20.)
   in
   Mmt_sim.Engine.run engine;
@@ -319,7 +319,7 @@ let run_workload ?profile ?scale ~until () =
   let w =
     Mmt_daq.Workload.start ~engine ~rng
       (workload_config ?profile ?scale ())
-      ~emit:(fun f -> fragments := f :: !fragments)
+      ~emit:(fun ~padding:_ f -> fragments := f :: !fragments)
       ~until
   in
   Mmt_sim.Engine.run engine;
@@ -401,8 +401,10 @@ let test_replay_profile_exact () =
   let got = ref [] in
   let _w =
     Mmt_daq.Workload.start ~engine ~rng config
-      ~emit:(fun f ->
-        got := (f.Mmt_daq.Fragment.timestamp, Bytes.length f.Mmt_daq.Fragment.payload) :: !got)
+      ~emit:(fun ~padding f ->
+        got :=
+          (f.Mmt_daq.Fragment.timestamp, Bytes.length f.Mmt_daq.Fragment.payload + padding)
+          :: !got)
       ~until:(Units.Time.ms 5.)
   in
   Mmt_sim.Engine.run engine;
@@ -435,7 +437,8 @@ let test_synthesize_capture_shape () =
   in
   let _w =
     Mmt_daq.Workload.start ~engine ~rng config
-      ~emit:(fun f -> bytes := !bytes + Bytes.length f.Mmt_daq.Fragment.payload)
+      ~emit:(fun ~padding f ->
+        bytes := !bytes + Bytes.length f.Mmt_daq.Fragment.payload + padding)
       ~until:(Units.Time.ms 100.)
   in
   Mmt_sim.Engine.run engine;
@@ -449,7 +452,7 @@ let test_workload_stop () =
   let count = ref 0 in
   let w =
     Mmt_daq.Workload.start ~engine ~rng (workload_config ())
-      ~emit:(fun _ -> incr count)
+      ~emit:(fun ~padding:_ _ -> incr count)
       ~until:(Units.Time.seconds 10.)
   in
   ignore
@@ -466,7 +469,7 @@ let test_workload_validation () =
   Alcotest.(check bool) "bad scale" true
     (match
        Mmt_daq.Workload.start ~engine ~rng (workload_config ~scale:0. ())
-         ~emit:ignore ~until:Units.Time.zero
+         ~emit:(fun ~padding:_ _ -> ()) ~until:Units.Time.zero
      with
     | _ -> false
     | exception Invalid_argument _ -> true)

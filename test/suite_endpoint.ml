@@ -373,7 +373,6 @@ let sender_config ?deadline_budget ?backpressure_to ?pace () =
     deadline_budget;
     backpressure_to;
     pace;
-    padding = 0;
   }
 
 let test_sender_mode0_frames () =
@@ -559,12 +558,41 @@ let test_copy_audit_fragment () =
     Alcotest.failf "%.0f major words per message, bound %.0f" per_message
       half_payload
 
-(* Lending safety: a Synthetic workload lends one readout buffer and
-   re-stamps it for every fragment, while a slow pacer holds messages
-   back.  Each message must still reach the wire with its own trigger
-   and random stamp, which fails if the sender queues the writer or a
-   reference to the lent buffer instead of the written bytes. *)
+(* Lending safety: [Sender.send] lets the caller reuse its payload as
+   soon as [send] returns.  The caller re-stamps one buffer between
+   sends while a slow pacer holds the messages back; each must still
+   reach the wire with its own stamp, which fails if the sender queues
+   the writer or a reference to the caller's buffer instead of the
+   written bytes. *)
 let test_paced_sender_outlives_lent_payload () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let sender =
+    Mmt.Sender.create ~env (sender_config ~pace:(Units.Rate.mbps 1.) ())
+  in
+  let buffer = Bytes.make 256 '\xA5' in
+  let stamps = List.init 20 (fun i -> Int64.of_int ((i * 7919) + 1)) in
+  let max_queued = ref 0 in
+  List.iter
+    (fun stamp ->
+      Bytes.set_int64_be buffer 0 stamp;
+      Mmt.Sender.send sender buffer;
+      max_queued := max !max_queued (Mmt.Sender.stats sender).Mmt.Sender.queued)
+    stamps;
+  Mmt_sim.Engine.run engine;
+  let wire =
+    List.map
+      (fun packet -> Bytes.get_int64_be (snd (decode_control packet)) 0)
+      (drain_queue queue)
+  in
+  Alcotest.(check bool) "messages waited behind the pacer" true (!max_queued > 10);
+  Alcotest.(check (list int64)) "each message carries its own stamp" stamps wire
+
+(* A Synthetic stream's payload is virtual: a message that waits behind
+   the pacer keeps its padding, so it leaves with the full fragment's
+   wire size and its header's payload length checks out against the
+   receiver's tail reader. *)
+let test_paced_sender_keeps_virtual_payload () =
   let engine = Mmt_sim.Engine.create () in
   let env, queue = Mmt_runtime.Env.loopback engine in
   let sender =
@@ -580,39 +608,44 @@ let test_paced_sender_outlives_lent_payload () =
       slice = 0;
     }
   in
-  let lent = ref [] and buffers = ref [] and max_queued = ref 0 in
-  let emit f =
-    let payload = f.Mmt_daq.Fragment.payload in
-    lent := (f.Mmt_daq.Fragment.trigger, Bytes.get_int64_be payload 0) :: !lent;
-    buffers := payload :: !buffers;
-    Mmt.Sender.send_with sender ~length:(Mmt_daq.Fragment.total_size f)
-      (fun w -> Mmt_daq.Fragment.write w f);
+  let max_queued = ref 0 in
+  let emit ~padding f =
+    Mmt.Sender.send_with sender ~padding ~length:(Mmt_daq.Fragment.total_size f)
+      (fun w -> Mmt_daq.Fragment.write ~padding w f);
     max_queued := max !max_queued (Mmt.Sender.stats sender).Mmt.Sender.queued
   in
-  ignore
-    (Mmt_daq.Workload.start ~engine ~rng:(Rng.create ~seed:3L) config ~emit
-       ~until:(Units.Time.ms 1.));
-  Mmt_sim.Engine.run engine;
-  let lent = List.rev !lent in
-  let wire =
-    List.map
-      (fun packet ->
-        match
-          Result.bind (Mmt.Encap.parse (Mmt_sim.Packet.frame packet))
-            (fun (_header, payload) -> Mmt_daq.Fragment.read payload)
-        with
-        | Ok f ->
-            (f.Mmt_daq.Fragment.trigger, Bytes.get_int64_be f.Mmt_daq.Fragment.payload 0)
-        | Error e -> Alcotest.fail e)
-      (drain_queue queue)
+  let workload =
+    Mmt_daq.Workload.start ~engine ~rng:(Rng.create ~seed:3L) config ~emit
+      ~until:(Units.Time.ms 1.)
   in
-  Alcotest.(check bool) "one lent readout buffer" true
-    (List.length !buffers > 10 && List.for_all (( == ) (List.hd !buffers)) !buffers);
+  Mmt_sim.Engine.run engine;
+  let headers = ref [] in
+  let receiver =
+    Mmt.Receiver.create ~env (receiver_config ()) ~deliver:(fun _ payload ->
+        match Mmt_daq.Fragment.read_header payload with
+        | Ok h ->
+            headers :=
+              (h.Mmt_daq.Fragment.trigger, h.Mmt_daq.Fragment.payload_length)
+              :: !headers
+        | Error e -> Alcotest.fail e)
+  in
+  let fragment_wire =
+    Mmt.Header.size (Mmt.Header.mode0 ~experiment)
+    + Mmt_daq.Fragment.header_size + Mmt_daq.Fragment.subheader_size + 256
+  in
+  let packets = drain_queue queue in
+  List.iter
+    (fun packet ->
+      Alcotest.(check int) "padding kept" 256 packet.Mmt_sim.Packet.padding;
+      Alcotest.(check int) "full wire size" fragment_wire
+        (Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet));
+      Mmt.Receiver.on_packet receiver packet)
+    packets;
+  let sent = (Mmt_daq.Workload.stats workload).Mmt_daq.Workload.fragments_emitted in
   Alcotest.(check bool) "messages waited behind the pacer" true (!max_queued > 10);
-  Alcotest.(check bool) "stamps differ" true
-    (List.length (List.sort_uniq compare (List.map snd lent)) = List.length lent);
-  Alcotest.(check (list (pair int int64))) "each message carries its own stamp"
-    lent wire
+  Alcotest.(check (list (pair int int))) "each header states the virtual payload"
+    (List.init sent (fun trigger -> (trigger, 256)))
+    (List.rev !headers)
 
 (* [Encap.packet] takes a writer that must fill exactly [length] bytes:
    one byte short or one byte long raises before the packet escapes, and
@@ -721,6 +754,88 @@ let test_buffer_host_advert () =
   Alcotest.(check bool) "capacity advertised" true
     (Units.Size.equal advert.Mmt.Control.Buffer_advert.capacity (Units.Size.mib 2))
 
+(* A padded frame's retransmission has the original wire size: DTN 1's
+   rewriter hands the buffer the rewritten packet, the buffer keeps its
+   padding and birth time, and the resend's IPv4 header states the wire
+   length. *)
+let test_buffer_host_resend_keeps_wire_size () =
+  let engine = Mmt_sim.Engine.create () in
+  let ring = Mmt_sim.Ring.create () in
+  let env, queue = Mmt_runtime.Env.loopback ~ring engine in
+  let host = Mmt.Buffer_host.create ~env ~capacity:(Units.Size.mib 1) () in
+  let rewriter =
+    Mmt_innet.Mode_rewriter.create
+      ~mode:(Mmt.Mode.make ~name:"wan" ~reliable:buffer_ip ())
+      ~re_encap:
+        (Mmt.Encap.Over_ipv4
+           { src = buffer_ip; dst = Addr.Ip.of_octets 10 0 3 1; dscp = 0; ttl = 64 })
+      ~pool:(Mmt_sim.Ring.pool ring)
+      ~on_rewrite:(fun ~seq ~born:_ packet ->
+        Option.iter (fun seq -> Mmt.Buffer_host.store_packet host ~seq packet) seq)
+      ()
+  in
+  let sender = Mmt.Sender.create ~env (sender_config ()) in
+  ignore
+    (Mmt_sim.Engine.schedule engine ~at:(Units.Time.us 3.) (fun () ->
+         Mmt.Sender.send_with sender ~padding:7000 ~length:100 (fun w ->
+             Mmt_wire.Cursor.Writer.bytes w (Bytes.make 100 'v'))));
+  Mmt_sim.Engine.run engine;
+  let forwarded =
+    match
+      (Mmt_innet.Mode_rewriter.element rewriter).Mmt_innet.Element.process
+        ~now:(Mmt_sim.Engine.now engine) (Queue.pop queue)
+    with
+    | Mmt_innet.Element.Forward packet -> packet
+    | Mmt_innet.Element.Replicate _ | Mmt_innet.Element.Discard _ ->
+        Alcotest.fail "rewriter did not forward"
+  in
+  let wire = Units.Size.to_bytes (Mmt_sim.Packet.wire_size forwarded) in
+  let frame = Bytes.copy (Mmt_sim.Packet.frame forwarded) in
+  Mmt_sim.Ring.in_packet_done ring forwarded;
+  Mmt.Buffer_host.on_packet host
+    (nak_packet ~engine ~requester:(Addr.Ip.of_octets 10 0 3 1) [ (0, 0) ]);
+  match drain_queue queue with
+  | [ resend ] -> (
+      Alcotest.(check int) "wire size" wire
+        (Units.Size.to_bytes (Mmt_sim.Packet.wire_size resend));
+      Alcotest.(check int) "padding" 7000 resend.Mmt_sim.Packet.padding;
+      Alcotest.(check string) "born" "3us"
+        (Units.Time.to_string resend.Mmt_sim.Packet.born);
+      Alcotest.(check bool) "frame bytes" true
+        (Bytes.equal frame (Mmt_sim.Packet.frame resend));
+      match Mmt.Encap.locate frame with
+      | Ok (Mmt.Encap.Over_ipv4 _, mmt_offset) ->
+          let in_front = mmt_offset - Ipv4.header_size in
+          Alcotest.(check int) "IPv4 total length" (wire - in_front)
+            (Bytes.get_uint16_be frame (in_front + 2))
+      | _ -> Alcotest.fail "expected an IPv4 frame")
+  | _ -> Alcotest.fail "expected one resend"
+
+(* Capacity, eviction and the high water count wire bytes: room for
+   three padded frames holds three, whatever their materialized size. *)
+let test_retx_buffer_counts_wire_bytes () =
+  let frame_bytes = 100 and padding = 1000 in
+  let wire = frame_bytes + padding in
+  let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes (3 * wire)) in
+  let store seq =
+    Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero ~padding
+      (Bytes.make frame_bytes 'r')
+  in
+  for seq = 0 to 2 do
+    store seq
+  done;
+  let stats = Mmt.Retx_buffer.stats buffer in
+  Alcotest.(check int) "three held" 3 stats.Mmt.Retx_buffer.entries;
+  Alcotest.(check int) "none evicted" 0 stats.Mmt.Retx_buffer.evicted;
+  store 3;
+  let stats = Mmt.Retx_buffer.stats buffer in
+  Alcotest.(check (list bool)) "the fourth evicts the oldest"
+    [ false; true; true; true ]
+    (List.init 4 (fun seq -> Mmt.Retx_buffer.contains buffer ~seq));
+  Alcotest.(check int) "one evicted" 1 stats.Mmt.Retx_buffer.evicted;
+  Alcotest.(check int) "high water in wire bytes" (3 * wire)
+    (Units.Size.to_bytes stats.Mmt.Retx_buffer.occupancy_high_water)
+
 let suite =
   [
     Alcotest.test_case "in-order delivery" `Quick test_in_order_delivery;
@@ -748,6 +863,8 @@ let suite =
     Alcotest.test_case "copy audit: fragment" `Quick test_copy_audit_fragment;
     Alcotest.test_case "paced sender outlives lent payload" `Quick
       test_paced_sender_outlives_lent_payload;
+    Alcotest.test_case "paced sender keeps virtual payload" `Quick
+      test_paced_sender_keeps_virtual_payload;
     Alcotest.test_case "encap packet writes exactly length" `Quick
       test_encap_packet_exact_length;
     Alcotest.test_case "buffer host serves NAK" `Quick test_buffer_host_serves_nak;
@@ -755,4 +872,8 @@ let suite =
     Alcotest.test_case "buffer host unserviceable" `Quick
       test_buffer_host_unserviceable_without_upstream;
     Alcotest.test_case "buffer host advert" `Quick test_buffer_host_advert;
+    Alcotest.test_case "buffer host resend keeps wire size" `Quick
+      test_buffer_host_resend_keeps_wire_size;
+    Alcotest.test_case "retx buffer counts wire bytes" `Quick
+      test_retx_buffer_counts_wire_bytes;
   ]

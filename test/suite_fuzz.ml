@@ -31,7 +31,10 @@ let mutated_inputs valid =
 
 (* Fragments: [decode] never raises, and [read_header] accepts exactly
    what [read] accepts without raising either, on a valid fragment of
-   each detector kind. *)
+   each detector kind.  With the last [k] payload bytes made virtual (a
+   reader over the rest with a tail of [k]), [read_header] gives the
+   same answer as over all the bytes, and [read] fails without raising
+   whenever the payload reaches into the tail. *)
 let fragment_inputs =
   mutated_inputs
     (List.map
@@ -55,15 +58,42 @@ let fragment_inputs =
        ])
 
 let qcheck_fragment =
-  QCheck.Test.make ~name:"Fragment.decode total" ~count:1000 fragment_inputs
-    (fun buf ->
+  QCheck.Test.make ~name:"Fragment.decode total" ~count:1000
+    QCheck.(pair fragment_inputs (int_bound 1000))
+    (fun (buf, split) ->
+      let len = Bytes.length buf in
+      let headers = Mmt_daq.Fragment.header_size + Mmt_daq.Fragment.subheader_size in
+      (* A tail only ever stands for payload bytes. *)
+      let k = if len <= headers then 0 else split mod (len - headers + 1) in
+      let tail_reader () = Mmt_wire.Cursor.Reader.of_bytes ~len:(len - k) ~tail:k buf in
       match
         ( Mmt_daq.Fragment.decode buf,
-          Mmt_daq.Fragment.read_header (Mmt_wire.Cursor.Reader.of_bytes buf) )
+          Mmt_daq.Fragment.read_header (Mmt_wire.Cursor.Reader.of_bytes buf),
+          Mmt_daq.Fragment.read_header (tail_reader ()),
+          Mmt_daq.Fragment.read (tail_reader ()) )
       with
-      | Ok _, Ok _ | Error _, Error _ -> true
-      | Ok _, Error _ | Error _, Ok _ -> false
-      | exception _ -> false)
+      | exception _ -> false
+      | decoded, header, tail_header, tail_read ->
+          let same_verdict =
+            match (decoded, header) with
+            | Ok _, Ok _ | Error _, Error _ -> true
+            | Ok _, Error _ | Error _, Ok _ -> false
+          in
+          let tail_agrees =
+            match (header, tail_header) with
+            | Ok a, Ok b -> a = b
+            | Error _, Error _ -> true
+            | Ok _, Error _ | Error _, Ok _ -> false
+          in
+          let real = len - k - headers in
+          let virtual_read_fails =
+            match (header, tail_read) with
+            | Ok h, Ok _ -> h.Mmt_daq.Fragment.payload_length <= real
+            | Ok h, Error _ -> h.Mmt_daq.Fragment.payload_length > real
+            | Error _, Error _ -> true
+            | Error _, Ok _ -> false
+          in
+          same_verdict && tail_agrees && virtual_read_fails)
 let qcheck_segment = never_raises "Segment.decode total" Mmt_tcp.Segment.decode
 
 (* Segments: the in-place reader against a Cursor-based reference

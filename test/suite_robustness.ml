@@ -164,7 +164,6 @@ let test_encrypted_payloads_cross_elements () =
         deadline_budget = None;
         backpressure_to = None;
         pace = None;
-        padding = 0;
       }
   in
   let decrypted = ref [] in
