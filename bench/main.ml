@@ -552,8 +552,9 @@ let check_pilot_allocation () =
   in
   Printf.printf
     "E-F4 pilot minor words: %.2e, %.1f words/event over %d events, %d \
-     delivered\n"
-    words (words /. float_of_int events) events delivered;
+     delivered (%.0f words/delivered fragment)\n"
+    words (words /. float_of_int events) events delivered
+    (words /. float_of_int delivered);
   Printf.printf
     "E-F4 pilot major words: %.2e, %.0f words/delivered fragment (%.1f \
      payload copies)\n"
@@ -754,6 +755,9 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
   Buffer.add_string buf
     (Printf.sprintf "    \"minor_words_per_event\": %.2f,\n"
        (pa.minor_words /. float_of_int pa.events));
+  Buffer.add_string buf
+    (Printf.sprintf "    \"minor_words_per_delivered\": %.1f,\n"
+       (pa.minor_words /. float_of_int pa.delivered));
   Buffer.add_string buf
     (Printf.sprintf "    \"major_words_per_delivered\": %.1f,\n"
        (pa.major_words /. float_of_int pa.delivered));

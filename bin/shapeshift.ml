@@ -722,18 +722,19 @@ let trace_cmd =
           Option.iter (fun seq -> Mmt.Buffer_host.store_packet buffer ~seq packet) seq)
         ()
     in
+    let to_buffer = Some (Mmt.Buffer_host.on_packet buffer) in
+    let to_dst = Some (Mmt_sim.Link.send b_to_d) in
     let _sw =
       Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.alveo_smartnic
         ~ring ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
         ~route:(fun packet ->
-          match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-          | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, off)
-            when Mmt_frame.Addr.Ip.equal dst buf_ip -> (
-              match Mmt.Header.View.of_frame ~off (Mmt_sim.Packet.frame packet) with
-              | Ok view when Mmt.Header.View.kind view = Mmt.Feature.Kind.Nak ->
-                  Some (Mmt.Buffer_host.on_packet buffer)
-              | _ -> Some (Mmt_sim.Link.send b_to_d))
-          | _ -> Some (Mmt_sim.Link.send b_to_d))
+          let hv = Mmt.Header_vector.of_packet packet in
+          if
+            Mmt.Header_vector.dst_is hv buf_ip
+            && Mmt.Header_vector.parsed hv
+            && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
+          then to_buffer
+          else to_dst)
         ()
     in
     let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) ~ring () in

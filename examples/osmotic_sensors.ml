@@ -136,13 +136,9 @@ let () =
   in
   Mmt_sim.Node.set_handler gateway (fun packet ->
       (* NAKs from the facility terminate at the gateway's buffer. *)
+      let hv = Mmt.Header_vector.of_packet packet in
       let is_nak =
-        match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-        | Ok (_encap, off) -> (
-            match Mmt.Header.decode_bytes ~off (Mmt_sim.Packet.frame packet) with
-            | Ok { Mmt.Header.kind = Mmt.Feature.Kind.Nak; _ } -> true
-            | _ -> false)
-        | Error _ -> false
+        Mmt.Header_vector.parsed hv && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
       in
       if is_nak then Mmt.Buffer_host.on_packet buffer packet
       else to_receivers packet);

@@ -23,12 +23,11 @@ let bulk_count = 10000
 (* Deadline extraction for the queue: parse the frame like a switch
    pipeline would and use the Timely extension when present. *)
 let deadline_of packet =
-  match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-  | Error _ -> None
-  | Ok (_encap, off) -> (
-      match Mmt.Header.decode_bytes ~off (Mmt_sim.Packet.frame packet) with
-      | Ok { Mmt.Header.timely = Some { Mmt.Header.deadline; _ }; _ } -> Some deadline
-      | Ok _ | Error _ -> None)
+  let hv = Mmt.Header_vector.of_packet packet in
+  let view = Mmt.Header_vector.view hv in
+  if Mmt.Header_vector.parsed hv && Mmt.Header.View.has view Mmt.Feature.Timely then
+    Some (Mmt.Header.View.deadline_ns view)
+  else None
 
 let run ~deadline_aware =
   let engine = Mmt_sim.Engine.create () in
@@ -98,14 +97,12 @@ let run ~deadline_aware =
   let alert_rx = Mmt.Receiver.create ~env:env_archive (receiver_config alert_count)
       ~deliver:(fun _ _ -> ()) in
   Mmt_sim.Node.set_handler archive (fun packet ->
-      match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-      | Error _ -> Mmt_sim.Ring.in_packet_done ring packet
-      | Ok (_encap, off) -> (
-          match Mmt.Header.decode_bytes ~off (Mmt_sim.Packet.frame packet) with
-          | Ok header when Mmt.Experiment_id.slice header.Mmt.Header.experiment = 1 ->
-              Mmt.Receiver.on_packet alert_rx packet
-          | Ok _ -> Mmt.Receiver.on_packet bulk_rx packet
-          | Error _ -> Mmt_sim.Ring.in_packet_done ring packet));
+      let hv = Mmt.Header_vector.of_packet packet in
+      if not (Mmt.Header_vector.parsed hv) then Mmt_sim.Ring.in_packet_done ring packet
+      else if
+        Mmt.Experiment_id.slice (Mmt.Header.View.experiment (Mmt.Header_vector.view hv)) = 1
+      then Mmt.Receiver.on_packet alert_rx packet
+      else Mmt.Receiver.on_packet bulk_rx packet);
   (* Offered load: bulk at 12 Gbps (oversubscribing the 10 GbE WAN for a
      burst, as the nightly transfer does), alerts at their 5.4 Gbps
      burst shape scaled down. *)

@@ -15,19 +15,10 @@ let wrap_into t ~mmt_length out =
   match t with
   | Raw -> ()
   | Over_ethernet { src; dst } ->
-      let w = Cursor.Writer.over out in
-      Ethernet.write w { Ethernet.src; dst; ethertype = Ethernet.ethertype_mmt }
+      Ethernet.write_at out ~off:0 ~dst ~src ~ethertype:Ethernet.ethertype_mmt
   | Over_ipv4 { src; dst; dscp; ttl } ->
-      let w = Cursor.Writer.over out in
-      Ipv4.write w
-        {
-          Ipv4.dscp;
-          ttl;
-          protocol = Ipv4.protocol_mmt;
-          src;
-          dst;
-          payload_length = mmt_length;
-        }
+      Ipv4.write_at out ~off:0 ~dscp ~ttl ~protocol:Ipv4.protocol_mmt ~src ~dst
+        ~payload_length:mmt_length
 
 let wrap t mmt_frame =
   match t with
@@ -39,80 +30,66 @@ let wrap t mmt_frame =
       Bytes.blit mmt_frame 0 out off (Bytes.length mmt_frame);
       out
 
-let packet env ?(padding = 0) t header ~length write =
+(* A ring frame of the final length, its encapsulation written; the
+   caller writes the [header_size]-byte transport header after it. *)
+let acquire env ~padding t ~header_size ~length =
   let off = overhead t in
-  let mmt_length = Header.size header + length in
-  let ring = env.Mmt_runtime.Env.ring in
+  let mmt_length = header_size + length in
   let packet =
-    Mmt_sim.Ring.in_packet ring ~padding
+    Mmt_sim.Ring.in_packet env.Mmt_runtime.Env.ring ~padding
       ~id:(env.Mmt_runtime.Env.fresh_id ())
       ~born:(Mmt_runtime.Env.now env) (off + mmt_length)
   in
-  let frame = Mmt_sim.Packet.frame packet in
-  wrap_into t ~mmt_length:(mmt_length + padding) frame;
-  let w = Cursor.Writer.over ~off frame in
-  Header.encode_into w header;
+  wrap_into t ~mmt_length:(mmt_length + padding) (Mmt_sim.Packet.frame packet);
+  packet
+
+let fill_payload env packet ~off ~length write =
+  let w = Cursor.Writer.over ~off (Mmt_sim.Packet.frame packet) in
   if Cursor.Writer.writes_exactly w length write then packet
   else begin
     (* Short or long, the pool frame would carry bytes nobody wrote. *)
-    Mmt_sim.Ring.in_packet_done ring packet;
+    Mmt_sim.Ring.in_packet_done env.Mmt_runtime.Env.ring packet;
     invalid_arg
       (Printf.sprintf "Encap.packet: writer did not fill exactly %d bytes"
          length)
   end
 
+let packet env ?(padding = 0) t header ~length write =
+  let header_size = Header.size header in
+  let packet = acquire env ~padding t ~header_size ~length in
+  let off = overhead t in
+  Header.encode_into (Cursor.Writer.over ~off (Mmt_sim.Packet.frame packet)) header;
+  fill_payload env packet ~off:(off + header_size) ~length write
+
+let packet_of_template env ?(padding = 0) t template ~deadline ~length write =
+  let header_size = Header.Template.size template in
+  let packet = acquire env ~padding t ~header_size ~length in
+  let off = overhead t in
+  Header.Template.write template (Mmt_sim.Packet.frame packet) ~at:off
+    ~sequence:0 ~deadline ~last_touch:(Mmt_runtime.Env.now env);
+  fill_payload env packet ~off:(off + header_size) ~length write
+
 let locate frame =
-  if Bytes.length frame = 0 then Error "empty frame"
+  let v = Header_vector.create () in
+  Header_vector.parse_frame v frame;
+  if not (Header_vector.located v) then Error (Header_vector.error v)
   else
-    match Char.code (Bytes.get frame 0) with
-    | 0x01 -> Ok (Raw, 0)
-    | 0x45 -> (
-        match Ipv4.read (Cursor.Reader.of_bytes frame) with
-        | exception Cursor.Out_of_bounds _ -> Error "truncated IPv4 header"
-        | exception Failure e -> Error e
-        | ip ->
-            if ip.Ipv4.protocol <> Ipv4.protocol_mmt then
-              Error (Printf.sprintf "IPv4 protocol %d is not MMT" ip.Ipv4.protocol)
-            else
-              Ok
-                ( Over_ipv4
-                    {
-                      src = ip.Ipv4.src;
-                      dst = ip.Ipv4.dst;
-                      dscp = ip.Ipv4.dscp;
-                      ttl = ip.Ipv4.ttl;
-                    },
-                  Ipv4.header_size ))
-    | _ -> (
-        match Ethernet.read (Cursor.Reader.of_bytes frame) with
-        | exception Cursor.Out_of_bounds _ -> Error "truncated Ethernet header"
-        | eth ->
-            if eth.Ethernet.ethertype = Ethernet.ethertype_mmt then
-              Ok
-                ( Over_ethernet { src = eth.Ethernet.src; dst = eth.Ethernet.dst },
-                  Ethernet.header_size )
-            else if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then
-              match
-                Ipv4.read (Cursor.Reader.of_bytes ~off:Ethernet.header_size frame)
-              with
-              | exception Cursor.Out_of_bounds _ -> Error "truncated inner IPv4"
-              | exception Failure e -> Error e
-              | ip ->
-                  if ip.Ipv4.protocol <> Ipv4.protocol_mmt then
-                    Error "inner IPv4 protocol is not MMT"
-                  else
-                    Ok
-                      ( Over_ipv4
-                          {
-                            src = ip.Ipv4.src;
-                            dst = ip.Ipv4.dst;
-                            dscp = ip.Ipv4.dscp;
-                            ttl = ip.Ipv4.ttl;
-                          },
-                        Ethernet.header_size + Ipv4.header_size )
-            else
-              Error
-                (Printf.sprintf "ethertype 0x%04x is not MMT" eth.Ethernet.ethertype))
+    let encap =
+      match Header_vector.encap v with
+      | Header_vector.Raw -> Raw
+      | Header_vector.Ethernet ->
+          Over_ethernet
+            { src = Header_vector.mac_src v; dst = Header_vector.mac_dst v }
+      | Header_vector.Ipv4 | Header_vector.Ethernet_ipv4 ->
+          Over_ipv4
+            {
+              src = Header_vector.src v;
+              dst = Header_vector.dst v;
+              dscp = Header_vector.dscp v;
+              ttl = Header_vector.ttl v;
+            }
+    in
+    Ok (encap, Header_vector.mmt_offset v)
 
 let parse frame =
   Result.bind (locate frame) (fun (_encap, off) ->

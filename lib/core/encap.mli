@@ -62,6 +62,21 @@ val packet :
     [length] bytes; the ring slot is retired first, so a recycled frame
     never carries bytes nobody wrote. *)
 
+val packet_of_template :
+  Mmt_runtime.Env.t ->
+  ?padding:int ->
+  t ->
+  Header.Template.t ->
+  deadline:Mmt_util.Units.Time.t ->
+  length:int ->
+  (Mmt_wire.Cursor.Writer.t -> unit) ->
+  Mmt_sim.Packet.t
+(** {!packet} with a compiled header: [Header.Template.write] at the
+    header's place, its deadline (when it carries one) set to
+    [deadline].  A host that sends many messages with one header shape
+    compiles it once instead of building and encoding a {!Header.t}
+    per message. *)
+
 val locate : bytes -> (t * int, string) result
 (** [locate frame] identifies the encapsulation and returns the byte
     offset of the transport header. *)

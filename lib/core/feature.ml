@@ -26,7 +26,7 @@ let to_string = function
   | Int_telemetry -> "int-telemetry"
   | Checksummed -> "checksummed"
 
-let bit = function
+let[@inline] bit = function
   | Sequenced -> 0
   | Reliable -> 1
   | Timely -> 2
@@ -43,7 +43,7 @@ module Set = struct
   type t = int
 
   let empty = 0
-  let mem feature set = set land (1 lsl bit feature) <> 0
+  let[@inline] mem feature set = set land (1 lsl bit feature) <> 0
   let add feature set = set lor (1 lsl bit feature)
   let remove feature set = set land lnot (1 lsl bit feature)
   let of_list features = List.fold_left (fun set f -> add f set) empty features
@@ -96,6 +96,11 @@ let kind_shift = 20
 
 let encode_config_data ~kind set =
   (Kind.to_int kind lsl kind_shift) lor (set land feature_mask)
+
+let decode_config_kind data =
+  if data land reserved_mask <> 0 then None else Kind.of_int (data lsr kind_shift)
+
+let config_features data = data land feature_mask
 
 let decode_config_data data =
   if data land reserved_mask <> 0 then Error "reserved configuration bits set"

@@ -49,7 +49,7 @@ val bit : t -> int
 
 module Set : sig
   type feature := t
-  type t
+  type t [@@immediate]
   (** An immutable feature set (bitmask). *)
 
   val empty : t
@@ -88,3 +88,10 @@ val encode_config_data : kind:Kind.t -> Set.t -> int
 
 val decode_config_data : int -> (Kind.t * Set.t, string) result
 (** Reject unknown kinds and non-zero reserved bits. *)
+
+val decode_config_kind : int -> Kind.t option
+(** The kind {!decode_config_data} would return, without allocating:
+    [None] exactly when it returns [Error]. *)
+
+val config_features : int -> Set.t
+(** The feature bits of configuration data. *)

@@ -51,6 +51,10 @@ let max_int_hops = 4
 let int_record_size = 24
 let int_ext_size = 4 + (max_int_hops * int_record_size)
 
+let max_size =
+  core_size + checksum_size + sequence_size + retransmit_size + timely_size
+  + age_size + pace_size + backpressure_size + int_ext_size
+
 let check_u32 what v =
   if v < 0 || v > 0xFFFFFFFF then
     invalid_arg (Printf.sprintf "Header: %s out of u32 range" what)
@@ -445,88 +449,135 @@ let touch_age_in_place frame ~ext_off ~now =
 
 module View = struct
   type t = {
-    frame : bytes;
-    base : int;
-    kind : Feature.Kind.t;
-    features : Feature.Set.t;
-    size : int;
+    mutable frame : bytes;
+    mutable base : int;
+    mutable kind : Feature.Kind.t;
+    mutable features : Feature.Set.t;
+    mutable size : int;
     (* Absolute byte offsets of each extension within [frame]; -1 when
        the feature bit is clear.  Computed once from the feature bits,
        exactly as a P4 parser state machine would. *)
-    off_checksum : int;
-    off_sequence : int;
-    off_retransmit : int;
-    off_timely : int;
-    off_age : int;
-    off_pace : int;
-    off_backpressure : int;
-    off_int : int;
+    mutable off_checksum : int;
+    mutable off_sequence : int;
+    mutable off_retransmit : int;
+    mutable off_timely : int;
+    mutable off_age : int;
+    mutable off_pace : int;
+    mutable off_backpressure : int;
+    mutable off_int : int;
+    mutable failure : int;  (* why the last [parse_into] failed, or [parsed] *)
   }
 
+  let blank () =
+    {
+      frame = Bytes.empty;
+      base = 0;
+      kind = Feature.Kind.Data;
+      features = Feature.Set.empty;
+      size = 0;
+      off_checksum = -1;
+      off_sequence = -1;
+      off_retransmit = -1;
+      off_timely = -1;
+      off_age = -1;
+      off_pace = -1;
+      off_backpressure = -1;
+      off_int = -1;
+      failure = 0;
+    }
+
+  (* [parse_into] outcomes; only [parse_error] turns them into text. *)
+  let parsed = 0
+  let truncated_core = 1
+  let bad_config_id = 2
+  let bad_config_data = 3
+  let truncated = 4
+  let int_overflow = 5
+
+  (* The feature bits that place an extension, as masks on the
+     configuration data. *)
+  let mask feature = 1 lsl Feature.bit feature
+  let m_checksum = mask Feature.Checksummed
+  let m_sequence = mask Feature.Sequenced
+  let m_retransmit = mask Feature.Reliable
+  let m_timely = mask Feature.Timely
+  let m_age = mask Feature.Age_tracked
+  let m_pace = mask Feature.Paced
+  let m_backpressure = mask Feature.Backpressured
+  let m_int = mask Feature.Int_telemetry
+  let place data m at = if data land m <> 0 then at else -1
+  let skip data m width at = if data land m <> 0 then at + width else at
+
+  let config_data frame off =
+    (Char.code (Bytes.get frame (off + 1)) lsl 16)
+    lor Bytes.get_uint16_be frame (off + 2)
+
+  let classify v frame off =
+    let len = Bytes.length frame in
+    if off < 0 || len - off < core_size then truncated_core
+    else if Char.code (Bytes.get frame off) <> Feature.config_id_v1 then
+      bad_config_id
+    else
+      let data = config_data frame off in
+      match Feature.decode_config_kind data with
+      | None -> bad_config_data
+      | Some kind ->
+          v.kind <- kind;
+          v.features <- Feature.config_features data;
+          let at = off + core_size in
+          v.off_checksum <- place data m_checksum at;
+          let at = skip data m_checksum checksum_size at in
+          v.off_sequence <- place data m_sequence at;
+          let at = skip data m_sequence sequence_size at in
+          v.off_retransmit <- place data m_retransmit at;
+          let at = skip data m_retransmit retransmit_size at in
+          v.off_timely <- place data m_timely at;
+          let at = skip data m_timely timely_size at in
+          v.off_age <- place data m_age at;
+          let at = skip data m_age age_size at in
+          v.off_pace <- place data m_pace at;
+          let at = skip data m_pace pace_size at in
+          v.off_backpressure <- place data m_backpressure at;
+          let at = skip data m_backpressure backpressure_size at in
+          v.off_int <- place data m_int at;
+          let at = skip data m_int int_ext_size at in
+          v.size <- at - off;
+          if len < at then truncated
+          else if
+            v.off_int >= 0 && Char.code (Bytes.get frame v.off_int) > max_int_hops
+          then int_overflow
+          else parsed
+
+  let parse_into v frame ~off =
+    v.frame <- frame;
+    v.base <- off;
+    let failure = classify v frame off in
+    v.failure <- failure;
+    failure = parsed
+
+  let parse_error v =
+    let frame = v.frame and off = v.base in
+    let have = Bytes.length frame - off in
+    if v.failure = truncated_core then
+      Printf.sprintf "truncated header: need %d bytes, have %d" core_size have
+    else if v.failure = bad_config_id then
+      Printf.sprintf "unknown configuration identifier %d"
+        (Char.code (Bytes.get frame off))
+    else if v.failure = bad_config_data then
+      match Feature.decode_config_data (config_data frame off) with
+      | Error e -> e
+      | Ok _ -> assert false
+    else if v.failure = truncated then
+      Printf.sprintf "truncated header: need %d bytes, have %d" v.size have
+    else if v.failure = int_overflow then
+      Printf.sprintf "INT stack count %d exceeds %d"
+        (Char.code (Bytes.get frame v.off_int))
+        max_int_hops
+    else invalid_arg "Header.View.parse_error: the view parsed"
+
   let of_frame ?(off = 0) frame =
-    if off < 0 || Bytes.length frame - off < core_size then
-      Error
-        (Printf.sprintf "truncated header: need %d bytes, have %d" core_size
-           (Bytes.length frame - off))
-    else begin
-      let config_id = Char.code (Bytes.get frame off) in
-      if config_id <> Feature.config_id_v1 then
-        Error (Printf.sprintf "unknown configuration identifier %d" config_id)
-      else
-        let data =
-          (Char.code (Bytes.get frame (off + 1)) lsl 16)
-          lor Bytes.get_uint16_be frame (off + 2)
-        in
-        match Feature.decode_config_data data with
-        | Error e -> Error e
-        | Ok (kind, features) ->
-            let cursor = ref (off + core_size) in
-            let place feature width =
-              if Feature.Set.mem feature features then begin
-                let at = !cursor in
-                cursor := at + width;
-                at
-              end
-              else -1
-            in
-            let off_checksum = place Feature.Checksummed checksum_size in
-            let off_sequence = place Feature.Sequenced sequence_size in
-            let off_retransmit = place Feature.Reliable retransmit_size in
-            let off_timely = place Feature.Timely timely_size in
-            let off_age = place Feature.Age_tracked age_size in
-            let off_pace = place Feature.Paced pace_size in
-            let off_backpressure = place Feature.Backpressured backpressure_size in
-            let off_int = place Feature.Int_telemetry int_ext_size in
-            let size = !cursor - off in
-            if Bytes.length frame - off < size then
-              Error
-                (Printf.sprintf "truncated header: need %d bytes, have %d" size
-                   (Bytes.length frame - off))
-            else if
-              off_int >= 0 && Char.code (Bytes.get frame off_int) > max_int_hops
-            then
-              Error
-                (Printf.sprintf "INT stack count %d exceeds %d"
-                   (Char.code (Bytes.get frame off_int))
-                   max_int_hops)
-            else
-              Ok
-                {
-                  frame;
-                  base = off;
-                  kind;
-                  features;
-                  size;
-                  off_checksum;
-                  off_sequence;
-                  off_retransmit;
-                  off_timely;
-                  off_age;
-                  off_pace;
-                  off_backpressure;
-                  off_int;
-                }
-    end
+    let v = blank () in
+    if parse_into v frame ~off then Ok v else Error (parse_error v)
 
   let kind v = v.kind
   let features v = v.features
@@ -705,6 +756,149 @@ module View = struct
     let out = Bytes.create (stripped_int_length v) in
     strip_int_into v out ~off:0;
     out
+
+  let set_duplicated_in v copy =
+    let frame = v.frame in
+    v.frame <- copy;
+    set_duplicated v;
+    v.frame <- frame
+
+  (* A u64 time field as [decode] then [encode] leave it: the value goes
+     through an OCaml int, which keeps 63 bits. *)
+  let copy_time src i dst o =
+    Bytes.set_int64_be dst o
+      (Int64.of_int (Int64.to_int (Bytes.get_int64_be src i)))
+
+  let copy_u32 src i dst o = Bytes.set_int32_be dst o (Bytes.get_int32_be src i)
+
+  let copy_extension v feature dst ~at =
+    let src = v.frame in
+    match (feature : Feature.t) with
+    | Feature.Sequenced ->
+        need v.off_sequence "copy_extension";
+        copy_u32 src v.off_sequence dst at
+    | Feature.Reliable ->
+        need v.off_retransmit "copy_extension";
+        copy_u32 src v.off_retransmit dst at
+    | Feature.Paced ->
+        need v.off_pace "copy_extension";
+        copy_u32 src v.off_pace dst at
+    | Feature.Backpressured ->
+        need v.off_backpressure "copy_extension";
+        copy_u32 src v.off_backpressure dst at
+    | Feature.Timely ->
+        need v.off_timely "copy_extension";
+        copy_time src v.off_timely dst at;
+        copy_u32 src (v.off_timely + 8) dst (at + 8)
+    | Feature.Age_tracked ->
+        let i = v.off_age in
+        need i "copy_extension";
+        (* age_us and budget_us, then the flags byte's aged bit and the
+           u24 hop count, then last-touch *)
+        Bytes.set_int64_be dst at (Bytes.get_int64_be src i);
+        copy_u32 src (i + 8) dst (at + 8);
+        Bytes.set dst (at + 8)
+          (Char.chr (Char.code (Bytes.get src (i + 8)) land 1));
+        copy_time src (i + 12) dst (at + 12)
+    | Feature.Int_telemetry ->
+        let i = v.off_int in
+        need i "copy_extension";
+        let count = Char.code (Bytes.get src i) in
+        Bytes.set dst at (Char.chr count);
+        Bytes.set dst (at + 1)
+          (Char.chr (Char.code (Bytes.get src (i + 1)) land 1));
+        Bytes.set_uint16_be dst (at + 2) 0;
+        for r = 0 to count - 1 do
+          let s = i + 4 + (r * int_record_size)
+          and d = at + 4 + (r * int_record_size) in
+          Bytes.set_int64_be dst d (Bytes.get_int64_be src s);
+          copy_time src (s + 8) dst (d + 8);
+          copy_time src (s + 16) dst (d + 16)
+        done;
+        let used = 4 + (count * int_record_size) in
+        Bytes.fill dst (at + used) (int_ext_size - used) '\000'
+    | Feature.Checksummed | Feature.Duplicated | Feature.Encrypted ->
+        invalid_arg "Header.View.copy_extension: feature carries no field"
+end
+
+module Template = struct
+  type t = {
+    bytes : bytes;
+    config_data : int;
+    layout : View.t;  (* parsed over [bytes]: where each field lives *)
+  }
+
+  let carries_field feature =
+    match (feature : Feature.t) with
+    | Feature.Duplicated | Feature.Encrypted -> false
+    | _ -> true
+
+  let make ?features header =
+    let features = Option.value ~default:header.features features in
+    if
+      not
+        (List.for_all
+           (fun f ->
+             (not (carries_field f))
+             || Feature.Set.mem f features = Feature.Set.mem f header.features)
+           Feature.all)
+    then invalid_arg "Header.Template.make: features change the layout";
+    let bytes = encode header in
+    let layout = View.blank () in
+    if not (View.parse_into layout bytes ~off:0) then
+      invalid_arg ("Header.Template.make: " ^ View.parse_error layout);
+    {
+      bytes;
+      config_data = Feature.encode_config_data ~kind:header.kind features;
+      layout;
+    }
+
+  let size t = Bytes.length t.bytes
+
+  (* The template at [at], its per-packet fields filled, each field in
+     [keep] copied from [from], sealed once. *)
+  let emit t ~from ~keep dst ~at ~sequence ~deadline ~last_touch =
+    let l = t.layout and size = Bytes.length t.bytes in
+    Bytes.blit t.bytes 0 dst at size;
+    Bytes.set dst (at + 1) (Char.chr ((t.config_data lsr 16) land 0xFF));
+    Bytes.set_uint16_be dst (at + 2) (t.config_data land 0xFFFF);
+    if from != l then
+      Bytes.set_int32_be dst (at + 4)
+        (Experiment_id.to_int32 (View.experiment from));
+    let off = l.View.off_sequence in
+    if off >= 0 then
+      if Feature.Set.mem Feature.Sequenced keep then
+        View.copy_extension from Feature.Sequenced dst ~at:(at + off)
+      else Bytes.set_int32_be dst (at + off) (Int32.of_int sequence);
+    let off = l.View.off_retransmit in
+    if off >= 0 && Feature.Set.mem Feature.Reliable keep then
+      View.copy_extension from Feature.Reliable dst ~at:(at + off);
+    let off = l.View.off_timely in
+    if off >= 0 then
+      if Feature.Set.mem Feature.Timely keep then
+        View.copy_extension from Feature.Timely dst ~at:(at + off)
+      else Bytes.set_int64_be dst (at + off) (Units.Time.to_int64_ns deadline);
+    let off = l.View.off_age in
+    if off >= 0 then
+      if Feature.Set.mem Feature.Age_tracked keep then
+        View.copy_extension from Feature.Age_tracked dst ~at:(at + off)
+      else
+        Bytes.set_int64_be dst (at + off + 12)
+          (Units.Time.to_int64_ns last_touch);
+    let off = l.View.off_pace in
+    if off >= 0 && Feature.Set.mem Feature.Paced keep then
+      View.copy_extension from Feature.Paced dst ~at:(at + off);
+    let off = l.View.off_backpressure in
+    if off >= 0 && Feature.Set.mem Feature.Backpressured keep then
+      View.copy_extension from Feature.Backpressured dst ~at:(at + off);
+    let off = l.View.off_int in
+    if off >= 0 && Feature.Set.mem Feature.Int_telemetry keep then
+      View.copy_extension from Feature.Int_telemetry dst ~at:(at + off);
+    if l.View.off_checksum >= 0 then seal_in_place dst ~off:at ~size
+
+  let write t dst ~at ~sequence ~deadline ~last_touch =
+    emit t ~from:t.layout ~keep:Feature.Set.empty dst ~at ~sequence ~deadline
+      ~last_touch
 end
 
 let equal a b =

@@ -12,7 +12,7 @@ type config = {
 }
 
 type meta = {
-  header : Header.t;
+  sequence : int option;
   arrival : Units.Time.t;
   transport_latency : Units.Time.t;
   recovered : bool;
@@ -64,6 +64,9 @@ type t = {
   env : Mmt_runtime.Env.t;
   config : config;
   deliver : meta -> Cursor.Reader.t -> unit;
+  hv : Header_vector.t Lazy.t;
+      (* its own vector, made at the first packet: nothing the data path
+         calls out to re-aims it *)
   received : (int, unit) Hashtbl.t;
   missing : (int, gap) Hashtbl.t;
   nak_state : Gauge.t;
@@ -105,6 +108,7 @@ let create ~env config ~deliver =
     env;
     config;
     deliver;
+    hv = lazy (Header_vector.create ());
     received = Hashtbl.create 64;
     missing = Hashtbl.create 64;
     nak_state = Gauge.create ();
@@ -252,46 +256,54 @@ let check_completion t now =
   | Some total, None when t.delivered >= total -> t.completion <- Some now
   | _ -> ()
 
-let timeliness_check t (header : Header.t) now =
+let timeliness_check t view now =
   (* Returns (late, aged, final_age_us) and emits notifications. *)
   let late =
-    match header.Header.timely with
-    | None -> false
-    | Some { Header.deadline; notify } ->
-        if Units.Time.(now > deadline) then begin
-          let sequence = Option.value ~default:0xFFFFFFFF header.Header.sequence in
-          let notice =
-            { Control.Deadline_exceeded.sequence; deadline; observed = now }
-          in
-          if not (Addr.Ip.is_any notify) then begin
-            Control.send t.env ~experiment:t.config.experiment ~dst:notify
-              Feature.Kind.Deadline_exceeded
-              (Control.Deadline_exceeded.encode notice);
-            t.deadline_notices_sent <- t.deadline_notices_sent + 1
-          end;
-          true
-        end
-        else false
+    if not (Header.View.has view Feature.Timely) then false
+    else
+      let deadline = Header.View.deadline_ns view in
+      let notify = Header.View.notify view in
+      if Units.Time.(now > deadline) then begin
+        let sequence =
+          if Header.View.has view Feature.Sequenced then Header.View.sequence view
+          else 0xFFFFFFFF
+        in
+        let notice =
+          { Control.Deadline_exceeded.sequence; deadline; observed = now }
+        in
+        if not (Addr.Ip.is_any notify) then begin
+          Control.send t.env ~experiment:t.config.experiment ~dst:notify
+            Feature.Kind.Deadline_exceeded
+            (Control.Deadline_exceeded.encode notice);
+          t.deadline_notices_sent <- t.deadline_notices_sent + 1
+        end;
+        true
+      end
+      else false
   in
   let aged, age_us =
-    match header.Header.age with
-    | None -> (false, None)
-    | Some age ->
-        (* Final accumulation: the destination is the last "element". *)
-        let elapsed_ns =
-          Units.Time.to_ns (Units.Time.diff now age.Header.last_touch_ns)
-        in
-        let final_age = age.Header.age_us + (elapsed_ns / 1_000) in
-        (age.Header.aged || final_age > age.Header.budget_us, Some final_age)
+    if not (Header.View.has view Feature.Age_tracked) then (false, None)
+    else
+      (* Final accumulation: the destination is the last "element". *)
+      let elapsed_ns =
+        Units.Time.to_ns (Units.Time.diff now (Header.View.last_touch_ns view))
+      in
+      let final_age = Header.View.age_us view + (elapsed_ns / 1_000) in
+      ( Header.View.aged view || final_age > Header.View.budget_us view,
+        Some final_age )
   in
   if late then t.late <- t.late + 1;
   if aged then t.aged <- t.aged + 1;
   Option.iter (fun a -> Stats.Summary.add t.ages (float_of_int a)) age_us;
   (late, aged, age_us)
 
-let deliver_message t packet (header : Header.t) payload ~recovered =
+let deliver_message t packet view payload ~recovered =
   let now = Mmt_runtime.Env.now t.env in
-  let late, aged, age_us = timeliness_check t header now in
+  let sequence =
+    if Header.View.has view Feature.Sequenced then Some (Header.View.sequence view)
+    else None
+  in
+  let late, aged, age_us = timeliness_check t view now in
   let transport_latency = Units.Time.diff now packet.Mmt_sim.Packet.born in
   Stats.Summary.add t.latencies (Units.Time.to_float_s transport_latency);
   if recovered then
@@ -304,7 +316,7 @@ let deliver_message t packet (header : Header.t) payload ~recovered =
   check_completion t now;
   arm_tail_check t;
   t.deliver
-    { header; arrival = now; transport_latency; recovered; late; aged; age_us }
+    { sequence; arrival = now; transport_latency; recovered; late; aged; age_us }
     payload
 
 let implausible_seq t seq =
@@ -316,14 +328,14 @@ let implausible_seq t seq =
   | Some total -> seq >= total
   | None -> false
 
-let handle_sequenced t packet header payload seq =
+let handle_sequenced t packet view payload seq =
   if implausible_seq t seq then begin
     t.corrupted <- t.corrupted + 1;
     t.implausible <- t.implausible + 1
   end
   else begin
-  Option.iter (fun ip -> t.retransmit_source <- Some ip)
-    header.Header.retransmit_from;
+  if Header.View.has view Feature.Reliable then
+    t.retransmit_source <- Some (Header.View.retransmit_from view);
   if Hashtbl.mem t.received seq then t.duplicates <- t.duplicates + 1
   else begin
     Hashtbl.replace t.received seq ();
@@ -341,7 +353,7 @@ let handle_sequenced t packet header payload seq =
           sample_nak_state t;
           schedule_flush t t.config.nak_delay
         end;
-        deliver_message t packet header payload ~recovered:false
+        deliver_message t packet view payload ~recovered:false
     | Some expected ->
         if seq >= expected then begin
           if seq > expected then begin
@@ -355,7 +367,7 @@ let handle_sequenced t packet header payload seq =
             schedule_flush t t.config.nak_delay
           end;
           t.next_expected <- Some (seq + 1);
-          deliver_message t packet header payload ~recovered:false
+          deliver_message t packet view payload ~recovered:false
         end
         else begin
           (* Before the frontier: either recovery of a known gap or
@@ -374,7 +386,7 @@ let handle_sequenced t packet header payload seq =
             Hashtbl.remove t.given_up seq;
             t.resurrected <- t.resurrected + 1
           end;
-          deliver_message t packet header payload ~recovered
+          deliver_message t packet view payload ~recovered
         end
   end
   end
@@ -382,56 +394,56 @@ let handle_sequenced t packet header payload seq =
 let consume t packet =
   let frame = Mmt_sim.Packet.frame packet in
   if packet.Mmt_sim.Packet.corrupted then t.corrupted <- t.corrupted + 1
-  else
-    match Encap.locate frame with
-    | Error _ -> t.corrupted <- t.corrupted + 1
-    | Ok (_encap, off) -> (
-        match Header.View.of_frame ~off frame with
-        | Ok view when not (Header.View.verify view) ->
-            (* Real corruption detection: the stored header checksum
-               no longer sums clean over the received bytes. *)
-            t.corrupted <- t.corrupted + 1;
-            t.checksum_failed <- t.checksum_failed + 1
-        | Ok _ | Error _ -> (
-        match Header.decode_bytes ~off frame with
-        | Error _ -> t.corrupted <- t.corrupted + 1
-        | Ok header -> (
-            let payload_off = off + Header.size header in
-            match header.Header.kind with
-            | Feature.Kind.Data -> (
-                let payload =
-                  Cursor.Reader.of_bytes ~off:payload_off
-                    ~tail:packet.Mmt_sim.Packet.padding frame
-                in
-                match header.Header.sequence with
-                | Some seq -> handle_sequenced t packet header payload seq
-                | None ->
-                    t.unsequenced <- t.unsequenced + 1;
-                    deliver_message t packet header payload ~recovered:false)
-            | Feature.Kind.Buffer_advert -> (
-                (* The control plane retargeting recovery: a buffer
-                   advertisement pushed downstream (e.g. after a
-                   failover) updates where NAKs go, even when no new
-                   data arrives to carry the change. *)
-                let payload =
-                  Bytes.sub frame payload_off (Bytes.length frame - payload_off)
-                in
-                match Control.Buffer_advert.decode payload with
-                | Error _ -> ()
-                | Ok advert ->
-                    t.retransmit_source <- Some advert.Control.Buffer_advert.buffer;
-                    t.source_updates <- t.source_updates + 1;
-                    (* Re-aim pending recovery at the new buffer now:
-                       an explicit retarget flushes immediately rather
-                       than waiting out the retry timer. *)
-                    if Hashtbl.length t.missing > 0 then begin
-                      Hashtbl.iter (fun _seq gap -> gap.last_nak <- None) t.missing;
-                      flush_naks t
-                    end)
-            | Feature.Kind.Nak | Feature.Kind.Deadline_exceeded
-            | Feature.Kind.Backpressure ->
-                (* Control traffic not for the data sink. *)
-                ())))
+  else begin
+    let hv = Lazy.force t.hv in
+    Header_vector.parse hv packet;
+    let view = Header_vector.view hv in
+    if not (Header_vector.parsed hv) then t.corrupted <- t.corrupted + 1
+    else if not (Header.View.verify view) then begin
+      (* Real corruption detection: the stored header checksum no
+         longer sums clean over the received bytes. *)
+      t.corrupted <- t.corrupted + 1;
+      t.checksum_failed <- t.checksum_failed + 1
+    end
+    else
+      let payload_off = Header_vector.mmt_offset hv + Header.View.size view in
+      match Header.View.kind view with
+      | Feature.Kind.Data ->
+          let payload =
+            Cursor.Reader.of_bytes ~off:payload_off
+              ~tail:packet.Mmt_sim.Packet.padding frame
+          in
+          if Header.View.has view Feature.Sequenced then
+            handle_sequenced t packet view payload (Header.View.sequence view)
+          else begin
+            t.unsequenced <- t.unsequenced + 1;
+            deliver_message t packet view payload ~recovered:false
+          end
+      | Feature.Kind.Buffer_advert -> (
+          (* The control plane retargeting recovery: a buffer
+             advertisement pushed downstream (e.g. after a failover)
+             updates where NAKs go, even when no new data arrives to
+             carry the change. *)
+          let payload =
+            Bytes.sub frame payload_off (Bytes.length frame - payload_off)
+          in
+          match Control.Buffer_advert.decode payload with
+          | Error _ -> ()
+          | Ok advert ->
+              t.retransmit_source <- Some advert.Control.Buffer_advert.buffer;
+              t.source_updates <- t.source_updates + 1;
+              (* Re-aim pending recovery at the new buffer now: an
+                 explicit retarget flushes immediately rather than
+                 waiting out the retry timer. *)
+              if Hashtbl.length t.missing > 0 then begin
+                Hashtbl.iter (fun _seq gap -> gap.last_nak <- None) t.missing;
+                flush_naks t
+              end)
+      | Feature.Kind.Nak | Feature.Kind.Deadline_exceeded
+      | Feature.Kind.Backpressure ->
+          (* Control traffic not for the data sink. *)
+          ()
+  end
 
 let on_packet t packet =
   consume t packet;

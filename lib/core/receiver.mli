@@ -26,7 +26,10 @@ type config = {
 }
 
 type meta = {
-  header : Header.t;
+  sequence : int option;
+      (** the header's sequence number, when it is sequenced — the one
+          header field delivery callbacks need; the receiver reads data
+          headers through a {!Header.View} and decodes none *)
   arrival : Units.Time.t;
   transport_latency : Units.Time.t;  (** arrival - packet birth *)
   recovered : bool;  (** this message previously appeared as a gap *)

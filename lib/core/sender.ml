@@ -23,6 +23,8 @@ type stats = {
 type t = {
   env : Mmt_runtime.Env.t;
   config : config;
+  header : Header.Template.t Lazy.t;
+      (* every message's header, compiled at the first send *)
   queue : (bytes * int) Queue.t;  (* written messages and their padding *)
   mutable pace : Units.Rate.t option;
   mutable drain_scheduled : bool;
@@ -33,10 +35,26 @@ type t = {
   mutable deadline_notices_received : int;
 }
 
+(* The header every message carries; only a timely deadline changes
+   from one message to the next. *)
+let header_for config ~now =
+  let header = Header.mode0 ~experiment:config.experiment in
+  let header =
+    match config.deadline_budget with
+    | None -> header
+    | Some (budget, notify) ->
+        Header.with_timely header
+          { Header.deadline = Units.Time.add now budget; notify }
+  in
+  match config.backpressure_to with
+  | None -> header
+  | Some control -> Header.with_backpressure_to header control
+
 let create ~env config =
   {
     env;
     config;
+    header = lazy (Header.Template.make (header_for config ~now:Units.Time.zero));
     queue = Queue.create ();
     pace = config.pace;
     drain_scheduled = false;
@@ -47,22 +65,17 @@ let create ~env config =
     deadline_notices_received = 0;
   }
 
-let header_for t ~now =
-  let header = Header.mode0 ~experiment:t.config.experiment in
-  let header =
-    match t.config.deadline_budget with
-    | None -> header
-    | Some (budget, notify) ->
-        Header.with_timely header
-          { Header.deadline = Units.Time.add now budget; notify }
-  in
-  match t.config.backpressure_to with
-  | None -> header
-  | Some control -> Header.with_backpressure_to header control
-
 let transmit t ~padding ~length write =
-  let header = header_for t ~now:(Mmt_runtime.Env.now t.env) in
-  let packet = Encap.packet t.env ~padding t.config.encap header ~length write in
+  let deadline =
+    match t.config.deadline_budget with
+    | Some (budget, _) -> Units.Time.add (Mmt_runtime.Env.now t.env) budget
+    | None -> Units.Time.zero
+  in
+  let packet =
+    Encap.packet_of_template t.env ~padding t.config.encap (Lazy.force t.header)
+      ~deadline
+      ~length write
+  in
   t.messages_sent <- t.messages_sent + 1;
   t.bytes_sent <-
     t.bytes_sent + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
@@ -74,7 +87,7 @@ let transmit_queued t (payload, padding) =
 
 let message_wire_size t (payload, padding) =
   (* The pacer's view of one message on the wire. *)
-  let header_size = Header.size (header_for t ~now:Units.Time.zero) in
+  let header_size = Header.Template.size (Lazy.force t.header) in
   Units.Size.bytes
     (Encap.overhead t.config.encap + header_size + Bytes.length payload + padding)
 

@@ -16,8 +16,7 @@ type role =
   | Sink of int
   | Other
 
-let classify ip =
-  let v = Int32.to_int (Addr.Ip.to_int32 ip) land 0xFFFFFFFF in
+let classify_int v =
   if v lsr 24 <> 10 then Other
   else
     let id = v land 0xFFFF in
@@ -27,3 +26,5 @@ let classify ip =
     | 48 -> Buffer id
     | 64 -> Sink id
     | _ -> Other
+
+let classify ip = classify_int (Int32.to_int (Addr.Ip.to_int32 ip) land 0xFFFFFFFF)

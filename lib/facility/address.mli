@@ -34,3 +34,7 @@ type role =
 
 val classify : Addr.Ip.t -> role
 (** Invert the plan: prefix match plus host-bit extraction, no table. *)
+
+val classify_int : int -> role
+(** {!classify} on an address as an unsigned int, as
+    {!Mmt.Header_vector.ip_dst} gives it. *)

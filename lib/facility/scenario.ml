@@ -167,11 +167,11 @@ type result = {
   events : int;
 }
 
-(* Encapsulation destination of a frame, for switch routing. *)
-let frame_dst frame =
-  match Mmt.Encap.locate frame with
-  | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _) -> Some dst
-  | Ok _ | Error _ -> None
+(* The facility address class of a packet's IPv4 destination: the
+   switches' routes and the sink hosts dispatch on it. *)
+let classify packet =
+  let dst = Mmt.Header_vector.ip_dst (Mmt.Header_vector.of_packet packet) in
+  if dst < 0 then Address.Other else Address.classify_int dst
 
 let experiment_of_flow f =
   (* The 8-bit slice field cannot hold a facility's flow count, so the
@@ -460,13 +460,10 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     let start, count = spans.(s) in
     let local f = f >= start && f < start + count in
     let sedge_route packet =
-      match frame_dst (Mmt_sim.Packet.frame packet) with
-      | None -> None
-      | Some dst -> (
-          match Address.classify dst with
-          | Address.Flow f when local f -> Flow_table.get ingress_handlers f
-          | Address.Buffer f when local f -> Flow_table.get nak_handlers f
-          | _ -> None)
+      match classify packet with
+      | Address.Flow f when local f -> Flow_table.get ingress_handlers f
+      | Address.Buffer f when local f -> Flow_table.get nak_handlers f
+      | _ -> None
     in
     ignore
       (Mmt_innet.Switch.attach ~engine ~node:sedges.(s)
@@ -476,16 +473,13 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
 
   (* Facility edge: rewritten site traffic goes out the WAN; NAKs
      coming back off the WAN go down the owning site's metro link. *)
+  let to_wan = Some (Mmt_sim.Link.send wan_data) in
+  let to_site = Array.map (fun link -> Some (Mmt_sim.Link.send link)) metro_down in
   let edge_in_route packet =
-    match frame_dst (Mmt_sim.Packet.frame packet) with
-    | None -> None
-    | Some dst -> (
-        match Address.classify dst with
-        | Address.Flow f when f < config.flows ->
-            Some (Mmt_sim.Link.send wan_data)
-        | Address.Buffer f when f < config.flows ->
-            Some (Mmt_sim.Link.send metro_down.(site_of.(f)))
-        | _ -> None)
+    match classify packet with
+    | Address.Flow f when f < config.flows -> to_wan
+    | Address.Buffer f when f < config.flows -> to_site.(site_of.(f))
+    | _ -> None
   in
   let _edge_in_switch =
     Mmt_innet.Switch.attach ~engine ~node:edge_in
@@ -494,14 +488,11 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
   in
 
   (* Facility edge (sink side): route each flow to its sink host. *)
+  let to_sink = Array.map (fun link -> Some (Mmt_sim.Link.send link)) sink_links in
   let edge_out_route packet =
-    match frame_dst (Mmt_sim.Packet.frame packet) with
-    | None -> None
-    | Some dst -> (
-        match Address.classify dst with
-        | Address.Flow f when f < config.flows ->
-            Some (Mmt_sim.Link.send sink_links.(f mod config.sinks))
-        | _ -> None)
+    match classify packet with
+    | Address.Flow f when f < config.flows -> to_sink.(f mod config.sinks)
+    | _ -> None
   in
   let _edge_out_switch =
     Mmt_innet.Switch.attach ~engine ~node:edge_out
@@ -530,21 +521,18 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
           }
           ~deliver:(fun meta _payload ->
             on_deliver ~flow:f
-              ~seq:meta.Mmt.Receiver.header.Mmt.Header.sequence))
+              ~seq:meta.Mmt.Receiver.sequence))
   in
   Array.iter
     (fun sink_node ->
       let retire = Mmt_sim.Ring.in_packet_done ring in
       Mmt_sim.Node.set_handler sink_node (fun packet ->
-          match frame_dst (Mmt_sim.Packet.frame packet) with
-          | Some dst -> (
-              match Address.classify dst with
-              | Address.Flow f -> (
-                  match Flow_table.get receivers f with
-                  | Some receiver -> Mmt.Receiver.on_packet receiver packet
-                  | None -> retire packet)
-              | _ -> retire packet)
-          | None -> retire packet))
+          match classify packet with
+          | Address.Flow f -> (
+              match Flow_table.get receivers f with
+              | Some receiver -> Mmt.Receiver.on_packet receiver packet
+              | None -> retire packet)
+          | _ -> retire packet))
     sinks;
 
   (* Sources: mode-0 senders fed by the per-kind workload shapes.  The

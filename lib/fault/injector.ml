@@ -82,13 +82,12 @@ let corruptor t ~probability ~bits packet =
   if Rng.float t.rng >= probability then false
   else begin
     let frame = Mmt_sim.Packet.frame packet in
-    let off, span =
-      match Mmt.Encap.locate frame with
-      | Ok (_encap, off) -> (
-          match Mmt.Header.View.of_frame ~off frame with
-          | Ok view -> (off, Mmt.Header.View.size view)
-          | Error _ -> (off, Bytes.length frame - off))
-      | Error _ -> (0, Bytes.length frame)
+    let hv = Mmt.Header_vector.of_packet packet in
+    let off = if Mmt.Header_vector.located hv then Mmt.Header_vector.mmt_offset hv else 0 in
+    let span =
+      if Mmt.Header_vector.parsed hv then
+        Mmt.Header.View.size (Mmt.Header_vector.view hv)
+      else Bytes.length frame - off
     in
     if span <= 0 then false
     else begin

@@ -16,6 +16,18 @@ let write w t =
   mac48 t.src;
   Cursor.Writer.u16 w t.ethertype
 
+let set_mac buf at m =
+  let raw = Addr.Mac.to_int64 m in
+  Bytes.set_uint16_be buf at (Int64.to_int (Int64.shift_right_logical raw 32));
+  Bytes.set_int32_be buf (at + 2) (Int64.to_int32 raw)
+
+let write_at buf ~off ~dst ~src ~ethertype =
+  if off < 0 || Bytes.length buf - off < header_size then
+    invalid_arg "Ethernet.write_at: buffer too short";
+  set_mac buf off dst;
+  set_mac buf (off + 6) src;
+  Bytes.set_uint16_be buf (off + 12) ethertype
+
 let read r =
   let mac48 () =
     let high = Int64.of_int (Cursor.Reader.u16 r) in

@@ -20,6 +20,13 @@ val ethertype_mmt : int
     multi-modal transport directly over Ethernet. *)
 
 val write : Mmt_wire.Cursor.Writer.t -> t -> unit
+
+val write_at :
+  bytes -> off:int -> dst:Addr.Mac.t -> src:Addr.Mac.t -> ethertype:int -> unit
+(** {!write} straight into [header_size] bytes at [off], building no
+    record and no cursor.
+    @raise Invalid_argument when the bytes are not there. *)
+
 val read : Mmt_wire.Cursor.Reader.t -> t
 (** @raise Mmt_wire.Cursor.Out_of_bounds on truncated input. *)
 

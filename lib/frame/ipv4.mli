@@ -24,10 +24,30 @@ val protocol_mmt : int
 val write : Mmt_wire.Cursor.Writer.t -> t -> unit
 (** Computes and embeds the header checksum. *)
 
+val write_at :
+  bytes ->
+  off:int ->
+  dscp:int ->
+  ttl:int ->
+  protocol:int ->
+  src:Addr.Ip.t ->
+  dst:Addr.Ip.t ->
+  payload_length:int ->
+  unit
+(** {!write} straight into [header_size] bytes at [off], building no
+    record and no cursor.
+    @raise Invalid_argument when the bytes are not there. *)
+
 val read : Mmt_wire.Cursor.Reader.t -> t
 (** @raise Failure on bad version, bad checksum, options present or a
     fragmented datagram.
     @raise Mmt_wire.Cursor.Out_of_bounds on truncated input. *)
+
+val header_error : bytes -> off:int -> string option
+(** The {!read} check of the [header_size] bytes at [off], in place and
+    without allocating: [Some] the message {!read} would fail with
+    (checksum, version, options, fragmentation), or [None].  The caller
+    checks that the bytes are there. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

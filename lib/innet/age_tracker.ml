@@ -24,21 +24,19 @@ let program =
   }
 
 let process t ~now packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  (match Mmt.Encap.locate frame with
-  | Error _ -> t.untracked <- t.untracked + 1
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> t.untracked <- t.untracked + 1
-      | Ok view ->
-          if not (Mmt.Header.View.has view Mmt.Feature.Age_tracked) then
-            t.untracked <- t.untracked + 1
-          else begin
-            let was_aged = Mmt.Header.View.aged view in
-            let _age_us, aged = Mmt.Header.View.touch_age view ~now in
-            t.touched <- t.touched + 1;
-            if aged && not was_aged then t.aged_marked <- t.aged_marked + 1
-          end));
+  let hv = Mmt.Header_vector.of_packet packet in
+  let view = Mmt.Header_vector.view hv in
+  if
+    not
+      (Mmt.Header_vector.parsed hv
+      && Mmt.Header.View.has view Mmt.Feature.Age_tracked)
+  then t.untracked <- t.untracked + 1
+  else begin
+    let was_aged = Mmt.Header.View.aged view in
+    let _age_us, aged = Mmt.Header.View.touch_age view ~now in
+    t.touched <- t.touched + 1;
+    if aged && not was_aged then t.aged_marked <- t.aged_marked + 1
+  end;
   Element.Forward packet
 
 let create () =

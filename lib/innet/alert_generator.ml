@@ -99,27 +99,29 @@ let fragment_charge fragment =
   | None -> None
 
 let process t ~now:_ packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  (match Mmt.Encap.locate frame with
-  | Error _ -> ()
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Ok view when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data -> (
-          let payload_offset = mmt_offset + Mmt.Header.View.size view in
-          match
-            Mmt_daq.Fragment.read
-              (Mmt_wire.Cursor.Reader.of_bytes ~off:payload_offset frame)
-          with
-          | Error _ -> ()
-          | Ok fragment -> (
-              t.inspected <- t.inspected + 1;
-              match fragment_charge fragment with
-              | Some charge when charge >= t.config.sum_adc_threshold ->
-                  t.triggers_seen <- t.triggers_seen + 1;
-                  if not (rate_limited t) then
-                    send_alert t ~source:fragment ~total_charge:charge
-              | Some _ | None -> ()))
-      | Ok _ | Error _ -> ()));
+  let hv = Mmt.Header_vector.of_packet packet in
+  (if
+     Mmt.Header_vector.parsed hv
+     && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Data
+   then
+     let payload_offset =
+       Mmt.Header_vector.mmt_offset hv
+       + Mmt.Header.View.size (Mmt.Header_vector.view hv)
+     in
+     match
+       Mmt_daq.Fragment.read
+         (Mmt_wire.Cursor.Reader.of_bytes ~off:payload_offset
+            (Mmt_sim.Packet.frame packet))
+     with
+     | Error _ -> ()
+     | Ok fragment -> (
+         t.inspected <- t.inspected + 1;
+         match fragment_charge fragment with
+         | Some charge when charge >= t.config.sum_adc_threshold ->
+             t.triggers_seen <- t.triggers_seen + 1;
+             if not (rate_limited t) then
+               send_alert t ~source:fragment ~total_charge:charge
+         | Some _ | None -> ()));
   Element.Forward packet
 
 let create ~env config =

@@ -53,34 +53,30 @@ let rate_limited t now =
   | Some last -> Units.Time.(Units.Time.diff now last < t.config.min_signal_gap)
 
 let process t ~now packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  (match Mmt.Encap.locate frame with
-  | Error _ -> ()
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> ()
-      | Ok view ->
-          if Mmt.Header.View.has view Mmt.Feature.Backpressured then begin
-            let control_addr = Mmt.Header.View.backpressure_to view in
-              let depth = Units.Size.to_bytes (t.queue_depth ()) in
-              let high = Units.Size.to_bytes t.config.high_watermark in
-              let low = Units.Size.to_bytes t.config.low_watermark in
-              if depth > high && not (rate_limited t now) then begin
-                let severity =
-                  min 255 (100 + (100 * (depth - high) / (max 1 high)))
-                in
-                send_signal t ~dst:control_addr ~severity;
-                t.signals_sent <- t.signals_sent + 1;
-                t.congested <- true;
-                t.last_signal <- Some now
-              end
-              else if t.congested && depth < low then begin
-                send_signal t ~dst:control_addr ~severity:0;
-                t.clears_sent <- t.clears_sent + 1;
-                t.congested <- false;
-                t.last_signal <- Some now
-              end
-          end));
+  let hv = Mmt.Header_vector.of_packet packet in
+  let view = Mmt.Header_vector.view hv in
+  if
+    Mmt.Header_vector.parsed hv
+    && Mmt.Header.View.has view Mmt.Feature.Backpressured
+  then begin
+    let control_addr = Mmt.Header.View.backpressure_to view in
+    let depth = Units.Size.to_bytes (t.queue_depth ()) in
+    let high = Units.Size.to_bytes t.config.high_watermark in
+    let low = Units.Size.to_bytes t.config.low_watermark in
+    if depth > high && not (rate_limited t now) then begin
+      let severity = min 255 (100 + (100 * (depth - high) / max 1 high)) in
+      send_signal t ~dst:control_addr ~severity;
+      t.signals_sent <- t.signals_sent + 1;
+      t.congested <- true;
+      t.last_signal <- Some now
+    end
+    else if t.congested && depth < low then begin
+      send_signal t ~dst:control_addr ~severity:0;
+      t.clears_sent <- t.clears_sent + 1;
+      t.congested <- false;
+      t.last_signal <- Some now
+    end
+  end;
   Element.Forward packet
 
 let create ~env config ~queue_depth () =

@@ -26,46 +26,45 @@ let program =
   }
 
 let process t ~now:_ packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  match Mmt.Encap.locate frame with
-  | Error _ ->
-      (* Not an MMT frame: none of our business. *)
-      t.passed <- t.passed + 1;
-      Element.Forward packet
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error reason ->
-          (* An unparseable header on a checksum-verifying path is
-             treated as corruption: a flipped feature bit or config id
-             looks exactly like this. *)
-          t.checked <- t.checked + 1;
-          t.failed <- t.failed + 1;
-          Element.Discard ("checksum-verify: " ^ reason)
-      | Ok view ->
-          if not (Mmt.Header.View.has view Mmt.Feature.Checksummed) then begin
-            (* On a path whose planned mode seals every data frame, a
-               data frame without the bit IS corruption — the flip that
-               erased the Checksummed feature bit would otherwise make
-               every other flipped bit in the header unverifiable. *)
-            if t.require && Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
-            then begin
-              t.checked <- t.checked + 1;
-              t.failed <- t.failed + 1;
-              Element.Discard "checksum-verify: required checksum missing"
-            end
-            else begin
-              t.passed <- t.passed + 1;
-              Element.Forward packet
-            end
-          end
-          else begin
-            t.checked <- t.checked + 1;
-            if Mmt.Header.View.verify view then Element.Forward packet
-            else begin
-              t.failed <- t.failed + 1;
-              Element.Discard "checksum-verify: header checksum mismatch"
-            end
-          end)
+  let hv = Mmt.Header_vector.of_packet packet in
+  if not (Mmt.Header_vector.located hv) then begin
+    (* Not an MMT frame: none of our business. *)
+    t.passed <- t.passed + 1;
+    Element.Forward packet
+  end
+  else if not (Mmt.Header_vector.parsed hv) then begin
+    (* An unparseable header on a checksum-verifying path is treated as
+       corruption: a flipped feature bit or config id looks exactly
+       like this. *)
+    t.checked <- t.checked + 1;
+    t.failed <- t.failed + 1;
+    Element.Discard ("checksum-verify: " ^ Mmt.Header_vector.error hv)
+  end
+  else
+    let view = Mmt.Header_vector.view hv in
+    if not (Mmt.Header.View.has view Mmt.Feature.Checksummed) then begin
+      (* On a path whose planned mode seals every data frame, a data
+         frame without the bit IS corruption — the flip that erased the
+         Checksummed feature bit would otherwise make every other
+         flipped bit in the header unverifiable. *)
+      if t.require && Mmt.Header.View.kind view = Mmt.Feature.Kind.Data then begin
+        t.checked <- t.checked + 1;
+        t.failed <- t.failed + 1;
+        Element.Discard "checksum-verify: required checksum missing"
+      end
+      else begin
+        t.passed <- t.passed + 1;
+        Element.Forward packet
+      end
+    end
+    else begin
+      t.checked <- t.checked + 1;
+      if Mmt.Header.View.verify view then Element.Forward packet
+      else begin
+        t.failed <- t.failed + 1;
+        Element.Discard "checksum-verify: header checksum mismatch"
+      end
+    end
 
 let create ?(require = false) () =
   let rec t =

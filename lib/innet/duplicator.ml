@@ -26,43 +26,35 @@ let program =
 (* Returns the frame to copy consumer frames from, plus whether it is a
    scratch buffer this element owns (and may recycle afterwards) or the
    packet's own live frame (which it must not). *)
-let mark_duplicated t frame =
-  match Mmt.Encap.locate frame with
-  | Error _ -> (frame, false)
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> (frame, false)
-      | Ok view ->
-          if Mmt.Header.View.has view Mmt.Feature.Duplicated then (frame, false)
-          else begin
-            (* The Duplicated bit lives in the configuration data; the
-               header size is unchanged, so flip it in place on a copy. *)
-            let len = Bytes.length frame in
-            let out = Mmt_sim.Pool.acquire (Mmt_runtime.Env.pool t.env) len in
-            Bytes.blit frame 0 out 0 len;
-            (match Mmt.Header.View.of_frame ~off:mmt_offset out with
-            | Ok view -> Mmt.Header.View.set_duplicated view
-            | Error _ -> ());
-            (out, true)
-          end)
+let mark_duplicated t frame view =
+  if Mmt.Header.View.has view Mmt.Feature.Duplicated then (frame, false)
+  else begin
+    (* The Duplicated bit lives in the configuration data; the header
+       size is unchanged, so flip it in place on a copy, at the offsets
+       the vector already holds. *)
+    let len = Bytes.length frame in
+    let out = Mmt_sim.Pool.acquire (Mmt_runtime.Env.pool t.env) len in
+    Bytes.blit frame 0 out 0 len;
+    Mmt.Header.View.set_duplicated_in view out;
+    (out, true)
+  end
 
 let process t ~now:_ packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  let is_data =
-    match Mmt.Encap.locate frame with
-    | Error _ -> false
-    | Ok (_encap, mmt_offset) -> (
-        match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-        | Error _ -> false
-        | Ok view -> Mmt.Header.View.kind view = Mmt.Feature.Kind.Data)
-  in
-  if (not is_data) || t.consumers = [] then begin
+  let hv = Mmt.Header_vector.of_packet packet in
+  if
+    t.consumers = []
+    || not
+         (Mmt.Header_vector.parsed hv
+         && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Data)
+  then begin
     t.passed <- t.passed + 1;
     Element.Forward packet
   end
   else begin
     t.duplicated <- t.duplicated + 1;
-    let marked, scratch = mark_duplicated t frame in
+    let marked, scratch =
+      mark_duplicated t (Mmt_sim.Packet.frame packet) (Mmt.Header_vector.view hv)
+    in
     List.iter
       (fun consumer ->
         (* Slot-allocated copy: record and frame both come from the

@@ -21,6 +21,8 @@ type t = {
   elements : Element.t list;
   route : Mmt_sim.Packet.t -> (Mmt_sim.Packet.t -> unit) option;
   ring : Mmt_sim.Ring.t;
+  hv : Mmt.Header_vector.t;
+      (* the header vector every stage of a pass reads (one parse) *)
   (* The pipeline latency is a per-device constant, so packets in the
      pipeline are one delay line and hold one heap entry between them. *)
   mutable pending : Mmt_sim.Packet.t Mmt_sim.Engine.Line.t; (* set in attach *)
@@ -43,7 +45,7 @@ let emit t packet =
       (* No sink: the switch was the packet's last holder. *)
       retire t packet
 
-let pipeline t packet =
+let pass t packet =
   let now = Mmt_sim.Engine.now t.engine in
   match Element.chain t.elements ~now packet with
   | Element.Forward packet -> emit t packet
@@ -53,6 +55,17 @@ let pipeline t packet =
   | Element.Discard _reason ->
       t.discarded <- t.discarded + 1;
       retire t packet
+
+(* One parse per pass: the elements and the route read [t.hv] through
+   [Header_vector.of_packet] while the pass has it entered. *)
+let pipeline t packet =
+  Mmt.Header_vector.parse t.hv packet;
+  let outer = Mmt.Header_vector.enter t.hv in
+  match pass t packet with
+  | () -> Mmt.Header_vector.leave outer
+  | exception e ->
+      Mmt.Header_vector.leave outer;
+      raise e
 
 let handle t packet =
   t.processed <- t.processed + 1;
@@ -80,6 +93,7 @@ let attach ~engine ~node ~profile ?(allow_payload = false) ~ring ~elements
       elements;
       route;
       ring;
+      hv = Mmt.Header_vector.create ();
       pending = no_pipeline;
       processed = 0;
       forwarded = 0;
@@ -103,4 +117,6 @@ let stats t =
     unrouted = t.unrouted;
   }
 
+let parses t = Mmt.Header_vector.parses t.hv
+let refreshes t = Mmt.Header_vector.refreshes t.hv
 let name t = Mmt_sim.Node.name t.node ^ "/" ^ t.profile.profile_name

@@ -8,7 +8,12 @@
     paper claims P4 hardware can do.
 
     Routing is a function from the (possibly rewritten) packet to a
-    sink; [None] drops with accounting. *)
+    sink; [None] drops with accounting.
+
+    The switch parses each packet once per pass into its header vector
+    ({!Mmt.Header_vector}), the way a P4 parser fills the header
+    vector for every stage: its elements and its route read the
+    packet's headers through {!Mmt.Header_vector.of_packet}. *)
 
 open Mmt_util
 
@@ -52,4 +57,13 @@ val attach :
     the device class. *)
 
 val stats : t -> stats
+
+val parses : t -> int
+(** Packets parsed into the switch's header vector: one per processed
+    packet, plus one per replica an element hands back.  Kept out of
+    {!stats}, whose values feed run digests. *)
+
+val refreshes : t -> int
+(** Frame replacements its elements announced ({!Mmt.Header_vector.refresh}). *)
+
 val name : t -> string

@@ -40,44 +40,40 @@ let send_notice t ~dst notice =
   t.notices_sent <- t.notices_sent + 1
 
 let process t ~now packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  match Mmt.Encap.locate frame with
-  | Error _ -> Element.Forward packet
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> Element.Forward packet
-      | Ok view ->
-          if
-            Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
-            && Mmt.Header.View.has view Mmt.Feature.Timely
-          then begin
-            t.checked <- t.checked + 1;
-            let deadline = Mmt.Header.View.deadline_ns view in
-            if Units.Time.(now > deadline) then begin
-              t.expired <- t.expired + 1;
-              let notify = Mmt.Header.View.notify view in
-              let notice =
-                {
-                  Mmt.Control.Deadline_exceeded.sequence =
-                    (if Mmt.Header.View.has view Mmt.Feature.Sequenced then
-                       Mmt.Header.View.sequence view
-                     else 0xFFFFFFFF);
-                  deadline;
-                  observed = now;
-                }
-              in
-              match t.policy with
-              | Mark -> Element.Forward packet
-              | Drop_expired ->
-                  t.dropped <- t.dropped + 1;
-                  Element.Discard "expired"
-              | Notify ->
-                  if not (Addr.Ip.is_any notify) then send_notice t ~dst:notify notice;
-                  Element.Forward packet
-            end
-            else Element.Forward packet
-          end
-          else Element.Forward packet)
+  let hv = Mmt.Header_vector.of_packet packet in
+  let view = Mmt.Header_vector.view hv in
+  if
+    not
+      (Mmt.Header_vector.parsed hv
+      && Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
+      && Mmt.Header.View.has view Mmt.Feature.Timely)
+  then Element.Forward packet
+  else begin
+    t.checked <- t.checked + 1;
+    let deadline = Mmt.Header.View.deadline_ns view in
+    if Units.Time.(now > deadline) then begin
+      t.expired <- t.expired + 1;
+      match t.policy with
+      | Mark -> Element.Forward packet
+      | Drop_expired ->
+          t.dropped <- t.dropped + 1;
+          Element.Discard "expired"
+      | Notify ->
+          let notify = Mmt.Header.View.notify view in
+          if not (Addr.Ip.is_any notify) then
+            send_notice t ~dst:notify
+              {
+                Mmt.Control.Deadline_exceeded.sequence =
+                  (if Mmt.Header.View.has view Mmt.Feature.Sequenced then
+                     Mmt.Header.View.sequence view
+                   else 0xFFFFFFFF);
+                deadline;
+                observed = now;
+              };
+          Element.Forward packet
+    end
+    else Element.Forward packet
+  end
 
 let create ~env ~policy () =
   let rec t =

@@ -35,26 +35,23 @@ let program =
   }
 
 let process t ~now packet =
-  let frame = Mmt_sim.Packet.frame packet in
-  (match Mmt.Encap.locate frame with
-  | Error _ -> t.untracked <- t.untracked + 1
-  | Ok (_encap, mmt_offset) -> (
-      match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-      | Error _ -> t.untracked <- t.untracked + 1
-      | Ok view ->
-          if not (Mmt.Header.View.has view Mmt.Feature.Int_telemetry) then
-            t.untracked <- t.untracked + 1
-          else begin
-            match
-              Mmt.Header.View.push_int_record view ~node_id:t.node_id
-                ~mode_id:t.mode_id
-                ~queue_depth:(t.queue_depth ())
-                ~ingress:(Units.Time.diff now t.residency)
-                ~egress:now
-            with
-            | Some _hop -> t.stamped <- t.stamped + 1
-            | None -> t.overflowed <- t.overflowed + 1
-          end));
+  let hv = Mmt.Header_vector.of_packet packet in
+  let view = Mmt.Header_vector.view hv in
+  (if
+     not
+       (Mmt.Header_vector.parsed hv
+       && Mmt.Header.View.has view Mmt.Feature.Int_telemetry)
+   then t.untracked <- t.untracked + 1
+   else
+     let queue_depth = t.queue_depth () in
+     match
+       Mmt.Header.View.push_int_record view ~node_id:t.node_id
+         ~mode_id:t.mode_id ~queue_depth
+         ~ingress:(Units.Time.diff now t.residency)
+         ~egress:now
+     with
+     | Some _hop -> t.stamped <- t.stamped + 1
+     | None -> t.overflowed <- t.overflowed + 1);
   Element.Forward packet
 
 let create ~node_id ~mode_id ?(residency = Units.Time.zero)

@@ -36,6 +36,13 @@ let params ?(fragment_count = 6000) ?(fragment_size = Units.Size.bytes 4096)
     plan;
   }
 
+type pass_counts = {
+  switch : string;
+  processed : int;
+  parses : int;
+  refreshes : int;
+}
+
 type outcome = {
   emitted : int;  (** sequence numbers assigned by the ingress rewriter *)
   delivered : int;
@@ -62,6 +69,8 @@ type outcome = {
   invariant : Mmt_fault.Invariant.outcome;
   violations : string list;
   receiver : Mmt.Receiver.stats;
+  passes : pass_counts list;
+  compiled_transitions : int;
 }
 
 let source_ip = Addr.Ip.of_octets 10 9 0 1
@@ -101,18 +110,28 @@ let snoop_element (point : buffer_point) =
     process =
       (fun ~now:_ packet ->
         (if point.alive then
-           let frame = Mmt_sim.Packet.frame packet in
-           match Mmt.Encap.locate frame with
-           | Error _ -> ()
-           | Ok (_encap, off) -> (
-               match Mmt.Header.View.of_frame ~off frame with
-               | Ok view
-                 when Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
-                      && Mmt.Header.View.has view Mmt.Feature.Sequenced ->
-                   Mmt.Buffer_host.store_packet point.host
-                     ~seq:(Mmt.Header.View.sequence view) packet
-               | Ok _ | Error _ -> ()));
+           let hv = Mmt.Header_vector.of_packet packet in
+           let view = Mmt.Header_vector.view hv in
+           if
+             Mmt.Header_vector.parsed hv
+             && Mmt.Header.View.kind view = Mmt.Feature.Kind.Data
+             && Mmt.Header.View.has view Mmt.Feature.Sequenced
+           then
+             Mmt.Buffer_host.store_packet point.host
+               ~seq:(Mmt.Header.View.sequence view) packet);
         Mmt_innet.Element.Forward packet);
+  }
+
+let rec bound_for hv = function
+  | [] -> false
+  | ip :: rest -> Mmt.Header_vector.dst_is hv ip || bound_for hv rest
+
+let pass_counts (name, switch) =
+  {
+    switch = name;
+    processed = (Mmt_innet.Switch.stats switch).Mmt_innet.Switch.processed;
+    parses = Mmt_innet.Switch.parses switch;
+    refreshes = Mmt_innet.Switch.refreshes switch;
   }
 
 let run p =
@@ -281,16 +300,17 @@ let run p =
           else Mmt_innet.Element.Discard "ingress-gate: element failed");
     }
   in
+  let retire = Some (Mmt_sim.Ring.in_packet_done ring) in
+  let to_a = Some (Mmt_sim.Link.send ing_to_a) in
   let ingress_route packet =
-    let frame = Mmt_sim.Packet.frame packet in
-    match Mmt.Encap.locate frame with
-    | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _) when Addr.Ip.equal dst source_ip ->
-        (* The source has no control-plane endpoint: the ingress is the
-           last holder of source-bound frames. *)
-        Some (Mmt_sim.Ring.in_packet_done ring)
-    | _ -> Some (Mmt_sim.Link.send ing_to_a)
+    if Mmt.Header_vector.dst_is (Mmt.Header_vector.of_packet packet) source_ip
+    then
+      (* The source has no control-plane endpoint: the ingress is the
+         last holder of source-bound frames. *)
+      retire
+    else to_a
   in
-  let _ingress_switch =
+  let ingress_switch =
     Mmt_innet.Switch.attach ~engine ~node:ingress
       ~profile:Mmt_innet.Switch.tofino2 ~ring
       ~elements:[ gate; Mmt_innet.Mode_rewriter.element rewriter ]
@@ -301,49 +321,40 @@ let run p =
      corrupted upstream never enter retransmission memory. *)
   let verify_a = Mmt_innet.Checksum_verify.create ~require:true () in
   let verify_b = Mmt_innet.Checksum_verify.create ~require:true () in
-  let buffer_route (point : buffer_point) ~forward packet =
-    let frame = Mmt_sim.Packet.frame packet in
-    match Mmt.Encap.locate frame with
-    | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, off) -> (
-        match Mmt.Header.View.of_frame ~off frame with
-        | Ok view
-          when Mmt.Header.View.kind view = Mmt.Feature.Kind.Nak
-               && Addr.Ip.equal dst point.ip ->
-            Some
-              (fun packet ->
-                if point.alive then Mmt.Buffer_host.on_packet point.host packet
-                else Mmt_sim.Ring.in_packet_done ring packet)
-        | _ -> Some forward)
-    | _ -> Some forward
-  in
-  let _switch_a =
-    Mmt_innet.Switch.attach ~engine ~node:node_a
+  (* A buffer node sends upstream-bound frames back, takes the NAKs
+     addressed to it, and forwards the rest. *)
+  let buffer_switch node (point : buffer_point) verify ~upstream ~back
+      ~forward =
+    let back = Some (Mmt_sim.Link.send back) in
+    let forward = Some (Mmt_sim.Link.send forward) in
+    let to_host =
+      Some
+        (fun packet ->
+          if point.alive then Mmt.Buffer_host.on_packet point.host packet
+          else Mmt_sim.Ring.in_packet_done ring packet)
+    in
+    Mmt_innet.Switch.attach ~engine ~node
       ~profile:Mmt_innet.Switch.alveo_smartnic ~ring
-      ~elements:
-        [ Mmt_innet.Checksum_verify.element verify_a; snoop_element buffer_a ]
+      ~elements:[ Mmt_innet.Checksum_verify.element verify; snoop_element point ]
       ~route:(fun packet ->
-        let frame = Mmt_sim.Packet.frame packet in
-        match Mmt.Encap.locate frame with
-        | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _)
-          when Addr.Ip.equal dst ingress_ip || Addr.Ip.equal dst source_ip ->
-            Some (Mmt_sim.Link.send a_to_ing)
-        | _ -> buffer_route buffer_a ~forward:(Mmt_sim.Link.send a_to_b) packet)
+        let hv = Mmt.Header_vector.of_packet packet in
+        if bound_for hv upstream then back
+        else if
+          Mmt.Header_vector.dst_is hv point.ip
+          && Mmt.Header_vector.parsed hv
+          && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
+        then to_host
+        else forward)
       ()
   in
-  let _switch_b =
-    Mmt_innet.Switch.attach ~engine ~node:node_b
-      ~profile:Mmt_innet.Switch.alveo_smartnic ~ring
-      ~elements:
-        [ Mmt_innet.Checksum_verify.element verify_b; snoop_element buffer_b ]
-      ~route:(fun packet ->
-        let frame = Mmt_sim.Packet.frame packet in
-        match Mmt.Encap.locate frame with
-        | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, _)
-          when Addr.Ip.equal dst buffer_a_ip || Addr.Ip.equal dst ingress_ip
-               || Addr.Ip.equal dst source_ip ->
-            Some (Mmt_sim.Link.send b_to_a)
-        | _ -> buffer_route buffer_b ~forward:(Mmt_sim.Link.send b_to_sink) packet)
-      ()
+  let switch_a =
+    buffer_switch node_a buffer_a verify_a ~upstream:[ ingress_ip; source_ip ]
+      ~back:a_to_ing ~forward:a_to_b
+  in
+  let switch_b =
+    buffer_switch node_b buffer_b verify_b
+      ~upstream:[ buffer_a_ip; ingress_ip; source_ip ]
+      ~back:b_to_a ~forward:b_to_sink
   in
 
   (* Sink: receiver wrapped in the invariant ledger. *)
@@ -365,7 +376,7 @@ let run p =
         expected_total = (if p.track_total then Some p.fragment_count else None);
       }
       ~deliver:(fun meta _payload ->
-        match meta.Mmt.Receiver.header.Mmt.Header.sequence with
+        match meta.Mmt.Receiver.sequence with
         | Some seq -> Mmt_fault.Invariant.delivered ledger ~seq
         | None -> incr degraded_delivered)
   in
@@ -499,6 +510,10 @@ let run p =
     invariant;
     violations;
     receiver = stats;
+    passes =
+      List.map pass_counts
+        [ ("ingress", ingress_switch); ("buffer-a", switch_a); ("buffer-b", switch_b) ];
+    compiled_transitions = Mmt_innet.Mode_rewriter.compiled rewriter;
   }
 
 (* ------------------------------------------------------------------ *)

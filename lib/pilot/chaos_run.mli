@@ -65,6 +65,14 @@ val params :
   unit ->
   params
 
+type pass_counts = {
+  switch : string;  (** "ingress", "buffer-a" or "buffer-b" *)
+  processed : int;  (** packets the switch's pipeline took in *)
+  parses : int;  (** {!Mmt_innet.Switch.parses} *)
+  refreshes : int;  (** {!Mmt_innet.Switch.refreshes} *)
+}
+(** How often a switch parsed headers over the run. *)
+
 type outcome = {
   emitted : int;  (** sequence numbers assigned by the ingress rewriter *)
   delivered : int;
@@ -91,6 +99,8 @@ type outcome = {
   invariant : Mmt_fault.Invariant.outcome;
   violations : string list;  (** empty iff all invariants held *)
   receiver : Mmt.Receiver.stats;
+  passes : pass_counts list;  (** the three switches, in path order *)
+  compiled_transitions : int;  (** {!Mmt_innet.Mode_rewriter.compiled} *)
 }
 
 val run : params -> outcome

@@ -75,29 +75,12 @@ type t = {
   bp_monitor : Mmt_innet.Backpressure_monitor.t option;
   dtn1_switch : Mmt_innet.Switch.t;
   tofino_switch : Mmt_innet.Switch.t;
+  sink_switch : Mmt_innet.Switch.t option;
   wan_a : Mmt_sim.Link.t;
   wan_b : Mmt_sim.Link.t;
   researcher_receivers : Mmt.Receiver.t list;
   int_state : int_state option;
 }
-
-(* Frame inspection used by switch routing: the encapsulation's IP
-   destination and the transport kind. *)
-let frame_address frame =
-  match Mmt.Encap.locate frame with
-  | Error _ -> None
-  | Ok (encap, mmt_offset) ->
-      let dst =
-        match encap with
-        | Mmt.Encap.Over_ipv4 { dst; _ } -> Some dst
-        | Mmt.Encap.Raw | Mmt.Encap.Over_ethernet _ -> None
-      in
-      let kind =
-        match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-        | Ok view -> Some (Mmt.Header.View.kind view)
-        | Error _ -> None
-      in
-      Some (dst, kind)
 
 let receiver_config config =
   {
@@ -245,17 +228,19 @@ let build config =
         | None -> ())
       ()
   in
+  let to_buffer = Some (Mmt.Buffer_host.on_packet buffer) in
+  let to_sensor = Some (Mmt_sim.Link.send d1_to_s) in
+  let to_wan = Some (Mmt_sim.Link.send d1_to_sw) in
   let dtn1_route packet =
-    let frame = Mmt_sim.Packet.frame packet in
-    match frame_address frame with
-    | Some (Some dst, Some Mmt.Feature.Kind.Nak)
-      when Mmt_frame.Addr.Ip.equal dst Address.dtn1_ip ->
-        Some (Mmt.Buffer_host.on_packet buffer)
-    | Some (Some dst, _) when Mmt_frame.Addr.Ip.equal dst Address.sensor_ip ->
-        Some (Mmt_sim.Link.send d1_to_s)
-    | Some (Some _, _) -> Some (Mmt_sim.Link.send d1_to_sw)
-    | Some (None, _) -> Some (Mmt_sim.Link.send d1_to_sw)
-    | None -> None
+    let hv = Mmt.Header_vector.of_packet packet in
+    if not (Mmt.Header_vector.located hv) then None
+    else if
+      Mmt.Header_vector.dst_is hv Address.dtn1_ip
+      && Mmt.Header_vector.parsed hv
+      && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
+    then to_buffer
+    else if Mmt.Header_vector.dst_is hv Address.sensor_ip then to_sensor
+    else to_wan
   in
   let dtn1_switch =
     Mmt_innet.Switch.attach ~engine ~node:dtn1 ~profile:p.Profile.nic
@@ -321,16 +306,14 @@ let build config =
       | None -> [])
     @ int_element (fun state -> state.tofino_stamper)
   in
+  let to_dtn2 = Some (Mmt_sim.Link.send sw_to_d2) in
   let tofino_route packet =
-    let frame = Mmt_sim.Packet.frame packet in
-    match frame_address frame with
-    | Some (Some dst, _) ->
-        (* router_sw already holds every destination (DTNs, sensor,
-           researchers); an O(1) lookup replaces the old linear scan
-           over researcher links that cost O(consumers) per packet. *)
-        Router.find router_sw dst
-    | Some (None, _) -> Some (Mmt_sim.Link.send sw_to_d2)
-    | None -> None
+    let hv = Mmt.Header_vector.of_packet packet in
+    if not (Mmt.Header_vector.located hv) then None
+    else if Mmt.Header_vector.ip_dst hv < 0 then to_dtn2
+    else
+      (* router_sw holds every destination (DTNs, sensor, researchers). *)
+      Router.find router_sw (Mmt.Header_vector.dst hv)
   in
   let tofino_switch =
     Mmt_innet.Switch.attach ~engine ~node:tofino ~profile:p.Profile.switch
@@ -367,17 +350,22 @@ let build config =
       (Mmt_sim.Engine.Line.create engine ~delay:p.Profile.host_overhead
          ~filler:Mmt_sim.Packet.none (Mmt.Receiver.on_packet receiver))
   in
-  (match int_state with
-  | Some state ->
-      (* The smartNIC hosts the INT sink: strip the stack and digest it
-         before the packet crosses into the host. *)
-      ignore
-        (Mmt_innet.Switch.attach ~engine ~node:dtn2 ~profile:p.Profile.nic
-           ~ring
-           ~elements:[ Mmt_int.Sink.element state.sink ]
-           ~route:(fun _packet -> Some to_receiver)
-           ())
-  | None -> Mmt_sim.Node.set_handler dtn2 to_receiver);
+  let sink_switch =
+    match int_state with
+    | Some state ->
+        (* The smartNIC hosts the INT sink: strip the stack and digest it
+           before the packet crosses into the host. *)
+        let to_receiver = Some to_receiver in
+        Some
+          (Mmt_innet.Switch.attach ~engine ~node:dtn2 ~profile:p.Profile.nic
+             ~ring
+             ~elements:[ Mmt_int.Sink.element state.sink ]
+             ~route:(fun _packet -> to_receiver)
+             ())
+    | None ->
+        Mmt_sim.Node.set_handler dtn2 to_receiver;
+        None
+  in
 
   (* Researchers: plain receivers on the duplicated stream. *)
   let researcher_receivers =
@@ -470,6 +458,7 @@ let build config =
     bp_monitor;
     dtn1_switch;
     tofino_switch;
+    sink_switch;
     wan_a = d1_to_sw;
     wan_b = sw_to_d2;
     researcher_receivers;
@@ -530,6 +519,10 @@ let engine (t : t) = t.engine
 
 let ring_stats (t : t) =
   [ Mmt_sim.Ring.stats (Option.get (Mmt_sim.Topology.ring t.topo)) ]
+
+let switches (t : t) =
+  ("dtn1", t.dtn1_switch) :: ("tofino2", t.tofino_switch)
+  :: Option.to_list (Option.map (fun s -> ("dtn2", s)) t.sink_switch)
 
 let int_collector (t : t) =
   Option.map (fun state -> state.collector) t.int_state

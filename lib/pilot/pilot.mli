@@ -97,6 +97,10 @@ val ring_stats : t -> Mmt_sim.Ring.stats list
 (** The topology ring's statistics (recycle ratios for the bench
     report) as a one-element list. *)
 
+val switches : t -> (string * Mmt_innet.Switch.t) list
+(** The programmable devices on the path, in order: DTN 1's NIC, the
+    Tofino, and DTN 2's NIC when it hosts the INT sink. *)
+
 val int_nodes : (int * string) list
 (** INT node ids used by the topology: dtn1 = 1, tofino2 = 2,
     dtn2 (sink) = 3, in path order. *)

@@ -304,19 +304,17 @@ module Placement_run = struct
           | None -> ())
         ()
     in
+    let to_buffer = Some (Mmt.Buffer_host.on_packet buffer) in
+    let to_dst = Some (Mmt_sim.Link.send buf_to_dst) in
     let route packet =
-      let frame = Mmt_sim.Packet.frame packet in
-      match Mmt.Encap.locate frame with
-      | Error _ -> None
-      | Ok (Mmt.Encap.Over_ipv4 { dst; _ }, mmt_offset) -> (
-          match Mmt.Header.View.of_frame ~off:mmt_offset frame with
-          | Ok view
-            when Mmt.Header.View.kind view = Mmt.Feature.Kind.Nak
-                 && Mmt_frame.Addr.Ip.equal dst buffer_ip ->
-              Some (Mmt.Buffer_host.on_packet buffer)
-          | _ -> Some (Mmt_sim.Link.send buf_to_dst))
-      | Ok ((Mmt.Encap.Raw | Mmt.Encap.Over_ethernet _), _) ->
-          Some (Mmt_sim.Link.send buf_to_dst)
+      let hv = Mmt.Header_vector.of_packet packet in
+      if not (Mmt.Header_vector.located hv) then None
+      else if
+        Mmt.Header_vector.dst_is hv buffer_ip
+        && Mmt.Header_vector.parsed hv
+        && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
+      then to_buffer
+      else to_dst
     in
     let _switch =
       Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.tofino2 ~ring
@@ -416,13 +414,11 @@ module Priority_run = struct
   let archive_ip = Mmt_frame.Addr.Ip.of_octets 10 7 0 2
 
   let deadline_of packet =
-    match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-    | Error _ -> None
-    | Ok (_encap, off) -> (
-        match Mmt.Header.View.of_frame ~off (Mmt_sim.Packet.frame packet) with
-        | Ok view when Mmt.Header.View.has view Mmt.Feature.Timely ->
-            Some (Mmt.Header.View.deadline_ns view)
-        | Ok _ | Error _ -> None)
+    let hv = Mmt.Header_vector.of_packet packet in
+    let view = Mmt.Header_vector.view hv in
+    if Mmt.Header_vector.parsed hv && Mmt.Header.View.has view Mmt.Feature.Timely
+    then Some (Mmt.Header.View.deadline_ns view)
+    else None
 
   let run p =
     let engine = Mmt_sim.Engine.create () in
@@ -484,16 +480,15 @@ module Priority_run = struct
         ~deliver:(fun _ _ -> ())
     in
     Mmt_sim.Node.set_handler archive (fun packet ->
-        match Mmt.Encap.locate (Mmt_sim.Packet.frame packet) with
-        | Error _ -> Mmt_sim.Ring.in_packet_done ring packet
-        | Ok (_encap, off) -> (
-            match Mmt.Header.View.of_frame ~off (Mmt_sim.Packet.frame packet) with
-            | Ok view
-              when Mmt.Experiment_id.slice (Mmt.Header.View.experiment view) = 1
-              ->
-                Mmt.Receiver.on_packet alert_rx packet
-            | Ok _ -> Mmt.Receiver.on_packet bulk_rx packet
-            | Error _ -> Mmt_sim.Ring.in_packet_done ring packet));
+        let hv = Mmt.Header_vector.of_packet packet in
+        if not (Mmt.Header_vector.parsed hv) then
+          Mmt_sim.Ring.in_packet_done ring packet
+        else if
+          Mmt.Experiment_id.slice
+            (Mmt.Header.View.experiment (Mmt.Header_vector.view hv))
+          = 1
+        then Mmt.Receiver.on_packet alert_rx packet
+        else Mmt.Receiver.on_packet bulk_rx packet);
     let bulk_payload = Bytes.make 8192 'B' in
     let bulk_gap = Units.Rate.transmission_time p.bulk_rate (Units.Size.bytes 8192) in
     for i = 0 to p.bulk_count - 1 do

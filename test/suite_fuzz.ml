@@ -267,31 +267,158 @@ let qcheck_element_mutation =
           true
       | exception _ -> false)
 
-(* Receiver total on arbitrary packets. *)
+(* Receiver total on arbitrary packets, and its view-based data path
+   equal to a decode of the same header.  Each packet goes to a fresh
+   receiver twice over: as it arrived, and re-encoded from its decoded
+   header (which normalises every bit the decoder ignores); the two runs
+   must end with equal stats and deliver equal metas, and the metas must
+   carry what the decoded header says. *)
+let receiver_frames =
+  let experiment = Mmt.Experiment_id.make ~experiment:1 ~slice:0 in
+  let ip = Mmt_frame.Addr.Ip.of_octets in
+  let advert =
+    Mmt.Control.Buffer_advert.encode
+      {
+        Mmt.Control.Buffer_advert.buffer = ip 10 0 0 4;
+        capacity = Mmt_util.Units.Size.mib 1;
+        rtt_hint = Mmt_util.Units.Time.ms 2.;
+      }
+  in
+  let headers =
+    [
+      (Mmt.Header.create ~experiment (), Bytes.make 16 'p');
+      ( Mmt.Header.create ~sequence:3 ~retransmit_from:(ip 10 0 0 9)
+          ~extra_features:[ Mmt.Feature.Checksummed ] ~experiment (),
+        Bytes.make 16 'p' );
+      (Mmt.Header.create ~sequence:70_000 ~experiment (), Bytes.empty);
+      ( Mmt.Header.create ~sequence:2
+          ~timely:{ Mmt.Header.deadline = Mmt_util.Units.Time.ms 4.; notify = ip 10 0 0 8 }
+          ~age:
+            {
+              Mmt.Header.age_us = 100;
+              budget_us = 5_000;
+              aged = false;
+              hop_count = 2;
+              last_touch_ns = Mmt_util.Units.Time.ms 1.;
+            }
+          ~int_stack:Mmt.Header.empty_int_stack ~experiment (),
+        Bytes.make 8 'q' );
+      (Mmt.Header.create ~kind:Mmt.Feature.Kind.Buffer_advert ~experiment (), advert);
+    ]
+  in
+  (* Each header also comes with the bits its decoder ignores set: flag
+     bytes beyond their defined bit, the INT reserved word. *)
+  let dirty header =
+    let buf = Mmt.Header.encode header in
+    Option.iter
+      (fun at -> Bytes.set buf (at + 8) '\xAA')
+      (Mmt.Header.offset_of_age header);
+    Option.iter
+      (fun at ->
+        Bytes.set buf (at + 1) '\xFE';
+        Bytes.set_uint16_be buf (at + 2) 0xBEEF)
+      (Mmt.Header.offset_of_int header);
+    buf
+  in
+  List.concat_map
+    (fun (header, payload) ->
+      List.concat_map
+        (fun encoded ->
+          let mmt = Bytes.cat encoded payload in
+          [
+            mmt;
+            Mmt.Encap.wrap
+              (Mmt.Encap.Over_ipv4
+                 { src = ip 10 0 0 1; dst = ip 10 0 0 2; dscp = 0; ttl = 64 })
+              mmt;
+          ])
+        [ Mmt.Header.encode header; dirty header ])
+    headers
+
+let receive frame =
+  let engine = Mmt_sim.Engine.create () in
+  let env, _ = Mmt_runtime.Env.loopback engine in
+  let metas = ref [] in
+  let receiver =
+    Mmt.Receiver.create ~env
+      {
+        Mmt.Receiver.experiment = Mmt.Experiment_id.make ~experiment:1 ~slice:0;
+        nak_delay = Mmt_util.Units.Time.ms 1.;
+        nak_retry_timeout = Mmt_util.Units.Time.ms 5.;
+        max_nak_retries = 1;
+        expected_total = None;
+      }
+      ~deliver:(fun meta _ -> metas := meta :: !metas)
+  in
+  (* A copy: the receiver retires the packet, and its frame goes back to
+     the ring's pool for the next NAK. *)
+  let packet =
+    Mmt_sim.Packet.create ~padding:100 ~id:0 ~born:(Mmt_util.Units.Time.ms 1.)
+      (Bytes.copy frame)
+  in
+  ignore
+    (Mmt_sim.Engine.schedule engine ~at:(Mmt_util.Units.Time.ms 5.) (fun () ->
+         Mmt.Receiver.on_packet receiver packet));
+  Mmt_sim.Engine.run engine;
+  (Mmt.Receiver.stats receiver, !metas)
+
+(* The decoded header's account of one delivery at 5 ms. *)
+let meta_agrees (h : Mmt.Header.t) (m : Mmt.Receiver.meta) =
+  let now = Mmt_util.Units.Time.ms 5. in
+  let late =
+    match h.Mmt.Header.timely with
+    | Some t -> Mmt_util.Units.Time.(now > t.Mmt.Header.deadline)
+    | None -> false
+  in
+  let age_us =
+    Option.map
+      (fun (a : Mmt.Header.age) ->
+        a.Mmt.Header.age_us
+        + (Mmt_util.Units.Time.to_ns (Mmt_util.Units.Time.diff now a.Mmt.Header.last_touch_ns)
+          / 1_000))
+      h.Mmt.Header.age
+  in
+  let aged =
+    match (h.Mmt.Header.age, age_us) with
+    | Some a, Some final -> a.Mmt.Header.aged || final > a.Mmt.Header.budget_us
+    | _ -> false
+  in
+  m.Mmt.Receiver.sequence = h.Mmt.Header.sequence
+  && m.Mmt.Receiver.late = late && m.Mmt.Receiver.age_us = age_us
+  && m.Mmt.Receiver.aged = aged
+
 let qcheck_receiver_total =
-  QCheck.Test.make ~name:"receiver survives arbitrary packets" ~count:500
-    arbitrary_bytes
+  QCheck.Test.make ~name:"receiver survives arbitrary packets" ~count:1500
+    (mutated_inputs receiver_frames)
     (fun buf ->
-      let engine = Mmt_sim.Engine.create () in
-      let env, _ = Mmt_runtime.Env.loopback engine in
-      let receiver =
-        Mmt.Receiver.create ~env
-          {
-            Mmt.Receiver.experiment = Mmt.Experiment_id.make ~experiment:1 ~slice:0;
-            nak_delay = Mmt_util.Units.Time.ms 1.;
-            nak_retry_timeout = Mmt_util.Units.Time.ms 5.;
-            max_nak_retries = 1;
-            expected_total = None;
-          }
-          ~deliver:(fun _ _ -> ())
-      in
-      let packet = Mmt_sim.Packet.create ~id:0 ~born:Mmt_util.Units.Time.zero buf in
-      match
-        Mmt.Receiver.on_packet receiver packet;
-        Mmt_sim.Engine.run engine
-      with
-      | () -> true
-      | exception _ -> false)
+      match receive buf with
+      | exception _ -> false
+      | stats, metas -> (
+          match Mmt.Encap.locate buf with
+          | Error _ -> stats.Mmt.Receiver.corrupted = 1 && metas = []
+          | Ok (_, off) -> (
+              match Mmt.Header.decode_bytes ~off buf with
+              | Error _ -> stats.Mmt.Receiver.corrupted = 1 && metas = []
+              | Ok h
+                when Mmt.Feature.Set.mem Mmt.Feature.Checksummed h.Mmt.Header.features
+                     && not
+                          (Mmt.Header.verify_in_place buf ~off
+                             ~size:(Mmt.Header.size h)) ->
+                  stats.Mmt.Receiver.checksum_failed = 1 && metas = []
+              | Ok h ->
+                  let canonical = Bytes.sub buf 0 off in
+                  let canonical =
+                    Bytes.concat Bytes.empty
+                      [
+                        canonical;
+                        Mmt.Header.encode h;
+                        Bytes.sub buf (off + Mmt.Header.size h)
+                          (Bytes.length buf - off - Mmt.Header.size h);
+                      ]
+                  in
+                  let stats', metas' = receive canonical in
+                  stats = stats' && metas = metas'
+                  && List.for_all (meta_agrees h) metas)))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -183,7 +183,7 @@ let test_encrypted_payloads_cross_elements () =
       }
       ~deliver:(fun (meta : Mmt.Receiver.meta) payload ->
         let nonce =
-          Int64.of_int (Option.value ~default:0 meta.Mmt.Receiver.header.Mmt.Header.sequence)
+          Int64.of_int (Option.value ~default:0 meta.Mmt.Receiver.sequence)
         in
         match
           Mmt.Payload_crypto.decrypt key ~nonce (Mmt_wire.Cursor.Reader.rest payload)

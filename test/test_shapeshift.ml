@@ -27,6 +27,7 @@ let () =
       ("fault", Suite_fault.suite);
       ("campaign", Suite_campaign.suite);
       ("fuzz", Suite_fuzz.suite);
+      ("header-path", Suite_hpath.suite);
       ("experiments", Suite_experiments.suite);
       ("facility", Suite_facility.suite);
     ]
