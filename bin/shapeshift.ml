@@ -710,9 +710,12 @@ let trace_cmd =
       Mmt_sim.Topology.connect topo ~src:dst ~dst:buf ~rate
         ~propagation:(Units.Time.ms 2.) ()
     in
-    let router_b = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send b_to_d) ~ring () in
-    let env_b = Mmt_pilot.Router.env router_b ~engine ~fresh_id ~local_ip:buf_ip in
+    (* dtn1's table: frames addressed to it reach its buffer host, the
+       rest go on to dtn2. *)
+    let router_b = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send b_to_d) ~ring 1 in
+    let env_b = Mmt_innet.Router.env router_b ~engine ~fresh_id ~local_ip:buf_ip in
     let buffer = Mmt.Buffer_host.create ~env:env_b ~capacity:(Units.Size.mib 16) () in
+    Mmt_innet.Router.add router_b buf_ip (Mmt.Buffer_host.on_packet buffer);
     let mode = Mmt.Mode.make ~name:"wan" ~reliable:buf_ip ~age_budget_us:50_000 () in
     let rewriter =
       Mmt_innet.Mode_rewriter.create ~mode
@@ -722,23 +725,12 @@ let trace_cmd =
           Option.iter (fun seq -> Mmt.Buffer_host.store_packet buffer ~seq packet) seq)
         ()
     in
-    let to_buffer = Some (Mmt.Buffer_host.on_packet buffer) in
-    let to_dst = Some (Mmt_sim.Link.send b_to_d) in
     let _sw =
       Mmt_innet.Switch.attach ~engine ~node:buf ~profile:Mmt_innet.Switch.alveo_smartnic
-        ~ring ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ]
-        ~route:(fun packet ->
-          let hv = Mmt.Header_vector.of_packet packet in
-          if
-            Mmt.Header_vector.dst_is hv buf_ip
-            && Mmt.Header_vector.parsed hv
-            && Mmt.Header_vector.kind hv = Mmt.Feature.Kind.Nak
-          then to_buffer
-          else to_dst)
-        ()
+        ~router:router_b ~elements:[ Mmt_innet.Mode_rewriter.element rewriter ] ()
     in
-    let router_d = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send d_to_b) ~ring () in
-    let env_d = Mmt_pilot.Router.env router_d ~engine ~fresh_id ~local_ip:dst_ip in
+    let router_d = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send d_to_b) ~ring 0 in
+    let env_d = Mmt_innet.Router.env router_d ~engine ~fresh_id ~local_ip:dst_ip in
     let receiver =
       Mmt.Receiver.create ~env:env_d
         {
@@ -751,8 +743,8 @@ let trace_cmd =
         ~deliver:(fun _ _ -> ())
     in
     Mmt_sim.Node.set_handler dst (Mmt.Receiver.on_packet receiver);
-    let router_s = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send s_to_b) ~ring () in
-    let env_s = Mmt_pilot.Router.env router_s ~engine ~fresh_id ~local_ip:src_ip in
+    let router_s = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send s_to_b) ~ring 0 in
+    let env_s = Mmt_innet.Router.env router_s ~engine ~fresh_id ~local_ip:src_ip in
     let sender =
       Mmt.Sender.create ~env:env_s
         {

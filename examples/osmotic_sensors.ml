@@ -89,8 +89,8 @@ let () =
 
   (* Gateway: feed TCP receivers; aggregate completed readings into MMT
      fragments toward the facility. *)
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) ~ring () in
-  let env_gw = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:gateway_ip in
+  let router = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send wan) ~ring 0 in
+  let env_gw = Mmt_innet.Router.env router ~engine ~fresh_id ~local_ip:gateway_ip in
   let buffer = Mmt.Buffer_host.create ~env:env_gw ~capacity:(Units.Size.mib 64) () in
   let experiment = Mmt.Experiment_id.make ~experiment:20 ~slice:0 in
   let wan_mode =
@@ -192,9 +192,9 @@ let () =
 
   (* Facility receiver. *)
   let router_fac =
-    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan_back) ~ring ()
+    Mmt_innet.Router.create ~default:(Mmt_sim.Link.send wan_back) ~ring 0
   in
-  let env_fac = Mmt_pilot.Router.env router_fac ~engine ~fresh_id ~local_ip:facility_ip in
+  let env_fac = Mmt_innet.Router.env router_fac ~engine ~fresh_id ~local_ip:facility_ip in
   let receiver =
     Mmt.Receiver.create ~env:env_fac
       {

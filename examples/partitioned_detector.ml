@@ -25,8 +25,8 @@ let () =
     Mmt_sim.Topology.connect topo ~src:detector ~dst:facility
       ~rate:(Units.Rate.gbps 100.) ~propagation:(Units.Time.us 10.) ()
   in
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send daq_link) ~ring () in
-  let env = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:detector_ip in
+  let router = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send daq_link) ~ring 0 in
+  let env = Mmt_innet.Router.env router ~engine ~fresh_id ~local_ip:detector_ip in
   let dune_experiment = Mmt_daq.Experiment.find Mmt_daq.Experiment.Dune in
 
   (* One mode-0 sender per detector slice — "DUNE's four detectors each

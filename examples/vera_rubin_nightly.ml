@@ -49,8 +49,8 @@ let run ~deadline_aware =
   ignore
     (Mmt_sim.Topology.connect topo ~src:archive ~dst:telescope ~rate:link_rate
        ~propagation:(Units.Time.ms 5.) ());
-  let router = Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send wan) ~ring () in
-  let env = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:telescope_ip in
+  let router = Mmt_innet.Router.create ~default:(Mmt_sim.Link.send wan) ~ring 0 in
+  let env = Mmt_innet.Router.env router ~engine ~fresh_id ~local_ip:telescope_ip in
   let vera_rubin = Mmt_daq.Experiment.find Mmt_daq.Experiment.Vera_rubin in
   let bulk_sender =
     Mmt.Sender.create ~env
@@ -88,8 +88,8 @@ let run ~deadline_aware =
     }
   in
   let env_archive =
-    Mmt_pilot.Router.env
-      (Mmt_pilot.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ())
+    Mmt_innet.Router.env
+      (Mmt_innet.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring 0)
       ~engine ~fresh_id ~local_ip:archive_ip
   in
   let bulk_rx = Mmt.Receiver.create ~env:env_archive (receiver_config bulk_count)

@@ -192,8 +192,6 @@ let mmt_offset t = t.mmt_offset
 let view t = t.view
 let kind t = Header.View.kind t.view
 let ip_dst t = t.ip_dst
-let ip_int ip = Int32.to_int (Addr.Ip.to_int32 ip) land 0xFFFF_FFFF
-let dst_is t ip = t.ip_dst = ip_int ip
 let ip_of_int v = Addr.Ip.of_int32 (Int32.of_int v)
 let dst t = ip_of_int t.ip_dst
 let src t = ip_of_int t.ip_src

@@ -15,9 +15,10 @@
 
     {b One parse per pass.}  {!Mmt_innet.Switch} owns a vector, parses
     each packet into it when its pipeline starts, and {!enter}s it for
-    the pass.  Elements and routes ask {!of_packet}, which hands back
-    the entered vector while it still describes the packet (same
-    record, same frame, same generation), so the pass parses once.  An
+    the pass.  Elements and the forwarding table ask {!of_packet},
+    which hands back the entered vector while it still describes the
+    packet (same record, same frame, same generation), so the pass
+    parses once.  An
     element that replaces the packet's frame calls {!refresh}, and a
     packet the vector does not describe (a replica) is parsed into it
     again.  Outside a pass, {!of_packet} parses into a per-domain
@@ -75,11 +76,9 @@ val encap : t -> encap
 val mmt_offset : t -> int
 
 val ip_dst : t -> int
-(** The IPv4 destination as an unsigned int, or -1 when the frame does
-    not ride IPv4 (or did not locate). *)
-
-val dst_is : t -> Addr.Ip.t -> bool
-(** The frame rides IPv4 to this address.  Allocates nothing. *)
+(** The IPv4 destination as an unsigned int ({!Mmt_frame.Addr.Ip.to_int}),
+    or -1 when the frame does not ride IPv4 (or did not locate): the
+    key of a switch's forwarding table. *)
 
 val dst : t -> Addr.Ip.t
 val src : t -> Addr.Ip.t

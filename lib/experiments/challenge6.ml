@@ -104,10 +104,10 @@ let payload_alerts () =
       ~propagation:(Units.Time.ms 20.) ()
   in
   let router =
-    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send dpu_to_sink) ~ring ()
+    Mmt_innet.Router.create ~default:(Mmt_sim.Link.send dpu_to_sink) ~ring 1
   in
-  Mmt_pilot.Router.add router rubin_ip (Mmt_sim.Link.send dpu_to_rubin);
-  let env_dpu = Mmt_pilot.Router.env router ~engine ~fresh_id ~local_ip:dpu_ip in
+  Mmt_innet.Router.add router rubin_ip (Mmt_sim.Link.send dpu_to_rubin);
+  let env_dpu = Mmt_innet.Router.env router ~engine ~fresh_id ~local_ip:dpu_ip in
   let generator =
     Mmt_innet.Alert_generator.create ~env:env_dpu
       {
@@ -120,20 +120,21 @@ let payload_alerts () =
   let p4_refused =
     match
       Mmt_innet.Switch.attach ~engine ~node:(Mmt_sim.Topology.add_node topo ~name:"p4")
-        ~profile:Mmt_innet.Switch.tofino2 ~ring
+        ~profile:Mmt_innet.Switch.tofino2 ~router
         ~elements:[ Mmt_innet.Alert_generator.element generator ]
-        ~route:(fun _ -> None)
         ()
     with
     | _ -> false
     | exception Invalid_argument _ -> true
   in
-  (* ...but the Alveo-class DPU can. *)
+  (* ...but the Alveo-class DPU can.  Its table sends the detector's raw
+     frames, which carry no IPv4 destination, to the analysis sink by
+     default, and the alerts the generator addresses to Vera Rubin to
+     their subscriber. *)
   let _dpu_switch =
     Mmt_innet.Switch.attach ~engine ~node:dpu ~profile:Mmt_innet.Switch.alveo_smartnic
-      ~allow_payload:true ~ring
+      ~allow_payload:true ~router
       ~elements:[ Mmt_innet.Alert_generator.element generator ]
-      ~route:(fun _ -> Some (Mmt_sim.Link.send dpu_to_sink))
       ()
   in
   let sink_count = ref 0 in
@@ -158,8 +159,8 @@ let payload_alerts () =
     { Mmt_daq.Lartpc.iceberg with Mmt_daq.Lartpc.channels = 32; samples_per_channel = 128 }
   in
   let sender_env =
-    Mmt_pilot.Router.env
-      (Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send det_to_dpu) ~ring ())
+    Mmt_innet.Router.env
+      (Mmt_innet.Router.create ~default:(Mmt_sim.Link.send det_to_dpu) ~ring 0)
       ~engine ~fresh_id ~local_ip:(Addr.Ip.of_octets 10 6 0 1)
   in
   let sender =

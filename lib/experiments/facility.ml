@@ -18,7 +18,7 @@ let report ?(jobs = 1) ?(base = default_base) ?(points = default_points) () =
       ~title:
         (Printf.sprintf
            "E-F5 facility sweep: wan %s, loss %.3g%%, window %s, seed %Ld"
-           (Units.Rate.to_string base.Scenario.wan_rate)
+           (Units.Rate.to_string Scenario.wan_rate)
            (base.Scenario.wan_loss *. 100.)
            (Units.Time.to_string base.Scenario.duration)
            base.Scenario.seed)
@@ -73,9 +73,9 @@ let report ?(jobs = 1) ?(base = default_base) ?(points = default_points) () =
       note =
         Some
           (Printf.sprintf "per-flow nominal %s bulk / %s telemetry, fan-in degree %d, %d sinks"
-             (Units.Rate.to_string base.Scenario.bulk_rate)
-             (Units.Rate.to_string base.Scenario.telemetry_rate)
-             base.Scenario.degree base.Scenario.sinks);
+             (Units.Rate.to_string Scenario.bulk_rate)
+             (Units.Rate.to_string Scenario.telemetry_rate)
+             Scenario.degree base.Scenario.sinks);
       rows =
         [
           (let metric = "aggregate goodput scales with fan-in" in
@@ -102,9 +102,9 @@ let report ?(jobs = 1) ?(base = default_base) ?(points = default_points) () =
                  (Units.Rate.to_string
                     (Units.Rate.bps
                        (List.fold_left (fun acc r -> Float.max acc (goodput r)) 0. results)))
-                 (Units.Rate.to_string base.Scenario.wan_rate))
+                 (Units.Rate.to_string Scenario.wan_rate))
             (List.for_all
-               (fun r -> goodput r <= Units.Rate.to_bps base.Scenario.wan_rate)
+               (fun r -> goodput r <= Units.Rate.to_bps Scenario.wan_rate)
                results);
           Mmt_telemetry.Report.check ~metric:"fairness uncontended"
             ~expected:"Jain index ~1.0 when the WAN has headroom"

@@ -27,4 +27,4 @@ let classify_int v =
     | 64 -> Sink id
     | _ -> Other
 
-let classify ip = classify_int (Int32.to_int (Addr.Ip.to_int32 ip) land 0xFFFFFFFF)
+let classify ip = classify_int (Addr.Ip.to_int ip)

@@ -38,6 +38,7 @@ module Ip = struct
   let any = 0l
   let of_int32 x = x
   let to_int32 t = t
+  let to_int t = Int32.to_int t land 0xFFFF_FFFF
 
   let of_octets a b c d =
     let check v = if v < 0 || v > 255 then invalid_arg "Addr.Ip.of_octets" in
@@ -59,7 +60,7 @@ module Ip = struct
     | _ -> invalid_arg ("Addr.Ip.of_string: " ^ s)
 
   let to_string t =
-    let v = Int32.to_int t land 0xFFFFFFFF in
+    let v = to_int t in
     Printf.sprintf "%d.%d.%d.%d" ((v lsr 24) land 0xFF) ((v lsr 16) land 0xFF)
       ((v lsr 8) land 0xFF) (v land 0xFF)
 

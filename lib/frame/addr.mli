@@ -29,6 +29,10 @@ module Ip : sig
 
   val of_int32 : int32 -> t
   val to_int32 : t -> int32
+  val to_int : t -> int
+  (** The address as an unsigned int: [a.b.c.d] is
+      [a lsl 24 lor b lsl 16 lor c lsl 8 lor d]. *)
+
   val of_octets : int -> int -> int -> int -> t
   val of_string : string -> t
   (** Parse dotted quad.  @raise Invalid_argument on bad syntax. *)

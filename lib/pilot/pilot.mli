@@ -15,32 +15,30 @@
 
     Optional extensions used by the figure reproductions: in-network
     duplication toward downstream researchers, and back-pressure from
-    the switch to the sensor. *)
+    the switch to the sensor.
+
+    Fixed for every run: the DUNE catalog workload, a 13 ms DTN 1 <->
+    DTN 2 round trip, receivers that NAK a gap after 1 ms and re-NAK
+    every 20 ms up to 8 times, a 100 ms event-builder window, and a
+    Tofino timeliness checker that marks late frames. *)
 
 open Mmt_util
 
 type config = {
   profile : Profile.t;
-  experiment : Mmt_daq.Experiment.t;
   scale : float;  (** Table 1 rate multiplier *)
   fragment_count : int;
   payload : Mmt_daq.Workload.payload;
-  wan_rtt : Units.Time.t;  (** DTN 1 <-> DTN 2 round trip *)
   wan_loss : float;  (** drop probability per WAN data packet *)
   wan_corrupt : float;
   deadline_budget : Units.Time.t option;
       (** activate Timely at DTN 1 with this budget *)
   age_budget_us : int;
-  nak_delay : Units.Time.t;
-  nak_retry_timeout : Units.Time.t;
-  max_nak_retries : int;
   slices : int;
       (** instrument partitions streaming simultaneously (Req 8); each
           emits [fragment_count] fragments and DTN 2 reassembles
           complete events from matching trigger numbers (Req 9) *)
-  event_timeout : Units.Time.t;  (** event-builder completion window *)
   researchers : int;  (** duplicated-stream consumers at the switch *)
-  timeliness_policy : Mmt_innet.Timeliness_checker.policy;
   backpressure : bool;
   wan_bottleneck : float;
       (** rate multiplier for the switch -> DTN 2 hop; below 1.0 it

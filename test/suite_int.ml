@@ -153,9 +153,9 @@ let test_int_elements_attachable () =
   in
   let _sw =
     Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
-      ~ring:(Option.get (Mmt_sim.Topology.ring topo))
+      ~router:
+        (Mmt_innet.Router.create ~ring:(Option.get (Mmt_sim.Topology.ring topo)) 0)
       ~elements:[ Mmt_int.Stamper.element stamper; Mmt_int.Sink.element sink ]
-      ~route:(fun _ -> None)
       ()
   in
   ()

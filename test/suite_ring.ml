@@ -217,21 +217,22 @@ let test_expired_drops_retire_into_topology_ring () =
 
 let test_unroutable_router_retires () =
   let ring = Ring.create () in
-  let router = Mmt_pilot.Router.create ~ring () in
-  Mmt_pilot.Router.send router
+  let router = Mmt_innet.Router.create ~ring 0 in
+  Mmt_innet.Router.send router
     (Mmt_frame.Addr.Ip.of_octets 10 9 9 9)
     (Ring.in_packet ring ~id:0 ~born:Units.Time.zero 64);
-  Alcotest.(check int) "unrouted counted" 1 (Mmt_pilot.Router.unrouted router);
+  Alcotest.(check int) "unrouted counted" 1 (Mmt_innet.Router.unrouted router);
   check_quiescent ring
 
-let switch_drop ~elements ~route =
+let switch_drop ~elements ~default =
   let engine = Engine.create () in
   let topo = Topology.create ~engine () in
   let ring = Option.get (Topology.ring topo) in
   let node = Topology.add_node topo ~name:"sw" in
   let switch =
     Mmt_innet.Switch.attach ~engine ~node ~profile:Mmt_innet.Switch.tofino2
-      ~ring ~elements ~route ()
+      ~router:(Mmt_innet.Router.create ?default ~ring 0)
+      ~elements ()
   in
   Mmt_sim.Node.handle node (Ring.in_packet ring ~id:0 ~born:Units.Time.zero 64);
   Engine.run engine;
@@ -239,7 +240,7 @@ let switch_drop ~elements ~route =
   Mmt_innet.Switch.stats switch
 
 let test_unrouted_switch_retires () =
-  let stats = switch_drop ~elements:[] ~route:(fun _ -> None) in
+  let stats = switch_drop ~elements:[] ~default:None in
   Alcotest.(check int) "unrouted counted" 1 stats.Mmt_innet.Switch.unrouted
 
 let test_discarding_switch_retires () =
@@ -251,7 +252,7 @@ let test_discarding_switch_retires () =
     }
   in
   let stats =
-    switch_drop ~elements:[ discard ] ~route:(fun _ -> Some ignore)
+    switch_drop ~elements:[ discard ] ~default:(Some ignore)
   in
   Alcotest.(check int) "discard counted" 1 stats.Mmt_innet.Switch.discarded
 

@@ -133,28 +133,26 @@ let test_encrypted_payloads_cross_elements () =
     Mmt_sim.Topology.connect topo ~src:mid ~dst ~rate ~propagation:(Units.Time.us 50.) ()
   in
   let router_mid =
-    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send mid_to_dst) ~ring ()
+    Mmt_innet.Router.create ~default:(Mmt_sim.Link.send mid_to_dst) ~ring 0
   in
-  let env_mid = Mmt_pilot.Router.env router_mid ~engine ~fresh_id ~local_ip:mid_ip in
-  ignore env_mid;
   let mode =
     Mmt.Mode.make ~name:"enc/wan" ~reliable:mid_ip ~age_budget_us:10_000 ()
   in
   let rewriter = Mmt_innet.Mode_rewriter.create ~mode ~pool:(Mmt_sim.Ring.pool ring) () in
   let age_tracker = Mmt_innet.Age_tracker.create () in
   let _switch =
-    Mmt_innet.Switch.attach ~engine ~node:mid ~profile:Mmt_innet.Switch.tofino2 ~ring
+    Mmt_innet.Switch.attach ~engine ~node:mid ~profile:Mmt_innet.Switch.tofino2
+      ~router:router_mid
       ~elements:
         [ Mmt_innet.Mode_rewriter.element rewriter;
           Mmt_innet.Age_tracker.element age_tracker ]
-      ~route:(fun _ -> Some (Mmt_sim.Link.send mid_to_dst))
       ()
   in
   let experiment = Mmt.Experiment_id.make ~experiment:4 ~slice:0 in
   let router_src =
-    Mmt_pilot.Router.create ~default:(Mmt_sim.Link.send src_to_mid) ~ring ()
+    Mmt_innet.Router.create ~default:(Mmt_sim.Link.send src_to_mid) ~ring 0
   in
-  let env_src = Mmt_pilot.Router.env router_src ~engine ~fresh_id ~local_ip:src_ip in
+  let env_src = Mmt_innet.Router.env router_src ~engine ~fresh_id ~local_ip:src_ip in
   let sender =
     Mmt.Sender.create ~env:env_src
       {
@@ -168,8 +166,8 @@ let test_encrypted_payloads_cross_elements () =
   in
   let decrypted = ref [] in
   let env_dst =
-    Mmt_pilot.Router.env
-      (Mmt_pilot.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring ())
+    Mmt_innet.Router.env
+      (Mmt_innet.Router.create ~default:(Mmt_sim.Ring.in_packet_done ring) ~ring 0)
       ~engine ~fresh_id ~local_ip:dst_ip
   in
   let receiver =
