@@ -81,26 +81,25 @@ let all_cmd =
        ~doc:"Run the full experiment sweep, optionally across domains.")
     Term.(const run $ jobs)
 
+(* `--profile`, shared by `pilot` and `telemetry` ------------------------ *)
+
+let profile_arg =
+  let parse = function
+    | "physical" -> Ok Mmt_pilot.Profile.physical_100gbe
+    | "fabric" -> Ok Mmt_pilot.Profile.fabric_virtual
+    | other -> Error (`Msg (Printf.sprintf "unknown profile %S" other))
+  in
+  let print fmt (p : Mmt_pilot.Profile.t) =
+    Format.pp_print_string fmt p.Mmt_pilot.Profile.name
+  in
+  Arg.(
+    value
+    & opt (conv (parse, print)) Mmt_pilot.Profile.physical_100gbe
+    & info [ "profile" ] ~docv:"PROFILE" ~doc:"Hardware variant: physical or fabric.")
+
 (* `shapeshift pilot ...` -------------------------------------------------- *)
 
 let pilot_cmd =
-  let profile =
-    let parse = function
-      | "physical" -> Ok Mmt_pilot.Profile.physical_100gbe
-      | "fabric" -> Ok Mmt_pilot.Profile.fabric_virtual
-      | other -> Error (`Msg (Printf.sprintf "unknown profile %S" other))
-    in
-    let print fmt (p : Mmt_pilot.Profile.t) =
-      Format.pp_print_string fmt p.Mmt_pilot.Profile.name
-    in
-    Arg.conv (parse, print)
-  in
-  let profile_arg =
-    Arg.(
-      value
-      & opt profile Mmt_pilot.Profile.physical_100gbe
-      & info [ "profile" ] ~docv:"PROFILE" ~doc:"Hardware variant: physical or fabric.")
-  in
   let fragments =
     Arg.(value & opt int 2000 & info [ "fragments" ] ~doc:"Fragments to stream.")
   in
@@ -190,23 +189,6 @@ let pilot_cmd =
 (* `shapeshift telemetry` ---------------------------------------------------- *)
 
 let telemetry_cmd =
-  let profile =
-    let parse = function
-      | "physical" -> Ok Mmt_pilot.Profile.physical_100gbe
-      | "fabric" -> Ok Mmt_pilot.Profile.fabric_virtual
-      | other -> Error (`Msg (Printf.sprintf "unknown profile %S" other))
-    in
-    let print fmt (p : Mmt_pilot.Profile.t) =
-      Format.pp_print_string fmt p.Mmt_pilot.Profile.name
-    in
-    Arg.conv (parse, print)
-  in
-  let profile_arg =
-    Arg.(
-      value
-      & opt profile Mmt_pilot.Profile.physical_100gbe
-      & info [ "profile" ] ~docv:"PROFILE" ~doc:"Hardware variant: physical or fabric.")
-  in
   let fragments =
     Arg.(value & opt int 500 & info [ "fragments" ] ~doc:"Fragments to stream.")
   in
@@ -752,8 +734,6 @@ let trace_cmd =
           destination = dst_ip;
           encap = Mmt.Encap.Raw;
           deadline_budget = None;
-          backpressure_to = None;
-          pace = None;
         }
     in
     for i = 0 to fragments - 1 do

@@ -113,8 +113,6 @@ let () =
         encap =
           Mmt.Encap.Over_ipv4 { src = gateway_ip; dst = facility_ip; dscp = 0; ttl = 64 };
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   (* Intercept the sender's frames through the rewriter before the WAN

@@ -38,8 +38,6 @@ let () =
         destination = facility_ip;
         encap = Mmt.Encap.Raw;
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   let senders = List.map (fun slice -> (slice, sender_for slice)) slices in

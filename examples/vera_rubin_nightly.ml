@@ -60,8 +60,6 @@ let run ~deadline_aware =
         encap = Mmt.Encap.Over_ipv4
             { src = telescope_ip; dst = archive_ip; dscp = 0; ttl = 64 };
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   let alert_sender =
@@ -73,8 +71,6 @@ let run ~deadline_aware =
         encap = Mmt.Encap.Over_ipv4
             { src = telescope_ip; dst = archive_ip; dscp = 46; ttl = 64 };
         deadline_budget = Some (alert_deadline, Addr.Ip.any);
-        backpressure_to = None;
-        pace = None;
       }
   in
   (* Receivers: alerts vs bulk, demuxed by instrument slice. *)

@@ -77,7 +77,6 @@ type t = {
   mutable flush_scheduled : bool;
   mutable tail_timer : Mmt_sim.Engine.handle;
   latencies : Stats.Summary.t;
-  recovered_latencies : Stats.Summary.t;
   ages : Stats.Summary.t;
   mutable delivered : int;
   mutable delivered_bytes : int;
@@ -118,7 +117,6 @@ let create ~env config ~deliver =
     flush_scheduled = false;
     tail_timer = Mmt_sim.Engine.null;
     latencies = Stats.Summary.create ();
-    recovered_latencies = Stats.Summary.create ();
     ages = Stats.Summary.create ();
     delivered = 0;
     delivered_bytes = 0;
@@ -306,8 +304,6 @@ let deliver_message t packet view payload ~recovered =
   let late, aged, age_us = timeliness_check t view now in
   let transport_latency = Units.Time.diff now packet.Mmt_sim.Packet.born in
   Stats.Summary.add t.latencies (Units.Time.to_float_s transport_latency);
-  if recovered then
-    Stats.Summary.add t.recovered_latencies (Units.Time.to_float_s transport_latency);
   t.delivered <- t.delivered + 1;
   t.delivered_bytes <-
     t.delivered_bytes + Units.Size.to_bytes (Mmt_sim.Packet.wire_size packet);
@@ -482,7 +478,6 @@ let stats t =
   }
 
 let latency_summary t = t.latencies
-let recovered_latency_summary t = t.recovered_latencies
 let age_summary t = t.ages
 
 let goodput t =

@@ -111,10 +111,6 @@ val stats : t -> stats
 val latency_summary : t -> Stats.Summary.t
 (** Transport latency of every delivered message. *)
 
-val recovered_latency_summary : t -> Stats.Summary.t
-(** Transport latency of recovered (previously missing) messages
-    only — the observable behind the buffer-placement argument. *)
-
 val age_summary : t -> Stats.Summary.t
 (** Final age (microseconds) of every age-tracked delivery. *)
 

@@ -7,8 +7,6 @@ type config = {
   destination : Addr.Ip.t;
   encap : Encap.t;
   deadline_budget : (Units.Time.t * Addr.Ip.t) option;
-  backpressure_to : Addr.Ip.t option;
-  pace : Units.Rate.t option;
 }
 
 type stats = {
@@ -39,16 +37,11 @@ type t = {
    from one message to the next. *)
 let header_for config ~now =
   let header = Header.mode0 ~experiment:config.experiment in
-  let header =
-    match config.deadline_budget with
-    | None -> header
-    | Some (budget, notify) ->
-        Header.with_timely header
-          { Header.deadline = Units.Time.add now budget; notify }
-  in
-  match config.backpressure_to with
+  match config.deadline_budget with
   | None -> header
-  | Some control -> Header.with_backpressure_to header control
+  | Some (budget, notify) ->
+      Header.with_timely header
+        { Header.deadline = Units.Time.add now budget; notify }
 
 let create ~env config =
   {
@@ -56,7 +49,7 @@ let create ~env config =
     config;
     header = lazy (Header.Template.make (header_for config ~now:Units.Time.zero));
     queue = Queue.create ();
-    pace = config.pace;
+    pace = None;
     drain_scheduled = false;
     next_departure = Units.Time.zero;
     messages_sent = 0;
@@ -145,7 +138,7 @@ let on_control t header payload =
       | Error _ -> ()
       | Ok bp ->
           t.backpressure_received <- t.backpressure_received + 1;
-          if bp.Control.Backpressure.severity = 0 then t.pace <- t.config.pace
+          if bp.Control.Backpressure.severity = 0 then t.pace <- None
           else
             t.pace <-
               Some

@@ -6,9 +6,9 @@
     as the paper's Fig. 3 point (1); downstream features are activated
     by the network, not here.
 
-    The sender optionally honours pacing, and reacts to in-band
-    back-pressure messages by adjusting its pace ("relay a backpressure
-    signal to the sender", § 5.1). *)
+    The sender starts unpaced and paces itself only when in-band
+    back-pressure asks it to ("relay a backpressure signal to the
+    sender", § 5.1); a notice of severity 0 lifts the pace again. *)
 
 open Mmt_util
 open Mmt_frame
@@ -20,10 +20,6 @@ type config = {
   deadline_budget : (Units.Time.t * Addr.Ip.t) option;
       (** sender-applied Timely feature: per-message absolute deadline
           of send-time + budget, and the notification sink *)
-  backpressure_to : Addr.Ip.t option;
-      (** advertise this control address in the header so on-path
-          elements know where congestion signals go *)
-  pace : Units.Rate.t option;  (** initial pace; [None] = unpaced *)
 }
 
 type stats = {

@@ -14,7 +14,6 @@ type profile =
 type payload =
   | Synthetic of Units.Size.t
   | Raw_window of Lartpc.config * Lartpc.activity
-  | Trigger_primitives of Lartpc.config * Lartpc.activity * int
   | Photon_flash of Photon.config * int
 
 type config = {
@@ -51,9 +50,6 @@ let payload_size config =
   | Synthetic size -> Units.Size.to_bytes size
   | Raw_window (lconfig, _) ->
       2 * lconfig.Lartpc.channels * lconfig.Lartpc.samples_per_channel
-  | Trigger_primitives _ ->
-      (* Hit counts vary; use the catalog fragment size for pacing. *)
-      Units.Size.to_bytes config.experiment.Experiment.message_size
   | Photon_flash (pconfig, _) -> 2 * pconfig.Photon.samples
 
 let expected_interval config =
@@ -78,22 +74,13 @@ let build_payload ?payload_bytes t =
       (Bytes.empty, size)
   | Raw_window (lconfig, activity) ->
       (Lartpc.serialize_window (Lartpc.generate_window lconfig t.rng ~activity), 0)
-  | Trigger_primitives (lconfig, activity, threshold) ->
-      let window = Lartpc.generate_window lconfig t.rng ~activity in
-      let hits =
-        Array.to_list window
-        |> List.mapi (fun channel waveform ->
-               Lartpc.trigger_primitives lconfig ~threshold ~channel waveform)
-        |> List.concat
-      in
-      (Lartpc.serialize_hits hits, 0)
   | Photon_flash (pconfig, mean_photons) ->
       let photons = Rng.poisson t.rng ~mean:(float_of_int mean_photons) in
       (Photon.serialize (Photon.generate pconfig t.rng ~photons), 0)
 
 let detector_for t =
   match t.config.payload with
-  | Raw_window (lconfig, _) | Trigger_primitives (lconfig, _, _) ->
+  | Raw_window (lconfig, _) ->
       Fragment.Wib_ethernet
         {
           crate = 1;

@@ -39,8 +39,6 @@ type payload =
       (** content-free payload of the given size, carried as wire
           padding (see {!start}) *)
   | Raw_window of Lartpc.config * Lartpc.activity
-  | Trigger_primitives of Lartpc.config * Lartpc.activity * int
-      (** threshold; payload is the serialized hit list *)
   | Photon_flash of Photon.config * int
       (** photon-detector windows with Poisson flashes of the given
           mean photon count *)

@@ -241,12 +241,8 @@ let deadline_sweep () =
     Mmt_telemetry.Report.all_ok report )
 
 let priority_queue () =
-  let run deadline_aware =
-    Mmt_pilot.Runners.Priority_run.run
-      (Mmt_pilot.Runners.Priority_run.params ~deadline_aware ())
-  in
-  let droptail = run false in
-  let edf = run true in
+  let droptail = Mmt_pilot.Runners.Priority_run.run ~deadline_aware:false in
+  let edf = Mmt_pilot.Runners.Priority_run.run ~deadline_aware:true in
   let table =
     Table.create
       ~title:

@@ -170,8 +170,6 @@ let payload_alerts () =
         destination = sink_ip;
         encap = Mmt.Encap.Raw;
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   let fragment_count = 400 in

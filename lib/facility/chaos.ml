@@ -18,26 +18,15 @@ open Mmt_util
    Campaign parallelism comes from running whole trials on sibling
    domains. *)
 
-type config = {
-  scenario : Scenario.config;
-  probe_margin : Units.Time.t;
-  watchdog : int;
-}
-
-let default =
+let scenario =
   {
-    scenario =
-      {
-        Scenario.default with
-        flows = 36;
-        sites = 3;
-        sinks = 3;
-        duration = Units.Time.ms 8.;
-        wan_rtt = Units.Time.ms 4.;
-        wan_loss = 0.;
-      };
-    probe_margin = Units.Time.ms 1.;
-    watchdog = 50_000_000;
+    Scenario.default with
+    flows = 36;
+    sites = 3;
+    sinks = 3;
+    duration = Units.Time.ms 8.;
+    wan_rtt = Units.Time.ms 4.;
+    wan_loss = 0.;
   }
 
 (* One ledger spans every flow: sequences are per-flow (each site-edge
@@ -46,8 +35,8 @@ let default =
    an 8 ms window is ~3 orders of magnitude below it. *)
 let flow_key_stride = 1_000_000
 
-let universe config =
-  let s = config.scenario in
+let universe =
+  let s = scenario in
   let nsites = Array.length (Scenario.site_spans s) in
   let metro_ups =
     List.init nsites (fun i -> Printf.sprintf "site-edge%d->edge-in" i)
@@ -98,8 +87,8 @@ type outcome = {
   violations : string list;
 }
 
-let run config plan =
-  let s = config.scenario in
+let run plan =
+  let s = scenario in
   let ledger = Mmt_fault.Invariant.ledger () in
   let on_deliver ~flow ~seq =
     match seq with
@@ -113,9 +102,9 @@ let run config plan =
   let built = Scenario.build ~on_deliver s topo in
   let injector = Mmt_fault.Injector.of_topology topo in
   Mmt_fault.Injector.arm injector plan;
-  (* Tail probes: one extra sequenced frame per flow, after emission
-     ends (and after every fault window has closed). *)
-  let probe_at = Units.Time.add s.Scenario.duration config.probe_margin in
+  (* Tail probes: one extra sequenced frame per flow, 1 ms after
+     emission ends (and after every fault window has closed). *)
+  let probe_at = Units.Time.add s.Scenario.duration (Units.Time.ms 1.) in
   for f = 0 to s.Scenario.flows - 1 do
     let sender = Option.get (Flow_table.get built.Scenario.senders f) in
     ignore
@@ -123,9 +112,8 @@ let run config plan =
            Mmt.Sender.send sender (Bytes.make 64 '\xa5')))
   done;
   let until = Units.Time.add s.Scenario.duration (Units.Time.seconds 1.) in
-  let terminated =
-    Mmt_sim.Engine.run_bounded engine ~until ~budget:config.watchdog
-  in
+  (* A budget of 50M events marks a livelocked run non-terminated. *)
+  let terminated = Mmt_sim.Engine.run_bounded engine ~until ~budget:50_000_000 in
   let emitted = ref 0
   and delivered = ref 0
   and abandoned = ref 0
@@ -158,13 +146,13 @@ let run config plan =
     violations = Mmt_fault.Invariant.check invariant;
   }
 
-let campaign_target ?(config = default) () =
+let campaign_target () =
   {
     Mmt_fault.Campaign.name = "facility";
-    universe = universe config;
+    universe;
     execute =
       (fun _profile plan ->
-        let o = run config plan in
+        let o = run plan in
         {
           Mmt_fault.Campaign.outcome = o.invariant;
           violations = o.violations;

@@ -1,10 +1,11 @@
 (** The facility fan-in scenario as a chaos-campaign target.
 
-    Wraps a scaled-down {!Scenario} (a few dozen flows, an 8 ms
-    emission window, random WAN loss off) for
+    Wraps a scaled-down {!Scenario} (36 flows over 3 sites and 3 sinks,
+    an 8 ms emission window, a 4 ms WAN RTT, random WAN loss off) for
     {!Mmt_fault.Campaign.run}: every generated plan is armed through a
     {!Mmt_fault.Injector} against the scenario's resolved link names,
-    the run is bounded by an event-budget watchdog, and the aggregated
+    a watchdog of 50M engine events marks a livelocked run
+    non-terminated, and the aggregated
     per-flow receiver/rewriter statistics are reconciled against one
     facility-wide {!Mmt_fault.Invariant} ledger (keyed by flow id and
     per-flow sequence number).
@@ -13,21 +14,10 @@
     needs a sequenced arrival {e behind} every fault: the universe
     horizon closes all faults by 0.7 of the emission window, and one
     tail-probe frame per flow is pushed through the scenario's senders
-    after emission ends — a guaranteed last sequenced arrival even for
-    Poisson burst flows that went quiet early. *)
+    1 ms after emission ends — a guaranteed last sequenced arrival even
+    for Poisson burst flows that went quiet early. *)
 
-open Mmt_util
-
-type config = {
-  scenario : Scenario.config;
-  probe_margin : Units.Time.t;
-      (** probe time past the emission window's end *)
-  watchdog : int;  (** event budget; exhausting it = non-termination *)
-}
-
-val default : config
-
-val universe : config -> Mmt_fault.Generator.universe
+val universe : Mmt_fault.Generator.universe
 (** The facility's resolved name universe: flaps and brown-outs on the
     post-sequencing data and NAK paths, WAN and metro partitions.  No
     corruption (the facility path is unchecksummed, so flips would be
@@ -43,8 +33,8 @@ type outcome = {
   violations : string list;  (** empty iff every invariant held *)
 }
 
-val run : config -> Mmt_fault.Plan.t -> outcome
+val run : Mmt_fault.Plan.t -> outcome
 (** Execute one plan against a fresh sequential build of the scenario.
-    Deterministic: equal (config, plan) pairs give equal outcomes. *)
+    Deterministic: equal plans give equal outcomes. *)
 
-val campaign_target : ?config:config -> unit -> Mmt_fault.Campaign.target
+val campaign_target : unit -> Mmt_fault.Campaign.target

@@ -365,7 +365,7 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
     let site_load = Array.fold_left ( +. ) 0. site_nominal in
     let up, down =
       Mmt_sim.Topology.duplex topo ~a:sedges.(s) ~b:edge_in
-        ~rate:(uplink_rate site_load) ~propagation:metro_propagation ()
+        ~rate:(uplink_rate site_load) ~propagation:metro_propagation
     in
     metro_up.(s) <- Some up;
     metro_down.(s) <- Some down
@@ -542,8 +542,6 @@ let build ?(on_deliver = fun ~flow:_ ~seq:_ -> ()) config topo =
                     ttl = 64;
                   };
               deadline_budget = None;
-              backpressure_to = None;
-              pace = None;
             }
         in
         sender_slots.(f) <- Some sender;

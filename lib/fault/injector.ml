@@ -154,10 +154,3 @@ let arm t plan =
 
 let applied t = t.applied
 let log t = List.rev t.log
-
-let render_log t =
-  String.concat ""
-    (List.map
-       (fun (at, what) ->
-         Printf.sprintf "%-12s FAULT %s\n" (Units.Time.to_string at) what)
-       (log t))

@@ -47,5 +47,3 @@ val applied : t -> int
 
 val log : t -> (Units.Time.t * string) list
 (** Applied faults, oldest first. *)
-
-val render_log : t -> string

@@ -81,9 +81,3 @@ let check o =
        resurrected %d = %d"
       o.emitted o.delivered o.abandoned o.resurrected accounted;
   List.rev !violations
-
-let render_violations = function
-  | [] -> "invariants: all hold\n"
-  | violations ->
-      String.concat ""
-        (List.map (fun v -> "INVARIANT VIOLATED: " ^ v ^ "\n") violations)

@@ -52,5 +52,3 @@ val to_json : outcome -> string
 
 val check : outcome -> string list
 (** Violated invariants, human-readable; empty when all hold. *)
-
-val render_violations : string list -> string

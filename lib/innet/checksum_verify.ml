@@ -1,7 +1,6 @@
 type stats = { checked : int; failed : int; passed : int }
 
 type t = {
-  require : bool;
   mutable checked : int;
   mutable failed : int;
   mutable passed : int;
@@ -43,11 +42,11 @@ let process t ~now:_ packet =
   else
     let view = Mmt.Header_vector.view hv in
     if not (Mmt.Header.View.has view Mmt.Feature.Checksummed) then begin
-      (* On a path whose planned mode seals every data frame, a data
-         frame without the bit IS corruption — the flip that erased the
+      (* The planned mode seals every data frame, so a data frame
+         without the bit IS corruption — the flip that erased the
          Checksummed feature bit would otherwise make every other
          flipped bit in the header unverifiable. *)
-      if t.require && Mmt.Header.View.kind view = Mmt.Feature.Kind.Data then begin
+      if Mmt.Header.View.kind view = Mmt.Feature.Kind.Data then begin
         t.checked <- t.checked + 1;
         t.failed <- t.failed + 1;
         Element.Discard "checksum-verify: required checksum missing"
@@ -66,10 +65,9 @@ let process t ~now:_ packet =
       end
     end
 
-let create ?(require = false) () =
+let create () =
   let rec t =
     {
-      require;
       checked = 0;
       failed = 0;
       passed = 0;

@@ -5,8 +5,11 @@
     longer sums clean under the Checksummed feature's RFC 1071
     ones'-complement checksum — so corrupted headers are dropped at
     the first programmable hop instead of poisoning buffer or receiver
-    state.  Frames without the Checksummed bit, and non-MMT frames,
-    pass untouched.
+    state.  It sits on paths whose planned mode seals every data frame,
+    so a data frame {e without} the Checksummed bit is discarded too: a
+    missing checksum means the feature bit itself was flipped, and
+    nothing else in the header can be trusted.  Control frames without
+    the bit, and non-MMT frames, pass untouched.
 
     The declared program is integer-only (extract, fold, compare) and
     passes {!Op.realizable} — § 5.3's "conservative, header-based
@@ -15,19 +18,17 @@
     computes. *)
 
 type stats = {
-  checked : int;  (** frames carrying the Checksummed feature *)
-  failed : int;  (** discarded: mismatch or unparseable header *)
-  passed : int;  (** non-MMT or non-checksummed frames forwarded *)
+  checked : int;
+      (** MMT frames judged: sealed, unparseable, or data frames
+          missing the checksum *)
+  failed : int;
+      (** discarded: mismatch, missing checksum or unparseable header *)
+  passed : int;  (** non-MMT frames and unchecksummed control frames *)
 }
 
 type t
 
-val create : ?require:bool -> unit -> t
-(** With [require] (default false), data frames {e without} the
-    Checksummed bit are also discarded: on a path whose planned mode
-    seals every data frame, a missing checksum means the feature bit
-    itself was flipped, and nothing else in the header can be
-    trusted. *)
+val create : unit -> t
 
 val element : t -> Element.t
 val stats : t -> stats

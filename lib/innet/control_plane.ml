@@ -23,14 +23,13 @@ type t = {
   hops_left : (Addr.Ip.t, int) Hashtbl.t;
 }
 
-let create ~env ~period ~peers ?map_ttl ?(gossip_hops = 1) () =
-  let ttl = Option.value ~default:(Units.Time.scale period 4.) map_ttl in
+let create ~env ~period ~peers ?(gossip_hops = 1) () =
   {
     env;
     period;
     peers;
     gossip_hops;
-    map = Resource_map.create ~ttl ();
+    map = Resource_map.create ~ttl:(Units.Time.scale period 4.) ();
     providers = [];
     running = false;
     blackholed = false;

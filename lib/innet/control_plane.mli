@@ -10,8 +10,8 @@
     converge across domains.
 
     Advertisement stops when a resource disappears; entries then expire
-    from peers' maps after the map TTL — failure detection falls out of
-    soft state, as it does in BGP. *)
+    from peers' maps after the map TTL of four advertisement periods —
+    failure detection falls out of soft state, as it does in BGP. *)
 
 open Mmt_util
 open Mmt_frame
@@ -28,12 +28,11 @@ val create :
   env:Mmt_runtime.Env.t ->
   period:Units.Time.t ->
   peers:Addr.Ip.t list ->
-  ?map_ttl:Units.Time.t ->
   ?gossip_hops:int ->
   unit ->
   t
-(** [map_ttl] defaults to 4x the period; [gossip_hops] (how many times a
-    learned advert is re-forwarded) defaults to 1. *)
+(** The map's entries live for 4x the [period].  [gossip_hops] (how
+    many times a learned advert is re-forwarded) defaults to 1. *)
 
 val add_local : t -> (unit -> Mmt.Control.Buffer_advert.t option) -> unit
 (** Register a local resource provider; polled at each advertisement

@@ -4,7 +4,7 @@ type stats = { duplicated : int; copies_sent : int; passed : int }
 
 type t = {
   env : Mmt_runtime.Env.t;
-  mutable consumers : Addr.Ip.t list;
+  consumers : Addr.Ip.t list;
   mutable duplicated : int;
   mutable copies_sent : int;
   mutable passed : int;
@@ -97,5 +97,3 @@ let create ~env ~consumers () =
 
 let element t = Lazy.force t.element
 let stats t = { duplicated = t.duplicated; copies_sent = t.copies_sent; passed = t.passed }
-let subscribe t consumer = t.consumers <- consumer :: t.consumers
-let consumers t = t.consumers

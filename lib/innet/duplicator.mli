@@ -29,5 +29,3 @@ val create :
 
 val element : t -> Element.t
 val stats : t -> stats
-val subscribe : t -> Addr.Ip.t -> unit
-val consumers : t -> Addr.Ip.t list

@@ -36,6 +36,3 @@ let rec chain elements ~now packet =
               copies
           in
           Replicate survivors)
-
-let total_ops elements =
-  List.fold_left (fun acc e -> acc + Op.op_count e.program) 0 elements

@@ -27,5 +27,3 @@ val passthrough : t
 val chain : t list -> now:Units.Time.t -> Mmt_sim.Packet.t -> outcome
 (** Run elements left to right.  [Replicate] fans the remaining chain
     over every copy; the first [Discard] wins for that copy. *)
-
-val total_ops : t list -> int

@@ -108,9 +108,6 @@ let hop_stamps t id =
 let hop_residency t id =
   Option.map (fun hop -> hop.residency) (Hashtbl.find_opt t.hops id)
 
-let hop_queue_depth t id =
-  Option.map (fun hop -> hop.queue_depth) (Hashtbl.find_opt t.hops id)
-
 let segment_ids t =
   List.sort compare (Hashtbl.fold (fun key _ acc -> key :: acc) t.segments [])
 

@@ -38,9 +38,6 @@ val hop_stamps : t -> int -> int
 val hop_residency : t -> int -> Stats.Summary.t option
 (** Nanoseconds spent inside the device, per stamp. *)
 
-val hop_queue_depth : t -> int -> Stats.Summary.t option
-(** Egress queue occupancy in bytes, per stamp. *)
-
 val segment_ids : t -> (int * int) list
 val segment_latency : t -> src:int -> dst:int -> Stats.Summary.t option
 (** Nanoseconds from [src]'s egress stamp to [dst]'s ingress stamp (or

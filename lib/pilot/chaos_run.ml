@@ -11,18 +11,15 @@ type params = {
   advert_period : Units.Time.t;
   run_until : Units.Time.t;
   seed : int64;
-  fault_seed : int64;
   track_total : bool;
-  watchdog : int;
   defect : defect;
   plan : Mmt_fault.Plan.t;
 }
 
 let params ?(fragment_count = 6000) ?(fragment_size = Units.Size.bytes 4096)
     ?(loss = 0.002) ?(advert_period = Units.Time.ms 5.)
-    ?(run_until = Units.Time.seconds 12.) ?(seed = 47L) ?(fault_seed = 0xFA17L)
-    ?(track_total = true) ?(watchdog = 20_000_000) ?(defect = No_defect)
-    ?(plan = Mmt_fault.Plan.empty) () =
+    ?(run_until = Units.Time.seconds 12.) ?(seed = 47L) ?(track_total = true)
+    ?(defect = No_defect) ?(plan = Mmt_fault.Plan.empty) () =
   {
     fragment_count;
     fragment_size;
@@ -30,9 +27,7 @@ let params ?(fragment_count = 6000) ?(fragment_size = Units.Size.bytes 4096)
     advert_period;
     run_until;
     seed;
-    fault_seed;
     track_total;
-    watchdog;
     defect;
     plan;
   }
@@ -305,8 +300,8 @@ let run p =
 
   (* Buffer nodes: checksum verification ahead of the snoop, so frames
      corrupted upstream never enter retransmission memory. *)
-  let verify_a = Mmt_innet.Checksum_verify.create ~require:true () in
-  let verify_b = Mmt_innet.Checksum_verify.create ~require:true () in
+  let verify_a = Mmt_innet.Checksum_verify.create () in
+  let verify_b = Mmt_innet.Checksum_verify.create () in
   (* A buffer node's table sends upstream-bound frames back, hands the
      frames addressed to it to its buffer host (retiring them while the
      host is down), and forwards sink-bound frames. *)
@@ -355,7 +350,7 @@ let run p =
   Mmt_sim.Node.set_handler sink (Mmt.Receiver.on_packet receiver);
 
   (* The fault plan. *)
-  let injector = Mmt_fault.Injector.of_topology ~seed:p.fault_seed topo in
+  let injector = Mmt_fault.Injector.of_topology ~seed:0xFA17L topo in
   Mmt_fault.Injector.register_element injector "buffer-a"
     ~fail:(fun () -> buffer_a.alive <- false)
     ~restart:(fun () ->
@@ -398,8 +393,6 @@ let run p =
         destination = sink_ip;
         encap = Mmt.Encap.Raw;
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xEE' in
@@ -413,10 +406,11 @@ let run p =
          (fun () -> Mmt.Sender.send sender payload))
   done;
   (* Watchdog-bounded run: a fault mix that provoked a zero-delay
-     event livelock would spin a pure time cap forever; the budget
-     turns that into a checkable "run did not terminate" violation. *)
+     event livelock would spin a pure time cap forever; the budget of
+     20M events, orders of magnitude above any honest trial, turns that
+     into a checkable "run did not terminate" violation. *)
   let terminated =
-    Mmt_sim.Engine.run_bounded engine ~until:p.run_until ~budget:p.watchdog
+    Mmt_sim.Engine.run_bounded engine ~until:p.run_until ~budget:20_000_000
   in
   Mmt_innet.Control_plane.stop control;
 

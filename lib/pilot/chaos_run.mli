@@ -33,16 +33,11 @@ type params = {
   advert_period : Units.Time.t;
   run_until : Units.Time.t;
   seed : int64;  (** workload / loss RNG seed *)
-  fault_seed : int64;  (** injector bit-flip RNG seed *)
   track_total : bool;
       (** give the receiver [expected_total] for tail-loss detection;
           turn off for plans that degrade frames to unsequenced, where
           the sequenced stream is legitimately shorter than the
           fragment count *)
-  watchdog : int;
-      (** event budget for the run (default 20M, orders of magnitude
-          above any honest trial): exhausting it marks the run
-          non-terminated instead of spinning on an event livelock *)
   defect : defect;
       (** [Broken_restart] plants a test-only bug — buffer A's restart
           handler replays sequence 0 into the application — so shrink
@@ -57,9 +52,7 @@ val params :
   ?advert_period:Units.Time.t ->
   ?run_until:Units.Time.t ->
   ?seed:int64 ->
-  ?fault_seed:int64 ->
   ?track_total:bool ->
-  ?watchdog:int ->
   ?defect:defect ->
   ?plan:Mmt_fault.Plan.t ->
   unit ->
@@ -105,7 +98,11 @@ type outcome = {
 
 val run : params -> outcome
 (** Execute the plan.  Every host, switch and link creates and retires
-    its packets through the topology's ring. *)
+    its packets through the topology's ring.  The injector's bit flips
+    draw from one fixed seed, and a watchdog caps the run at 20M engine
+    events, orders of magnitude above any honest trial: exhausting it
+    marks the run non-terminated instead of spinning on an event
+    livelock. *)
 
 val failover_trial :
   ?fragment_count:int -> ?fail_at:Units.Time.t -> unit -> params

@@ -380,8 +380,6 @@ let build config =
           Mmt.Encap.Over_ethernet
             { src = Address.sensor_mac; dst = Address.dtn1_mac };
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   Mmt_sim.Node.set_handler sensor (fun packet ->

@@ -10,18 +10,15 @@ module Tcp_run = struct
     message_size : Units.Size.t;
     offered : Units.Rate.t;  (* application's message pace *)
     config : Mmt_tcp.Connection.config;
-    queue_capacity : Units.Size.t;
-    seed : int64;
   }
 
   let params ?(rate = Units.Rate.gbps 100.) ?(rtt = Units.Time.ms 13.)
       ?(loss = 0.) ?(transfer = Units.Size.mib 64)
-      ?(message_size = Units.Size.mib 1) ?offered ?config ?(seed = 11L) () =
-    let bdp = Units.Rate.bytes_in rate rtt in
+      ?(message_size = Units.Size.mib 1) ?offered ?config () =
     let config =
       match config with
       | Some config -> config
-      | None -> Mmt_tcp.Connection.tuned_config ~bdp
+      | None -> Mmt_tcp.Connection.tuned_config ~bdp:(Units.Rate.bytes_in rate rtt)
     in
     {
       rate;
@@ -31,8 +28,6 @@ module Tcp_run = struct
       message_size;
       offered = Option.value ~default:rate offered;
       config;
-      queue_capacity = Units.Size.bytes (2 * Units.Size.to_bytes bdp + 1_000_000);
-      seed;
     }
 
   type outcome = {
@@ -50,16 +45,20 @@ module Tcp_run = struct
     let topo = Mmt_sim.Topology.create ~engine () in
     let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
-    let rng = Rng.create ~seed:p.seed in
+    let rng = Rng.create ~seed:11L in
     let a = Mmt_sim.Topology.add_node topo ~name:"dtn-src" in
     let b = Mmt_sim.Topology.add_node topo ~name:"dtn-dst" in
     let half = Units.Time.scale p.rtt 0.5 in
+    let queue_capacity =
+      Units.Size.bytes
+        ((2 * Units.Size.to_bytes (Units.Rate.bytes_in p.rate p.rtt)) + 1_000_000)
+    in
     let forward =
       Mmt_sim.Topology.connect topo ~src:a ~dst:b ~rate:p.rate ~propagation:half
         ~loss:
           (if p.loss > 0. then Mmt_sim.Loss.bernoulli ~drop:p.loss ~corrupt:0. ~rng
            else Mmt_sim.Loss.perfect)
-        ~queue:(Mmt_sim.Queue_model.droptail ~capacity:p.queue_capacity ())
+        ~queue:(Mmt_sim.Queue_model.droptail ~capacity:queue_capacity ())
         ()
     in
     let reverse =
@@ -144,13 +143,14 @@ module Udp_run = struct
     goodput : Units.Rate.t;
   }
 
-  let run ?(rate = Units.Rate.gbps 100.) ?(loss = 0.001) ?(datagrams = 10_000)
-      ?(size = Units.Size.bytes 7200) ?(seed = 3L) () =
+  let run ?(loss = 0.001) ?(datagrams = 10_000) () =
+    let rate = Units.Rate.gbps 100. in
+    let size = Units.Size.bytes 7200 in
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
     let ring = Option.get (Mmt_sim.Topology.ring topo) in
     let fresh_id () = Mmt_sim.Topology.fresh_packet_id topo in
-    let rng = Rng.create ~seed in
+    let rng = Rng.create ~seed:3L in
     let a = Mmt_sim.Topology.add_node topo ~name:"sensor" in
     let b = Mmt_sim.Topology.add_node topo ~name:"dtn" in
     let link =
@@ -205,16 +205,13 @@ module Placement_run = struct
     buffer_capacity : Units.Size.t;
     fragment_count : int;
     fragment_size : Units.Size.t;
-    nak_delay : Units.Time.t;
-    age_budget_us : int;
     seed : int64;
   }
 
   let params ?(rate = Units.Rate.gbps 100.) ?(rtt = Units.Time.ms 13.)
       ?(buffer_position = 0.) ?(loss = 0.003) ?(bursty = false)
       ?(buffer_capacity = Units.Size.mib 512) ?(fragment_count = 3000)
-      ?(fragment_size = Units.Size.bytes 7200) ?(nak_delay = Units.Time.ms 1.)
-      ?(age_budget_us = 50_000) ?(seed = 17L) () =
+      ?(fragment_size = Units.Size.bytes 7200) ?(seed = 17L) () =
     if buffer_position < 0. || buffer_position > 1. then
       invalid_arg "Placement_run.params: buffer_position outside [0, 1]";
     {
@@ -226,8 +223,6 @@ module Placement_run = struct
       buffer_capacity;
       fragment_count;
       fragment_size;
-      nak_delay;
-      age_budget_us;
       seed;
     }
 
@@ -246,6 +241,7 @@ module Placement_run = struct
   let source_ip = Mmt_frame.Addr.Ip.of_octets 10 9 0 1
   let buffer_ip = Mmt_frame.Addr.Ip.of_octets 10 9 0 2
   let sink_ip = Mmt_frame.Addr.Ip.of_octets 10 9 0 3
+  let nak_delay = Units.Time.ms 1.
 
   let run p =
     let engine = Mmt_sim.Engine.create () in
@@ -294,7 +290,7 @@ module Placement_run = struct
     Router.add router_buf buffer_ip (Mmt.Buffer_host.on_packet buffer);
     let mode =
       Mmt.Mode.make ~name:"placement/wan" ~reliable:buffer_ip
-        ~age_budget_us:p.age_budget_us ()
+        ~age_budget_us:50_000 ()
     in
     let rewriter =
       Mmt_innet.Mode_rewriter.create ~mode
@@ -320,7 +316,7 @@ module Placement_run = struct
       Mmt.Receiver.create ~env:env_dst
         {
           Mmt.Receiver.experiment = Mmt.Experiment_id.make ~experiment:9 ~slice:0;
-          nak_delay = p.nak_delay;
+          nak_delay;
           nak_retry_timeout = Units.Time.scale p.rtt 2.;
           max_nak_retries = 10;
           expected_total = Some p.fragment_count;
@@ -338,8 +334,6 @@ module Placement_run = struct
           destination = sink_ip;
           encap = Mmt.Encap.Raw;
           deadline_budget = None;
-          backpressure_to = None;
-          pace = None;
         }
     in
     let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xC3' in
@@ -372,28 +366,12 @@ module Placement_run = struct
       recovery_rtt =
         Units.Time.add
           (Units.Time.scale one_way (2. *. (1. -. p.buffer_position)))
-          p.nak_delay;
+          nak_delay;
       receiver = stats;
     }
 end
 
 module Priority_run = struct
-  type params = {
-    link_rate : Units.Rate.t;
-    bulk_rate : Units.Rate.t;
-    bulk_count : int;
-    alert_count : int;
-    alert_deadline : Units.Time.t;
-    deadline_aware : bool;
-    seed : int64;
-  }
-
-  let params ?(link_rate = Units.Rate.gbps 10.) ?(bulk_rate = Units.Rate.gbps 12.)
-      ?(bulk_count = 10_000) ?(alert_count = 1_000)
-      ?(alert_deadline = Units.Time.ms 12.) ?(deadline_aware = false)
-      ?(seed = 5L) () =
-    { link_rate; bulk_rate; bulk_count; alert_count; alert_deadline; deadline_aware; seed }
-
   type outcome = {
     alerts_delivered : int;
     alerts_late : int;
@@ -411,7 +389,10 @@ module Priority_run = struct
     then Some (Mmt.Header.View.deadline_ns view)
     else None
 
-  let run p =
+  let bulk_count = 10_000
+  let alert_count = 1_000
+
+  let run ~deadline_aware =
     let engine = Mmt_sim.Engine.create () in
     let topo = Mmt_sim.Topology.create ~engine () in
     let ring = Option.get (Mmt_sim.Topology.ring topo) in
@@ -419,14 +400,14 @@ module Priority_run = struct
     let telescope = Mmt_sim.Topology.add_node topo ~name:"telescope" in
     let archive = Mmt_sim.Topology.add_node topo ~name:"archive" in
     let queue =
-      if p.deadline_aware then
+      if deadline_aware then
         Mmt_sim.Queue_model.deadline_aware ~capacity:(Units.Size.mib 64)
           ~drop_expired:false ~deadline_of ()
       else Mmt_sim.Queue_model.droptail ~capacity:(Units.Size.mib 64) ()
     in
     let wan =
-      Mmt_sim.Topology.connect topo ~src:telescope ~dst:archive ~rate:p.link_rate
-        ~propagation:(Units.Time.ms 5.) ~queue ()
+      Mmt_sim.Topology.connect topo ~src:telescope ~dst:archive
+        ~rate:(Units.Rate.gbps 10.) ~propagation:(Units.Time.ms 5.) ~queue ()
     in
     let router = Router.create ~default:(Mmt_sim.Link.send wan) ~ring 0 in
     let env = Router.env router ~engine ~fresh_id ~local_ip:telescope_ip in
@@ -439,14 +420,12 @@ module Priority_run = struct
           Mmt.Encap.Over_ipv4
             { src = telescope_ip; dst = archive_ip; dscp = 0; ttl = 64 };
         deadline_budget;
-        backpressure_to = None;
-        pace = None;
       }
     in
     let bulk_sender = Mmt.Sender.create ~env (sender_config 0) in
     let alert_sender =
       Mmt.Sender.create ~env
-        (sender_config ~deadline_budget:(p.alert_deadline, Mmt_frame.Addr.Ip.any) 1)
+        (sender_config ~deadline_budget:(Units.Time.ms 12., Mmt_frame.Addr.Ip.any) 1)
     in
     let receiver_config expected =
       {
@@ -463,11 +442,11 @@ module Priority_run = struct
         ~engine ~fresh_id ~local_ip:archive_ip
     in
     let bulk_rx =
-      Mmt.Receiver.create ~env:env_archive (receiver_config p.bulk_count)
+      Mmt.Receiver.create ~env:env_archive (receiver_config bulk_count)
         ~deliver:(fun _ _ -> ())
     in
     let alert_rx =
-      Mmt.Receiver.create ~env:env_archive (receiver_config p.alert_count)
+      Mmt.Receiver.create ~env:env_archive (receiver_config alert_count)
         ~deliver:(fun _ _ -> ())
     in
     Mmt_sim.Node.set_handler archive (fun packet ->
@@ -481,8 +460,10 @@ module Priority_run = struct
         then Mmt.Receiver.on_packet alert_rx packet
         else Mmt.Receiver.on_packet bulk_rx packet);
     let bulk_payload = Bytes.make 8192 'B' in
-    let bulk_gap = Units.Rate.transmission_time p.bulk_rate (Units.Size.bytes 8192) in
-    for i = 0 to p.bulk_count - 1 do
+    let bulk_gap =
+      Units.Rate.transmission_time (Units.Rate.gbps 12.) (Units.Size.bytes 8192)
+    in
+    for i = 0 to bulk_count - 1 do
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale bulk_gap (float_of_int i))
@@ -492,7 +473,7 @@ module Priority_run = struct
     let alert_gap =
       Units.Rate.transmission_time (Units.Rate.mbps 200.) (Units.Size.bytes 1024)
     in
-    for i = 0 to p.alert_count - 1 do
+    for i = 0 to alert_count - 1 do
       ignore
         (Mmt_sim.Engine.schedule engine
            ~at:(Units.Time.scale alert_gap (float_of_int i))

@@ -22,8 +22,6 @@ module Tcp_run : sig
             (back-to-back).  Set it below the steady-state TCP rate to
             isolate HoL blocking from slow-start backlog. *)
     config : Mmt_tcp.Connection.config;
-    queue_capacity : Units.Size.t;
-    seed : int64;
   }
 
   val params :
@@ -34,11 +32,12 @@ module Tcp_run : sig
     ?message_size:Units.Size.t ->
     ?offered:Units.Rate.t ->
     ?config:Mmt_tcp.Connection.config ->
-    ?seed:int64 ->
     unit ->
     params
   (** Defaults: 100 GbE, 13 ms RTT, lossless, 64 MiB transfer, 1 MiB
-      messages, tuned config, queue sized to 2x BDP. *)
+      messages, tuned config.  The bottleneck queue always holds twice
+      the bandwidth-delay product plus 1 MB, and the loss RNG always
+      starts from seed 11. *)
 
   type outcome = {
     fct : Units.Time.t option;  (** flow completion (all bytes acked) *)
@@ -64,14 +63,10 @@ module Udp_run : sig
     goodput : Units.Rate.t;
   }
 
-  val run :
-    ?rate:Units.Rate.t ->
-    ?loss:float ->
-    ?datagrams:int ->
-    ?size:Units.Size.t ->
-    ?seed:int64 ->
-    unit ->
-    outcome
+  val run : ?loss:float -> ?datagrams:int -> unit -> outcome
+  (** 7200-byte datagrams back to back at 100 Gbps over a 5 µs hop
+      with [loss] (default 0.1 %) drawn from seed 3; [datagrams]
+      defaults to 10 000. *)
 end
 
 (** Multi-modal transfer with the retransmission buffer placed at a
@@ -92,8 +87,6 @@ module Placement_run : sig
             escalation *)
     fragment_count : int;
     fragment_size : Units.Size.t;
-    nak_delay : Units.Time.t;
-    age_budget_us : int;
     seed : int64;
   }
 
@@ -106,11 +99,11 @@ module Placement_run : sig
     ?buffer_capacity:Units.Size.t ->
     ?fragment_count:int ->
     ?fragment_size:Units.Size.t ->
-    ?nak_delay:Units.Time.t ->
-    ?age_budget_us:int ->
     ?seed:int64 ->
     unit ->
     params
+  (** The receiver waits 1 ms before its first NAK, and the buffer
+      point's mode carries a 50 ms age budget. *)
 
   type outcome = {
     delivered : int;
@@ -132,27 +125,6 @@ end
     deadline-bearing alert stream shares it — § 5.3's "deadlines as an
     input to active queue management". *)
 module Priority_run : sig
-  type params = {
-    link_rate : Units.Rate.t;
-    bulk_rate : Units.Rate.t;  (** offered bulk load (oversubscribes) *)
-    bulk_count : int;
-    alert_count : int;
-    alert_deadline : Units.Time.t;
-    deadline_aware : bool;
-    seed : int64;
-  }
-
-  val params :
-    ?link_rate:Units.Rate.t ->
-    ?bulk_rate:Units.Rate.t ->
-    ?bulk_count:int ->
-    ?alert_count:int ->
-    ?alert_deadline:Units.Time.t ->
-    ?deadline_aware:bool ->
-    ?seed:int64 ->
-    unit ->
-    params
-
   type outcome = {
     alerts_delivered : int;
     alerts_late : int;
@@ -160,5 +132,9 @@ module Priority_run : sig
     alert_latency_p99 : float;  (** seconds *)
   }
 
-  val run : params -> outcome
+  val run : deadline_aware:bool -> outcome
+  (** 10 000 bulk messages of 8 KiB offered at 12 Gbps oversubscribe a
+      10 Gbps, 5 ms bottleneck while 1 000 alerts of 1 KiB, each with a
+      12 ms deadline budget, share it.  [deadline_aware] swaps the
+      bottleneck's drop-tail queue for earliest-deadline-first. *)
 end

@@ -109,9 +109,14 @@ let clone t src ~id =
 let in_packet_done t p =
   let s = p.Packet.slot in
   if s < 0 then begin
+    (* Disarm a floating packet but leave its frame to the GC: the ring
+       may never have handed that frame out (a [Packet.create] over a
+       caller's buffer), so pooling it could overwrite bytes the caller
+       still holds. *)
     if p.Packet.frame != Pool.retired && Bytes.length p.Packet.frame > 0 then begin
       t.retired_count <- t.retired_count + 1;
-      Pool.release_packet t.pool p
+      p.Packet.frame <- Pool.retired;
+      p.Packet.gen <- p.Packet.gen + 1
     end
   end
   else if s < Array.length t.slots && t.live.(s) && t.slots.(s) == p then begin

@@ -24,9 +24,13 @@
       creates and retires its packets through it.
 
     Past [max_slots] the ring hands out floating heap records (counted
-    in [overflow]), and {!in_packet_done} on a floating packet just
-    recycles its frame, so correctness never depends on capacity
-    tuning. *)
+    in [overflow]), so correctness never depends on capacity tuning.
+    {!in_packet_done} on a floating packet, whether an overflow record
+    or a [Packet.create] over a caller's buffer, disarms it (its frame
+    becomes {!Pool.retired}) but leaves the frame to the GC rather than
+    the pool: the ring cannot tell a frame it handed out from one the
+    caller still holds.  Only overflow records and hand-built packets
+    take that path. *)
 
 open Mmt_util
 
@@ -68,7 +72,8 @@ val clone : t -> Packet.t -> id:int -> Packet.t
 
 val in_packet_done : t -> Packet.t -> unit
 (** Retire a packet: recycle its frame into the pool and free its slot.
-    Safe on floating packets (frame recycle only) and idempotent — a
-    second call on the same incarnation is a counted no-op. *)
+    Safe on floating packets (disarmed, frame not pooled) and
+    idempotent — a second call on the same incarnation is a counted
+    no-op. *)
 
 val stats : t -> stats

@@ -53,9 +53,9 @@ let connect t ~src ~dst ~rate ~propagation ?loss ?queue () =
   t.link_order <- link :: t.link_order;
   link
 
-let duplex t ~a ~b ~rate ~propagation ?loss_ab ?loss_ba ?queue_ab ?queue_ba () =
-  let ab = connect t ~src:a ~dst:b ~rate ~propagation ?loss:loss_ab ?queue:queue_ab () in
-  let ba = connect t ~src:b ~dst:a ~rate ~propagation ?loss:loss_ba ?queue:queue_ba () in
+let duplex t ~a ~b ~rate ~propagation =
+  let ab = connect t ~src:a ~dst:b ~rate ~propagation () in
+  let ba = connect t ~src:b ~dst:a ~rate ~propagation () in
   (ab, ba)
 
 let links t = List.rev t.link_order

@@ -46,18 +46,10 @@ val connect :
 (** Unidirectional [src -> dst] link delivering into [dst]'s handler. *)
 
 val duplex :
-  t ->
-  a:Node.t ->
-  b:Node.t ->
-  rate:Units.Rate.t ->
-  propagation:Units.Time.t ->
-  ?loss_ab:Loss.t ->
-  ?loss_ba:Loss.t ->
-  ?queue_ab:Queue_model.t ->
-  ?queue_ba:Queue_model.t ->
-  unit ->
+  t -> a:Node.t -> b:Node.t -> rate:Units.Rate.t -> propagation:Units.Time.t ->
   Link.t * Link.t
-(** Two links: [(a_to_b, b_to_a)]. *)
+(** Two lossless links with {!connect}'s default queue:
+    [(a_to_b, b_to_a)]. *)
 
 val links : t -> Link.t list
 (** All links in creation order. *)

@@ -151,7 +151,6 @@ module Histogram = struct
     end
 
   let count t = t.count
-  let bucket_count t = Array.length t.buckets
 
   let bucket_bounds t i =
     (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width))

@@ -60,7 +60,6 @@ module Histogram : sig
 
   val add : t -> float -> unit
   val count : t -> int
-  val bucket_count : t -> int
   val bucket_bounds : t -> int -> float * float
   (** Inclusive-exclusive bounds of bucket [i]. *)
 

@@ -70,7 +70,6 @@ module Rate = struct
 
   let zero = 0.
   let bps x = x
-  let kbps x = x *. 1e3
   let mbps x = x *. 1e6
   let gbps x = x *. 1e9
   let tbps x = x *. 1e12

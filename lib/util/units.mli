@@ -77,7 +77,6 @@ module Rate : sig
 
   val zero : t
   val bps : float -> t
-  val kbps : float -> t
   val mbps : float -> t
   val gbps : float -> t
   val tbps : float -> t

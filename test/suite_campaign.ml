@@ -189,7 +189,7 @@ let test_generator_validity () =
 let test_generator_lossy_only_universe () =
   (* No degrading subjects on offer (the facility shape): the profile
      is pinned to lossy. *)
-  let u = Mmt_facility.Chaos.universe Mmt_facility.Chaos.default in
+  let u = Mmt_facility.Chaos.universe in
   for seed = 0 to 49 do
     let profile, _ = Fault.Generator.generate u ~seed:(Int64.of_int seed) in
     Alcotest.(check bool) "lossy" true (profile = Fault.Generator.Lossy)
@@ -327,7 +327,7 @@ let test_shrink_not_violating_is_identity () =
 (* Facility target --------------------------------------------------------- *)
 
 let test_facility_empty_plan_clean () =
-  let o = Mmt_facility.Chaos.run Mmt_facility.Chaos.default Fault.Plan.empty in
+  let o = Mmt_facility.Chaos.run Fault.Plan.empty in
   Alcotest.(check (list string)) "no violations" [] o.Mmt_facility.Chaos.violations;
   Alcotest.(check int) "no faults" 0 o.Mmt_facility.Chaos.faults_applied;
   Alcotest.(check bool) "emission happened" true (o.Mmt_facility.Chaos.emitted > 0);
@@ -338,7 +338,7 @@ let test_facility_empty_plan_clean () =
 
 let test_facility_wan_partition_recovers () =
   let o =
-    Mmt_facility.Chaos.run Mmt_facility.Chaos.default
+    Mmt_facility.Chaos.run
       (Fault.Plan.make
          [
            Fault.Plan.event ~at:(ms 2.)

@@ -365,15 +365,27 @@ let test_buffer_advert_retargets_recovery () =
 
 (* Sender ------------------------------------------------------------------- *)
 
-let sender_config ?deadline_budget ?backpressure_to ?pace () =
+let sender_config ?deadline_budget () =
   {
     Mmt.Sender.experiment;
     destination = Addr.Ip.of_octets 10 0 3 1;
     encap = Mmt.Encap.Raw;
     deadline_budget;
-    backpressure_to;
-    pace;
   }
+
+let backpressure_header =
+  Mmt.Header.with_kind (Mmt.Header.mode0 ~experiment) Mmt.Feature.Kind.Backpressure
+
+(* A sender paced at 1 Mbps the way the network paces one: by a
+   back-pressure notice. *)
+let paced_sender ~env =
+  let sender = Mmt.Sender.create ~env (sender_config ()) in
+  let notice =
+    { Mmt.Control.Backpressure.origin = buffer_ip; advised_pace_mbps = 1; severity = 1 }
+  in
+  Mmt.Sender.on_control sender backpressure_header
+    (Mmt.Control.Backpressure.encode notice);
+  sender
 
 let test_sender_mode0_frames () =
   let engine = Mmt_sim.Engine.create () in
@@ -431,9 +443,7 @@ let test_sender_pacing_spacing () =
     }
   in
   (* 1 Mbps pace, ~1000-bit messages -> about 1 ms spacing. *)
-  let sender =
-    Mmt.Sender.create ~env (sender_config ~pace:(Units.Rate.mbps 1.) ())
-  in
+  let sender = paced_sender ~env in
   for _ = 1 to 3 do
     Mmt.Sender.send sender (Bytes.make 117 'p')
   done;
@@ -450,16 +460,11 @@ let test_sender_pacing_spacing () =
 let test_sender_backpressure_adjusts_pace () =
   let engine = Mmt_sim.Engine.create () in
   let env, _queue = Mmt_runtime.Env.loopback engine in
-  let sender =
-    Mmt.Sender.create ~env (sender_config ~backpressure_to:notify_ip ())
-  in
-  let bp_header =
-    Mmt.Header.with_kind (Mmt.Header.mode0 ~experiment) Mmt.Feature.Kind.Backpressure
-  in
+  let sender = Mmt.Sender.create ~env (sender_config ()) in
   let bp =
     { Mmt.Control.Backpressure.origin = buffer_ip; advised_pace_mbps = 250; severity = 150 }
   in
-  Mmt.Sender.on_control sender bp_header (Mmt.Control.Backpressure.encode bp);
+  Mmt.Sender.on_control sender backpressure_header (Mmt.Control.Backpressure.encode bp);
   let stats = Mmt.Sender.stats sender in
   Alcotest.(check int) "bp counted" 1 stats.Mmt.Sender.backpressure_received;
   (match stats.Mmt.Sender.current_pace with
@@ -467,9 +472,9 @@ let test_sender_backpressure_adjusts_pace () =
       Alcotest.(check bool) "pace applied" true
         (Float.abs (Units.Rate.to_bps pace -. 250e6) < 1.)
   | None -> Alcotest.fail "expected a pace");
-  (* Severity 0 clears back to the configured pace (none). *)
+  (* Severity 0 lifts the pace. *)
   let clear = { bp with Mmt.Control.Backpressure.severity = 0 } in
-  Mmt.Sender.on_control sender bp_header (Mmt.Control.Backpressure.encode clear);
+  Mmt.Sender.on_control sender backpressure_header (Mmt.Control.Backpressure.encode clear);
   Alcotest.(check bool) "pace cleared" true
     ((Mmt.Sender.stats sender).Mmt.Sender.current_pace = None)
 
@@ -567,9 +572,7 @@ let test_copy_audit_fragment () =
 let test_paced_sender_outlives_lent_payload () =
   let engine = Mmt_sim.Engine.create () in
   let env, queue = Mmt_runtime.Env.loopback engine in
-  let sender =
-    Mmt.Sender.create ~env (sender_config ~pace:(Units.Rate.mbps 1.) ())
-  in
+  let sender = paced_sender ~env in
   let buffer = Bytes.make 256 '\xA5' in
   let stamps = List.init 20 (fun i -> Int64.of_int ((i * 7919) + 1)) in
   let max_queued = ref 0 in
@@ -595,9 +598,7 @@ let test_paced_sender_outlives_lent_payload () =
 let test_paced_sender_keeps_virtual_payload () =
   let engine = Mmt_sim.Engine.create () in
   let env, queue = Mmt_runtime.Env.loopback engine in
-  let sender =
-    Mmt.Sender.create ~env (sender_config ~pace:(Units.Rate.mbps 1.) ())
-  in
+  let sender = paced_sender ~env in
   let config =
     {
       Mmt_daq.Workload.experiment = Mmt_daq.Experiment.find Mmt_daq.Experiment.Dune;

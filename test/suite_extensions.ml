@@ -346,12 +346,8 @@ let test_failover_end_to_end () =
   Alcotest.(check (list string)) "no violations" [] outcome.C.violations
 
 let test_priority_runner_shapes () =
-  let run deadline_aware =
-    Mmt_pilot.Runners.Priority_run.run
-      (Mmt_pilot.Runners.Priority_run.params ~deadline_aware ())
-  in
-  let droptail = run false in
-  let edf = run true in
+  let droptail = Mmt_pilot.Runners.Priority_run.run ~deadline_aware:false in
+  let edf = Mmt_pilot.Runners.Priority_run.run ~deadline_aware:true in
   Alcotest.(check bool) "droptail has late alerts" true
     (droptail.Mmt_pilot.Runners.Priority_run.alerts_late > 0);
   Alcotest.(check int) "edf has none" 0 edf.Mmt_pilot.Runners.Priority_run.alerts_late;

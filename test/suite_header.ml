@@ -244,8 +244,8 @@ let test_checksum_verifies_clean () =
 (* The detection guarantee behind lib/fault's bit-flip corruption: any
    single-bit flip anywhere in a sealed header is either caught (parse
    failure or checksum mismatch) or it erased the Checksummed feature
-   bit itself — which a path that requires sealing treats as
-   corruption too (Checksum_verify ~require:true). *)
+   bit itself — which a verifying path treats as corruption too
+   (Checksum_verify discards an unsealed data frame). *)
 let test_single_bit_flips_caught () =
   let clean = Mmt.Header.encode checksummed_header in
   for byte = 0 to Bytes.length clean - 1 do

@@ -401,6 +401,42 @@ let test_timeliness_notify_policy () =
   Alcotest.(check int) "counted" 1
     (Mmt_innet.Timeliness_checker.stats checker).Mmt_innet.Timeliness_checker.notices_sent
 
+(* Checksum verification ---------------------------------------------------------------- *)
+
+let test_checksum_verify_judges_frames () =
+  let verify = Mmt_innet.Checksum_verify.create () in
+  let element = Mmt_innet.Checksum_verify.element verify in
+  let judge ?(flip = false) header =
+    let frame = Bytes.cat (Mmt.Header.encode header) (Bytes.make 32 'p') in
+    (* The header's last byte is the low byte of its sequence number. *)
+    let last = Mmt.Header.size header - 1 in
+    if flip then
+      Bytes.set frame last (Char.chr (Char.code (Bytes.get frame last) lxor 1));
+    match
+      element.Mmt_innet.Element.process ~now:Units.Time.zero
+        (Mmt_sim.Packet.create ~id:0 ~born:Units.Time.zero frame)
+    with
+    | Mmt_innet.Element.Forward _ -> "forward"
+    | Mmt_innet.Element.Discard reason -> reason
+    | Mmt_innet.Element.Replicate _ -> "replicate"
+  in
+  let data = Mmt.Header.create ~sequence:7 ~experiment () in
+  let sealed = Mmt.Header.with_checksummed data in
+  let control =
+    Mmt.Header.with_kind (Mmt.Header.mode0 ~experiment) Mmt.Feature.Kind.Nak
+  in
+  Alcotest.(check string) "unchecksummed data frame"
+    "checksum-verify: required checksum missing" (judge data);
+  Alcotest.(check string) "unchecksummed control frame" "forward" (judge control);
+  Alcotest.(check string) "sealed data frame" "forward" (judge sealed);
+  Alcotest.(check string) "sealed frame, one bit flipped"
+    "checksum-verify: header checksum mismatch" (judge ~flip:true sealed);
+  let { Mmt_innet.Checksum_verify.checked; failed; passed } =
+    Mmt_innet.Checksum_verify.stats verify
+  in
+  Alcotest.(check (list int)) "checked, failed, passed" [ 3; 2; 1 ]
+    [ checked; failed; passed ]
+
 (* Element chain ------------------------------------------------------------------------ *)
 
 let test_chain_order_and_discard () =
@@ -724,6 +760,8 @@ let suite =
     Alcotest.test_case "duplicator skips control" `Quick test_duplicator_skips_control;
     Alcotest.test_case "timeliness drop policy" `Quick test_timeliness_drop_policy;
     Alcotest.test_case "timeliness notify policy" `Quick test_timeliness_notify_policy;
+    Alcotest.test_case "checksum verify judges frames" `Quick
+      test_checksum_verify_judges_frames;
     Alcotest.test_case "chain order + discard" `Quick test_chain_order_and_discard;
     Alcotest.test_case "chain replicate" `Quick test_chain_replicate_fans_remaining;
     Alcotest.test_case "resource map best buffer" `Quick test_resource_map_best_buffer;

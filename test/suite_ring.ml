@@ -98,6 +98,22 @@ let test_alloc_adopts_frame () =
   let q = Ring.in_packet ring ~id:5 ~born:Units.Time.zero 80 in
   Alcotest.(check bool) "adopted frame recycled" true (Packet.frame q == frame)
 
+(* A floating packet over a caller's buffer is disarmed at retirement,
+   but its frame stays the caller's: the next acquire of that size must
+   neither hand the buffer out nor write into it. *)
+let test_floating_done_keeps_caller_frame () =
+  let ring = Ring.create ~slots:4 () in
+  let buffer = Bytes.make 64 'k' in
+  let p = Packet.create ~id:1 ~born:Units.Time.zero buffer in
+  Ring.in_packet_done ring p;
+  Alcotest.(check bool) "disarmed" true (Packet.frame p == Pool.retired);
+  Alcotest.(check int) "counted once" 1 (Ring.stats ring).Ring.retired;
+  let q = Ring.in_packet ring ~id:2 ~born:Units.Time.zero 64 in
+  Bytes.fill (Packet.frame q) 0 64 'n';
+  Alcotest.(check bool) "buffer not handed out" true (Packet.frame q != buffer);
+  Alcotest.(check string) "buffer unchanged" (String.make 64 'k')
+    (Bytes.to_string buffer)
+
 let test_clone_copies_everything () =
   let ring = Ring.create ~slots:4 () in
   let p = Ring.in_packet ring ~padding:13 ~id:1 ~born:(Units.Time.us 9.) 64 in
@@ -268,6 +284,8 @@ let suite =
       test_growth_and_overflow;
     Alcotest.test_case "alloc adopts and recycles the frame" `Quick
       test_alloc_adopts_frame;
+    Alcotest.test_case "floating done keeps the caller's frame" `Quick
+      test_floating_done_keeps_caller_frame;
     Alcotest.test_case "clone copies contents and metadata" `Quick
       test_clone_copies_everything;
     Alcotest.test_case "no aliasing under fuzz" `Quick test_no_aliasing_fuzz;

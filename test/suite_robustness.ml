@@ -160,8 +160,6 @@ let test_encrypted_payloads_cross_elements () =
         destination = dst_ip;
         encap = Mmt.Encap.Raw;
         deadline_budget = None;
-        backpressure_to = None;
-        pace = None;
       }
   in
   let decrypted = ref [] in

@@ -457,7 +457,7 @@ let test_topology_nodes_and_links () =
   let b = Sim.Topology.add_node topo ~name:"b" in
   let ab, ba =
     Sim.Topology.duplex topo ~a ~b ~rate:(Units.Rate.gbps 1.)
-      ~propagation:(Units.Time.us 1.) ()
+      ~propagation:(Units.Time.us 1.)
   in
   Alcotest.(check string) "link name" "a->b" (Sim.Link.name ab);
   Alcotest.(check string) "reverse name" "b->a" (Sim.Link.name ba);
