@@ -660,7 +660,7 @@ let run_sweep ~jobs () =
   let parallel =
     if jobs = 1 then None
     else begin
-      let effective = Mmt_experiments.Registry.effective_jobs jobs in
+      let cores = Domain.recommended_domain_count () in
       let started = Unix.gettimeofday () in
       let results = Mmt_experiments.Registry.run_collect ~jobs () in
       let wall = Unix.gettimeofday () -. started in
@@ -668,11 +668,11 @@ let run_sweep ~jobs () =
         String.equal (render_sweep sequential) (render_sweep results)
       in
       Printf.printf
-        "sweep: sequential %.2f s, %d domains (%d requested) %.2f s, \
+        "sweep: sequential %.2f s, --jobs %d on %d cores %.2f s, \
          reports %s\n\n"
-        sequential_wall effective jobs wall
+        sequential_wall jobs cores wall
         (if identical then "byte-identical" else "DIFFER");
-      Some (effective, wall, identical)
+      Some (cores, wall, identical)
     end
   in
   let all_ok =
@@ -787,11 +787,10 @@ let write_json ~path ~quota ~limit ~jobs ~micro ~alloc_words ~forward
   Buffer.add_string buf
     (Printf.sprintf "    \"sequential_wall_s\": %.3f,\n" sequential_wall);
   (match parallel with
-  | Some (effective, wall, identical) ->
+  | Some (cores, wall, identical) ->
       Buffer.add_string buf
         (Printf.sprintf "    \"parallel_jobs\": %d,\n" jobs);
-      Buffer.add_string buf
-        (Printf.sprintf "    \"parallel_jobs_effective\": %d,\n" effective);
+      Buffer.add_string buf (Printf.sprintf "    \"cores\": %d,\n" cores);
       Buffer.add_string buf
         (Printf.sprintf "    \"parallel_wall_s\": %.3f,\n" wall);
       Buffer.add_string buf

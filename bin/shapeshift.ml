@@ -53,33 +53,33 @@ let experiments_cmd =
        ~doc:"Regenerate the paper's tables and figures (all, or by id).")
     Term.(const run $ ids)
 
+(* `--jobs`, shared by `all`, `campaign` and `facility` ------------------ *)
+
+let jobs_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected 0 (auto) or a positive count, got %S" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Run whole simulations on up to $(docv) domains; 0 picks the \
+           machine's recommended domain count, and larger requests are \
+           capped at it (extra domains only contend).  Every simulation \
+           is self-contained and deterministic, so the output is \
+           byte-identical at any $(docv).")
+
 (* `shapeshift all [--jobs N]` --------------------------------------------- *)
 
 let all_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the experiment sweep on $(docv) domains; 0 picks the \
-             machine's recommended domain count automatically.  Requests \
-             beyond that count are capped (extra domains only contend).  \
-             Every experiment is a self-contained deterministic \
-             simulation, so the reports (printed in registry order) are \
-             byte-identical to a sequential sweep.")
-  in
-  let run jobs =
-    if jobs < 0 then begin
-      Printf.eprintf "shapeshift all: --jobs must be 0 (auto) or positive\n";
-      2
-    end
-    else if Mmt_experiments.Registry.run_all ~jobs () then 0
-    else 1
-  in
+  let run jobs = if Mmt_experiments.Registry.run_all ~jobs () then 0 else 1 in
   Cmd.v
     (Cmd.info "all"
        ~doc:"Run the full experiment sweep, optionally across domains.")
-    Term.(const run $ jobs)
+    Term.(const run $ jobs_arg)
 
 (* `--profile`, shared by `pilot` and `telemetry` ------------------------ *)
 
@@ -452,14 +452,6 @@ let campaign_cmd =
       & info [ "seed" ]
           ~doc:"Campaign seed; every trial seed derives from it.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Execute trials on N domains (0 = auto).  The report is \
-             byte-identical at any job count.")
-  in
   let scenario =
     Arg.(
       value & opt string "pilot"
@@ -543,10 +535,6 @@ let campaign_cmd =
               2
             end
             else begin
-              let jobs =
-                if jobs = 0 then Mmt_util.Task_pool.recommended_jobs ()
-                else jobs
-              in
               let report = Camp.run ~jobs target ~trials ~seed in
               print_string (Camp.render ~verbose report);
               match Camp.violating report with
@@ -568,7 +556,7 @@ let campaign_cmd =
           the delivery invariants on every trial, and exit non-zero on any \
           violation.")
     Term.(
-      const run $ trials $ seed $ jobs $ scenario $ shrink_flag $ replay
+      const run $ trials $ seed $ jobs_arg $ scenario $ shrink_flag $ replay
       $ verbose)
 
 (* `shapeshift facility` ----------------------------------------------------- *)
@@ -580,16 +568,6 @@ let facility_cmd =
   in
   let max_flows =
     Arg.(value & opt int 1000 & info [ "max" ] ~docv:"N" ~doc:"Largest flow count in the sweep.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Run the sweep's points on $(docv) domains; 0 picks the \
-             machine's recommended count.  Every point is a \
-             self-contained deterministic simulation, so the report is \
-             byte-identical to the sequential sweep.")
   in
   let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"Simulation seed.") in
   let duration_ms =
@@ -610,38 +588,41 @@ let facility_cmd =
              without simulating.")
   in
   let run min_flows max_flows jobs seed duration_ms loss plan =
-    if jobs < 0 then begin
-      Printf.eprintf "shapeshift facility: --jobs must be 0 (auto) or positive\n";
-      2
-    end
-    else begin
-      let base =
-        {
-          Scenario.default with
-          Scenario.duration = Units.Time.ms duration_ms;
-          wan_loss = loss;
-          seed;
-        }
-      in
-      match plan with
-      | Some flows ->
-          print_string (Scenario.describe { base with Scenario.flows });
-          0
-      | None ->
-          if min_flows < 1 || max_flows < min_flows then begin
-            Printf.eprintf
-              "shapeshift facility: need 1 <= --min <= --max (got %d, %d)\n"
-              min_flows max_flows;
-            2
-          end
-          else begin
-            let points = Mmt_facility.Sweep.log_points ~lo:min_flows ~hi:max_flows () in
-            let output, ok = Mmt_experiments.Facility.report ~jobs ~base ~points () in
-            print_string output;
-            print_newline ();
-            if ok then 0 else 1
-          end
-    end
+    let base =
+      {
+        Scenario.default with
+        Scenario.duration = Units.Time.ms duration_ms;
+        wan_loss = loss;
+        seed;
+      }
+    in
+    match plan with
+    | Some flows when flows < 1 ->
+        Printf.eprintf "shapeshift facility: --plan needs at least 1 flow (got %d)\n"
+          flows;
+        2
+    | Some flows ->
+        print_string (Scenario.describe { base with Scenario.flows });
+        0
+    | None -> (
+        if min_flows < 1 || max_flows < min_flows then begin
+          Printf.eprintf
+            "shapeshift facility: need 1 <= --min <= --max (got %d, %d)\n"
+            min_flows max_flows;
+          2
+        end
+        else
+          match Mmt_experiments.Facility.log_points ~lo:min_flows ~hi:max_flows with
+          | [] ->
+              Printf.eprintf
+                "shapeshift facility: no 1-3-10 point lies in [%d, %d]\n"
+                min_flows max_flows;
+              2
+          | points ->
+              let output, ok = Mmt_experiments.Facility.report ~jobs ~base ~points () in
+              print_string output;
+              print_newline ();
+              if ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "facility"
@@ -650,7 +631,7 @@ let facility_cmd =
           mixed-kind elephant flows through an aggregation tree and one \
           shared WAN bottleneck.")
     Term.(
-      const run $ min_flows $ max_flows $ jobs $ seed $ duration_ms $ loss
+      const run $ min_flows $ max_flows $ jobs_arg $ seed $ duration_ms $ loss
       $ plan)
 
 (* `shapeshift trace` ----------------------------------------------------------- *)

@@ -11,9 +11,9 @@ open Mmt_util
    the CLI and in CI's campaign-smoke job.
 
    Campaigns are executed with [jobs = 1]: the registry sweep already
-   parallelises over experiments on the shared task pool, which is not
-   reentrant.  Determinism across job counts is covered by the test
-   suite, which runs campaigns on the pool directly. *)
+   parallelises over experiments, and domains beyond the cores only
+   contend.  Determinism across job counts is covered by the test
+   suite, which runs campaigns on several domains directly. *)
 
 let pilot_trials = 24
 let facility_trials = 6

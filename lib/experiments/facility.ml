@@ -1,18 +1,36 @@
 open Mmt_util
 module Scenario = Mmt_facility.Scenario
-module Sweep = Mmt_facility.Sweep
 module Metrics = Mmt_facility.Metrics
+
+let log_points ~lo ~hi =
+  let rec decades d acc =
+    if d > hi then List.rev acc
+    else
+      let acc = if d >= lo then d :: acc else acc in
+      let acc = if 3 * d >= lo && 3 * d <= hi then (3 * d) :: acc else acc in
+      decades (10 * d) acc
+  in
+  decades 1 []
 
 (* The registry run keeps the emission window short: the sweep's
    shape (contention growing with flow count) is visible at 3 ms, and
    the full-window run stays available via `shapeshift facility`. *)
 let default_base = { Scenario.default with Scenario.duration = Units.Time.ms 3. }
-let default_points = Sweep.log_points ~lo:10 ~hi:1000 ()
+let default_points = log_points ~lo:10 ~hi:1000
 
 let pct x = Printf.sprintf "%.2f%%" (100. *. x)
 
 let report ?(jobs = 1) ?(base = default_base) ?(points = default_points) () =
-  let results = Sweep.run ~jobs ~base ~points () in
+  if points = [] then invalid_arg "Facility.report: no sweep points";
+  (* Each point is a self-contained deterministic simulation, so the
+     points run on separate domains and the report keeps their order. *)
+  let points = Array.of_list points in
+  let results =
+    Parallel.init ~jobs (Array.length points) (fun i ->
+        let flows = points.(i) in
+        (flows, Scenario.run { base with Scenario.flows }))
+    |> Array.to_list
+  in
   let table =
     Table.create
       ~title:

@@ -48,57 +48,18 @@ let find id =
   let target = normalize id in
   List.find_opt (fun entry -> String.lowercase_ascii entry.id = target) all
 
-(* More domains than cores is strictly worse here: the experiments are
-   allocation-heavy, so oversubscribed domains thrash the minor heap
-   (measured 3x slower than sequential with 4 domains on 1 core).
-   Requests are therefore capped at [Domain.recommended_domain_count],
-   and [jobs = 0] asks for exactly that cap. *)
-let effective_jobs jobs =
-  let n = List.length all in
-  let cap = Mmt_util.Task_pool.recommended_jobs () in
-  let requested = if jobs <= 0 then cap else min jobs cap in
-  max 1 (min requested n)
-
 (* Every experiment builds its own engine, topology and seeded Rng, and
    only returns a report string — no experiment touches shared mutable
    state — so the sweep parallelises over domains with no change to any
-   result.  Work is handed out through an atomic index; results land in
-   a slot-per-entry array, preserving registry order regardless of
-   completion order.  Domains come from the shared {!Mmt_util.Task_pool},
-   so repeated sweeps (the bench runs several) pay domain spawn-up
-   once, not per sweep. *)
+   result, and the results come back in registry order. *)
 let run_collect ?(jobs = 1) () =
   let entries = Array.of_list all in
-  let n = Array.length entries in
-  let results = Array.make n None in
-  let timed i =
-    let entry = entries.(i) in
-    let started = Unix.gettimeofday () in
-    let output, ok = entry.run () in
-    let wall_s = Unix.gettimeofday () -. started in
-    results.(i) <- Some (entry, (output, ok), wall_s)
-  in
-  let jobs = effective_jobs jobs in
-  if jobs = 1 then
-    for i = 0 to n - 1 do
-      timed i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        timed i;
-        worker ()
-      end
-    in
-    Mmt_util.Task_pool.run (Mmt_util.Task_pool.shared ()) ~extra:(jobs - 1)
-      worker
-  end;
-  Array.to_list results
-  |> List.map (function
-       | Some r -> r
-       | None -> assert false (* every index was claimed *))
+  Mmt_util.Parallel.init ~jobs (Array.length entries) (fun i ->
+      let entry = entries.(i) in
+      let started = Unix.gettimeofday () in
+      let result = entry.run () in
+      (entry, result, Unix.gettimeofday () -. started))
+  |> Array.to_list
 
 let print_result (entry, (output, ok), _wall_s) =
   Printf.printf "### %s — %s\n\n%!" entry.id entry.title;
@@ -107,22 +68,6 @@ let print_result (entry, (output, ok), _wall_s) =
   print_newline ()
 
 let run_all ?(jobs = 1) () =
-  let jobs = effective_jobs jobs in
-  if jobs <= 1 then
-    (* Sequential: print each report as it completes. *)
-    List.fold_left
-      (fun all_ok entry ->
-        Printf.printf "### %s — %s\n\n%!" entry.id entry.title;
-        let output, ok = entry.run () in
-        print_string output;
-        if not ok then Printf.printf "!! %s: some shape checks FAILED\n" entry.id;
-        print_newline ();
-        all_ok && ok)
-      true all
-  else begin
-    (* Parallel: collect first, then print in registry order, so the
-       rendered output is byte-identical to the sequential sweep. *)
-    let results = run_collect ~jobs () in
-    List.iter print_result results;
-    List.for_all (fun (_, (_, ok), _) -> ok) results
-  end
+  let results = run_collect ~jobs () in
+  List.iter print_result results;
+  List.for_all (fun (_, (_, ok), _) -> ok) results

@@ -11,24 +11,16 @@ val all : entry list
 val find : string -> entry option
 (** Case-insensitive lookup by id (with or without the "E-" prefix). *)
 
-val effective_jobs : int -> int
-(** The domain count a sweep actually uses for a requested job count:
-    capped at [Domain.recommended_domain_count ()] (more domains than
-    cores only contend for the minor heap) and at the number of
-    experiments.  [0] means "the recommended count". *)
-
 val run_collect :
   ?jobs:int -> unit -> (entry * (string * bool) * float) list
 (** Run every experiment and return [(entry, (output, ok), wall_s)] in
-    registry order.  With [jobs > 1] the sweep runs on
-    [effective_jobs jobs] domains from the shared
-    {!Mmt_util.Task_pool}; each experiment is a self-contained
-    deterministic simulation (own engine, own seeded Rng), so results
-    are identical to the sequential sweep regardless of scheduling.
-    [jobs = 0] selects the machine's recommended count. *)
+    registry order.  The experiments run through
+    {!Mmt_util.Parallel.init} on up to [jobs] domains (default 1;
+    [0] asks for the machine's recommended count); each is a
+    self-contained deterministic simulation (own engine, own seeded
+    Rng), so the results are identical at any [jobs]. *)
 
 val run_all : ?jobs:int -> unit -> bool
-(** Run every experiment, printing each report; [true] when every
-    shape check in every experiment passed.  With [jobs > 1] the
-    experiments run in parallel and the reports are printed afterwards
-    in registry order — the output is byte-identical to [jobs = 1]. *)
+(** Run every experiment, then print each report in registry order;
+    [true] when every shape check in every experiment passed.  The
+    output is byte-identical at any [jobs]. *)

@@ -82,6 +82,7 @@ let metro_propagation = Units.Time.ms 2.
 
 let site_spans config =
   if config.sites < 1 then invalid_arg "Scenario: sites must be positive";
+  if config.flows < 1 then invalid_arg "Scenario: flows must be positive";
   let sites = Stdlib.min config.sites config.flows in
   let base = config.flows / sites and rem = config.flows mod sites in
   Array.init sites (fun s ->

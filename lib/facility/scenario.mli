@@ -66,7 +66,7 @@ val levels : flows:int -> degree:int -> int list
 val site_spans : config -> (int * int) array
 (** Per-site [(first_flow, flow_count)] blocks: contiguous, near-even,
     never empty (the site count is capped at the flow count).
-    @raise Invalid_argument if [sites < 1]. *)
+    @raise Invalid_argument if [sites < 1] or [flows < 1]. *)
 
 val describe : config -> string
 (** The full static topology plan, rendered deterministically —

@@ -8,11 +8,9 @@ open Mmt_util
    facility scenarios: this library sits below both, so each scenario
    hands its own executor in.  Trials share no mutable state — every
    execution builds a fresh engine and topology — which is what lets
-   the sweep parallelise over the shared domain pool with the same
-   slot-per-index discipline the experiment registry uses: work is
-   handed out through an atomic counter, results land in their trial's
-   slot, and the report is rendered from the slots in index order, so
-   the bytes are identical at any [--jobs]. *)
+   the sweep run on {!Parallel.init}, as the experiment registry does:
+   each trial's result lands at its index and the report is rendered
+   in index order, so the bytes are identical at any [--jobs]. *)
 
 type exec = {
   outcome : Invariant.outcome;
@@ -50,29 +48,14 @@ let trial_seeds ~seed ~trials =
 let run ?(jobs = 1) ?(config = Generator.default_config) target ~trials ~seed =
   if trials < 1 then invalid_arg "Fault.Campaign: trials must be positive";
   let seeds = trial_seeds ~seed ~trials in
-  let one index =
-    let trial_seed = seeds.(index) in
-    let profile, plan =
-      Generator.generate ~config target.universe ~seed:trial_seed
-    in
-    let exec = target.execute profile plan in
-    { index; seed = trial_seed; profile; plan; exec }
-  in
   let results =
-    if jobs <= 1 || trials = 1 then Array.init trials one
-    else begin
-      let slots = Array.make trials None in
-      let next = Atomic.make 0 in
-      let rec worker () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < trials then begin
-          slots.(i) <- Some (one i);
-          worker ()
-        end
-      in
-      Task_pool.run (Task_pool.shared ()) ~extra:(jobs - 1) worker;
-      Array.map Option.get slots
-    end
+    Parallel.init ~jobs trials (fun index ->
+        let trial_seed = seeds.(index) in
+        let profile, plan =
+          Generator.generate ~config target.universe ~seed:trial_seed
+        in
+        let exec = target.execute profile plan in
+        { index; seed = trial_seed; profile; plan; exec })
   in
   { target = target.name; trials; campaign_seed = seed; generator = config; results }
 

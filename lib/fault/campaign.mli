@@ -6,9 +6,8 @@
     universe, executes the plan, and checks the {!Invariant} ledger
     plus the run-termination watchdog.  Trials are independent — every
     execution builds its own engine and topology — so the sweep runs
-    on the shared {!Mmt_util.Task_pool} with work handed out by an
-    atomic index and results stored slot-per-trial: the rendered
-    report is byte-identical sequential or at any [jobs] count.
+    on {!Mmt_util.Parallel.init} with each result stored at its trial's
+    index: the rendered report is byte-identical at any [jobs] count.
 
     Targets are closure bundles supplied by the scenario layers (the
     pilot's {!Mmt_pilot.Chaos_run.campaign_target}, the facility's
@@ -57,10 +56,9 @@ val run :
   trials:int ->
   seed:int64 ->
   report
-(** Execute the campaign.  [jobs <= 1] stays on the calling domain and
-    never touches the task pool (safe to nest inside another pool
-    sweep, e.g. the experiment registry's); [jobs > 1] uses the shared
-    pool and must not be nested. *)
+(** Execute the campaign on up to [jobs] domains (default 1, on the
+    calling domain; [0] asks for the machine's recommended count).
+    @raise Invalid_argument if [trials < 1]. *)
 
 val violating : report -> trial list
 (** Trials with at least one violation, in trial order. *)

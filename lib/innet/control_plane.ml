@@ -11,7 +11,6 @@ type t = {
   env : Mmt_runtime.Env.t;
   period : Units.Time.t;
   peers : Addr.Ip.t list;
-  gossip_hops : int;
   map : Resource_map.t;
   mutable providers : (unit -> Mmt.Control.Buffer_advert.t option) list;
   mutable running : bool;
@@ -19,16 +18,16 @@ type t = {
   mutable adverts_sent : int;
   mutable adverts_received : int;
   mutable gossip_forwarded : int;
-  (* hop budget left per learned buffer, for bounded re-gossip *)
-  hops_left : (Addr.Ip.t, int) Hashtbl.t;
+  (* buffers whose advert this node has re-gossiped: each is forwarded
+     once, even if it expires and is learned again *)
+  gossiped : (Addr.Ip.t, unit) Hashtbl.t;
 }
 
-let create ~env ~period ~peers ?(gossip_hops = 1) () =
+let create ~env ~period ~peers () =
   {
     env;
     period;
     peers;
-    gossip_hops;
     map = Resource_map.create ~ttl:(Units.Time.scale period 4.) ();
     providers = [];
     running = false;
@@ -36,7 +35,7 @@ let create ~env ~period ~peers ?(gossip_hops = 1) () =
     adverts_sent = 0;
     adverts_received = 0;
     gossip_forwarded = 0;
-    hops_left = Hashtbl.create 8;
+    gossiped = Hashtbl.create 8;
   }
 
 let add_local t provider = t.providers <- provider :: t.providers
@@ -96,17 +95,11 @@ let on_packet t packet =
             let key = advert.Mmt.Control.Buffer_advert.buffer in
             let fresh = Resource_map.lookup t.map key = None in
             Resource_map.learn t.map ~now advert;
-            (* Bounded re-gossip of newly learned resources. *)
-            if fresh && t.gossip_hops > 0 then begin
-              let budget =
-                Option.value ~default:t.gossip_hops
-                  (Hashtbl.find_opt t.hops_left key)
-              in
-              if budget > 0 then begin
-                Hashtbl.replace t.hops_left key (budget - 1);
-                t.gossip_forwarded <- t.gossip_forwarded + 1;
-                broadcast t advert
-              end
+            (* Re-gossip a newly learned resource, one hop. *)
+            if fresh && not (Hashtbl.mem t.gossiped key) then begin
+              Hashtbl.replace t.gossiped key ();
+              t.gossip_forwarded <- t.gossip_forwarded + 1;
+              broadcast t advert
             end)
     | Ok _ | Error _ -> ()
 

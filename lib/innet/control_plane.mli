@@ -6,7 +6,7 @@
     advertises the resources it hosts (today: retransmission buffers)
     to its control-plane peers as {!Mmt.Feature.Kind.Buffer_advert}
     packets, ingests peers' advertisements into its {!Resource_map},
-    and re-gossips what it has learned with a hop budget so maps
+    and re-gossips each buffer it learns of once, one hop, so maps
     converge across domains.
 
     Advertisement stops when a resource disappears; entries then expire
@@ -28,11 +28,9 @@ val create :
   env:Mmt_runtime.Env.t ->
   period:Units.Time.t ->
   peers:Addr.Ip.t list ->
-  ?gossip_hops:int ->
   unit ->
   t
-(** The map's entries live for 4x the [period].  [gossip_hops] (how
-    many times a learned advert is re-forwarded) defaults to 1. *)
+(** The map's entries live for 4x the [period]. *)
 
 val add_local : t -> (unit -> Mmt.Control.Buffer_advert.t option) -> unit
 (** Register a local resource provider; polled at each advertisement

@@ -16,13 +16,13 @@ type params = {
   plan : Mmt_fault.Plan.t;
 }
 
-let params ?(fragment_count = 6000) ?(fragment_size = Units.Size.bytes 4096)
-    ?(loss = 0.002) ?(advert_period = Units.Time.ms 5.)
-    ?(run_until = Units.Time.seconds 12.) ?(seed = 47L) ?(track_total = true)
-    ?(defect = No_defect) ?(plan = Mmt_fault.Plan.empty) () =
+let params ?(fragment_count = 6000) ?(loss = 0.002)
+    ?(advert_period = Units.Time.ms 5.) ?(run_until = Units.Time.seconds 12.)
+    ?(seed = 47L) ?(track_total = true) ?(defect = No_defect)
+    ?(plan = Mmt_fault.Plan.empty) () =
   {
     fragment_count;
-    fragment_size;
+    fragment_size = Units.Size.bytes 4096;
     loss;
     advert_period;
     run_until;

@@ -28,7 +28,7 @@ type defect = No_defect | Broken_restart
 
 type params = {
   fragment_count : int;
-  fragment_size : Units.Size.t;
+  fragment_size : Units.Size.t;  (** 4 096 B *)
   loss : float;  (** random drop on the buffer-b → sink link *)
   advert_period : Units.Time.t;
   run_until : Units.Time.t;
@@ -47,7 +47,6 @@ type params = {
 
 val params :
   ?fragment_count:int ->
-  ?fragment_size:Units.Size.t ->
   ?loss:float ->
   ?advert_period:Units.Time.t ->
   ?run_until:Units.Time.t ->

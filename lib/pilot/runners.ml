@@ -122,15 +122,9 @@ module Tcp_run = struct
       fct;
       throughput;
       stats;
-      message_latency_p50 =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.quantile latencies 0.5);
-      message_latency_p99 =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.quantile latencies 0.99);
-      message_latency_max =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.max latencies);
+      message_latency_p50 = Stats.Summary.quantile latencies 0.5;
+      message_latency_p99 = Stats.Summary.quantile latencies 0.99;
+      message_latency_max = Stats.Summary.max latencies;
       messages_completed = Mmt_tcp.Framing.messages_completed framing;
     }
 end
@@ -354,15 +348,9 @@ module Placement_run = struct
       recovered = stats.Mmt.Receiver.recovered;
       lost = stats.Mmt.Receiver.lost;
       fct = stats.Mmt.Receiver.completion;
-      latency_p50 =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.quantile latencies 0.5);
-      latency_p99 =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.quantile latencies 0.99);
-      latency_max =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.max latencies);
+      latency_p50 = Stats.Summary.quantile latencies 0.5;
+      latency_p99 = Stats.Summary.quantile latencies 0.99;
+      latency_max = Stats.Summary.max latencies;
       recovery_rtt =
         Units.Time.add
           (Units.Time.scale one_way (2. *. (1. -. p.buffer_position)))
@@ -486,8 +474,6 @@ module Priority_run = struct
       alerts_delivered = alerts.Mmt.Receiver.delivered;
       alerts_late = alerts.Mmt.Receiver.late;
       bulk_delivered = (Mmt.Receiver.stats bulk_rx).Mmt.Receiver.delivered;
-      alert_latency_p99 =
-        (if Stats.Summary.count latencies = 0 then nan
-         else Stats.Summary.quantile latencies 0.99);
+      alert_latency_p99 = Stats.Summary.quantile latencies 0.99;
     }
 end

@@ -45,7 +45,11 @@ module Summary : sig
 
   val median : t -> float
   val min : t -> float
+  (** [nan] when empty. *)
+
   val max : t -> float
+  (** [nan] when empty. *)
+
   val to_array : t -> float array
   (** Sorted copy of the sample. *)
 end

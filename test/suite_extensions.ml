@@ -113,8 +113,7 @@ let test_control_plane_ingests_and_gossips () =
   let env, queue = Mmt_runtime.Env.loopback engine in
   let cp =
     Mmt_innet.Control_plane.create ~env ~period:(Units.Time.ms 10.)
-      ~peers:[ Addr.Ip.of_octets 10 0 9 9 ]
-      ~gossip_hops:1 ()
+      ~peers:[ Addr.Ip.of_octets 10 0 9 9 ] ()
   in
   (* Build an advert packet as a peer would send it. *)
   let header =

@@ -3,7 +3,6 @@
 open Mmt_util
 module Scenario = Mmt_facility.Scenario
 module Metrics = Mmt_facility.Metrics
-module Sweep = Mmt_facility.Sweep
 module Address = Mmt_facility.Address
 
 let feq = Alcotest.(check (float 1e-9))
@@ -127,6 +126,22 @@ let test_report_single_point () =
   Alcotest.(check bool) "scaling row says why it is not assessed" true
     (Astring_replacement.contains output "single point: scaling not assessed")
 
+(* `shapeshift facility --plan 0` reaches [site_spans] through
+   [describe]. *)
+let test_site_spans_reject_no_flows () =
+  Alcotest.check_raises "zero flows"
+    (Invalid_argument "Scenario: flows must be positive") (fun () ->
+      ignore (Scenario.site_spans { Scenario.default with Scenario.flows = 0 }))
+
+(* `shapeshift facility --min 40 --max 90` asks for a range that holds
+   no 1-3-10 point. *)
+let test_report_rejects_no_points () =
+  Alcotest.(check (list int)) "no point in [40, 90]" []
+    (Mmt_experiments.Facility.log_points ~lo:40 ~hi:90);
+  Alcotest.check_raises "empty point list"
+    (Invalid_argument "Facility.report: no sweep points") (fun () ->
+      ignore (Mmt_experiments.Facility.report ~points:[] ()))
+
 let test_sweep_parallel_identical () =
   let base = { Scenario.default with Scenario.duration = Units.Time.ms 1. } in
   let points = [ 10; 30 ] in
@@ -154,4 +169,8 @@ let suite =
       test_sweep_parallel_identical;
     Alcotest.test_case "report: single point is all_ok" `Quick
       test_report_single_point;
+    Alcotest.test_case "site spans reject zero flows" `Quick
+      test_site_spans_reject_no_flows;
+    Alcotest.test_case "report rejects no points" `Quick
+      test_report_rejects_no_points;
   ]

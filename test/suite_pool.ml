@@ -87,47 +87,77 @@ let test_no_aliasing_fuzz () =
   let stats = Pool.stats pool in
   Alcotest.(check bool) "fuzz exercised recycling" true (stats.Pool.recycled > 0)
 
-(* --- task pool ---------------------------------------------------------- *)
+(* --- parallel map ---------------------------------------------------------- *)
 
-let test_task_pool_runs_everywhere () =
-  let pool = Task_pool.create ~max_workers:2 () in
-  let counter = Atomic.make 0 in
-  (* Three batches on the same pool: workers must be reusable. *)
-  for _ = 1 to 3 do
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < 100 then begin
-          Atomic.incr counter;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    Task_pool.run pool ~extra:2 worker
+(* [Parallel.init] runs on at most [Domain.recommended_domain_count ()]
+   domains, so on a one-core host it never spawns one and these tests
+   exercise only the caller's loop; with two or more cores, [jobs] 2
+   and 0 run helper domains. *)
+
+let spin units =
+  let acc = ref 0 in
+  for k = 1 to units * 50_000 do
+    acc := !acc + (k land 7)
   done;
-  Alcotest.(check int) "every item claimed exactly once" 300
-    (Atomic.get counter);
-  Task_pool.shutdown pool;
-  (* After shutdown the pool degrades to caller-only execution. *)
-  let ran = ref false in
-  Task_pool.run pool ~extra:2 (fun () -> ran := true);
-  Alcotest.(check bool) "degrades after shutdown" true !ran
+  ignore (Sys.opaque_identity !acc)
 
-let test_task_pool_propagates_exception () =
-  let pool = Task_pool.create ~max_workers:1 () in
-  let raised =
-    match Task_pool.run pool ~extra:1 (fun () -> failwith "boom") with
-    | () -> false
-    | exception Failure _ -> true
-  in
-  Alcotest.(check bool) "exception reaches the caller" true raised;
-  (* The pool survives a failing batch. *)
-  let ok = ref 0 in
-  Task_pool.run pool ~extra:1 (fun () -> incr ok);
-  Alcotest.(check bool) "pool usable after failure" true (!ok >= 1);
-  Task_pool.shutdown pool
+let test_parallel_init_order () =
+  List.iter
+    (fun jobs ->
+      let n = 40 in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      (* Early indices take longest, so later ones finish first. *)
+      let results =
+        Parallel.init ~jobs n (fun i ->
+            Atomic.incr runs.(i);
+            spin (n - i);
+            (i * 7) + 1)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "results in index order (jobs %d)" jobs)
+        (Array.init n (fun i -> (i * 7) + 1))
+        results;
+      Alcotest.(check (array int))
+        (Printf.sprintf "each index ran once (jobs %d)" jobs)
+        (Array.make n 1) (Array.map Atomic.get runs);
+      Alcotest.(check int)
+        (Printf.sprintf "n = 0 (jobs %d)" jobs)
+        0
+        (Array.length (Parallel.init ~jobs 0 (fun _ -> assert false))))
+    [ 1; 2; 0 ]
+
+let test_parallel_init_raises_after_join () =
+  let caller = Domain.self () in
+  List.iter
+    (fun jobs ->
+      let started = Atomic.make 0 and in_flight = Atomic.make 0 in
+      (* Tasks on the calling domain fail at once, so with a helper the
+         exception comes while the helper is still busy; the last index
+         fails wherever it runs, in case the helper claimed them all. *)
+      let raised =
+        match
+          Parallel.init ~jobs 16 (fun i ->
+              if Domain.self () = caller || i = 15 then failwith "boom";
+              Atomic.incr started;
+              Atomic.incr in_flight;
+              spin 20;
+              Atomic.decr in_flight)
+        with
+        | _ -> false
+        | exception Failure msg -> msg = "boom"
+      in
+      let running = Atomic.get in_flight and seen = Atomic.get started in
+      spin 100;
+      Alcotest.(check bool)
+        (Printf.sprintf "exception re-raised (jobs %d)" jobs)
+        true raised;
+      Alcotest.(check int)
+        (Printf.sprintf "no task still running (jobs %d)" jobs)
+        0 running;
+      Alcotest.(check int)
+        (Printf.sprintf "no task starts afterwards (jobs %d)" jobs)
+        seen (Atomic.get started))
+    [ 1; 2; 0 ]
 
 let suite =
   [
@@ -140,8 +170,8 @@ let suite =
     Alcotest.test_case "class capacity bounded" `Quick
       test_class_capacity_bounded;
     Alcotest.test_case "no aliasing under fuzz" `Quick test_no_aliasing_fuzz;
-    Alcotest.test_case "task pool reuses workers" `Quick
-      test_task_pool_runs_everywhere;
-    Alcotest.test_case "task pool propagates exceptions" `Quick
-      test_task_pool_propagates_exception;
+    Alcotest.test_case "parallel init keeps index order" `Quick
+      test_parallel_init_order;
+    Alcotest.test_case "parallel init raises after join" `Quick
+      test_parallel_init_raises_after_join;
   ]
