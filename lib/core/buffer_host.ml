@@ -33,21 +33,20 @@ let store t ~seq ~born frame = Retx_buffer.store t.buffer ~seq ~born frame
 
 let store_packet t ~seq packet =
   Retx_buffer.store t.buffer ~seq ~born:packet.Mmt_sim.Packet.born
-    ~padding:packet.Mmt_sim.Packet.padding
-    (Bytes.copy (Mmt_sim.Packet.frame packet))
+    ~padding:packet.Mmt_sim.Packet.padding (Mmt_sim.Packet.frame packet)
 
 let resend t ~requester (entry : Retx_buffer.entry) =
   (* Preserve the original birth time: a recovered message's latency is
      end-to-end, not resend-to-delivery. *)
-  let src = entry.Retx_buffer.frame in
-  let len = Bytes.length src in
+  let len = entry.Retx_buffer.len in
   let packet =
     Mmt_sim.Ring.in_packet t.env.Mmt_runtime.Env.ring
       ~padding:entry.Retx_buffer.padding
       ~id:(t.env.Mmt_runtime.Env.fresh_id ())
       ~born:entry.Retx_buffer.born len
   in
-  Bytes.blit src 0 (Mmt_sim.Packet.frame packet) 0 len;
+  Bytes.blit entry.Retx_buffer.chunk entry.Retx_buffer.off
+    (Mmt_sim.Packet.frame packet) 0 len;
   t.frames_resent <- t.frames_resent + 1;
   t.env.Mmt_runtime.Env.send requester packet
 

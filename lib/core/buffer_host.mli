@@ -34,15 +34,17 @@ val create :
 
 val store_packet : t -> seq:int -> Mmt_sim.Packet.t -> unit
 (** Record a packet as forwarded downstream under sequence [seq]: the
-    one place a frame is copied for retransmission.  The buffer keeps a
-    copy of the packet's materialized frame (encapsulation included, so
-    a resend is byte-identical), its padding, so a resend has the
-    original wire size, and its birth time, so a recovered message's
-    latency stays end-to-end.  The packet itself stays the caller's. *)
+    one place a frame is copied for retransmission, and the copy is
+    taken inside the {!Retx_buffer}.  The buffer keeps the packet's
+    materialized frame (encapsulation included, so a resend is
+    byte-identical), its padding, so a resend has the original wire
+    size, and its birth time, so a recovered message's latency stays
+    end-to-end.  The packet itself stays the caller's. *)
 
 val store : t -> seq:int -> born:Mmt_util.Units.Time.t -> bytes -> unit
 (** Record an unpadded wire frame under [seq], born at [born].  The
-    buffer keeps [frame] itself rather than a copy. *)
+    buffer copies [frame]; the caller may reuse it once [store]
+    returns. *)
 
 val on_packet : t -> Mmt_sim.Packet.t -> unit
 (** Feed a control packet; only NAKs addressed to this buffer are

@@ -51,6 +51,10 @@ let max_int_hops = 4
 let int_record_size = 24
 let int_ext_size = 4 + (max_int_hops * int_record_size)
 
+let max_size =
+  core_size + checksum_size + sequence_size + retransmit_size + timely_size
+  + age_size + pace_size + backpressure_size + int_ext_size
+
 let check_u32 what v =
   if v < 0 || v > 0xFFFFFFFF then
     invalid_arg (Printf.sprintf "Header: %s out of u32 range" what)

@@ -134,6 +134,11 @@ val int_ext_size : int
 (** Encoded size of the whole INT extension (count/flags word plus
     {!max_int_hops} slots), feature-independent. *)
 
+val max_size : int
+(** Encoded size of a header carrying every extension: the most bytes a
+    parse starting at the header can read, whatever its feature bits
+    say. *)
+
 val encode : t -> bytes
 (** Seals the checksum when the Checksummed feature is active. *)
 

@@ -12,9 +12,23 @@ type stats = {
   entries_high_water : int;
 }
 
-type entry = { frame : bytes; padding : int; born : Units.Time.t }
+type entry = {
+  chunk : bytes;
+  off : int;
+  len : int;
+  padding : int;
+  born : Units.Time.t;
+}
 
-let wire_size entry = Bytes.length entry.frame + entry.padding
+let wire_size entry = entry.len + entry.padding
+
+(* Frames are copied end to end into chunks the buffer owns, so a stored
+   frame costs no block of its own.  The first chunk holds the first
+   frame exactly and each later one doubles, up to [max_chunk] (or the
+   frame, if larger): a buffer that stores little keeps little, and one
+   that stores a lot keeps few large blocks.  A chunk is garbage once it
+   is no longer being filled and no entry points into it. *)
+let max_chunk = 1 lsl 20
 
 type t = {
   capacity : int;
@@ -25,6 +39,8 @@ type t = {
          stale; they all sit ahead of the live one *)
   bytes : Gauge.t;
   entries : Gauge.t;
+  mutable chunk : bytes;  (* the chunk being filled *)
+  mutable fill : int;  (* bytes of [chunk] in use *)
   mutable stored : int;
   mutable evicted : int;
   mutable hits : int;
@@ -39,6 +55,8 @@ let create ~capacity =
     superseded = Hashtbl.create 8;
     bytes = Gauge.create ();
     entries = Gauge.create ();
+    chunk = Bytes.empty;
+    fill = 0;
     stored = 0;
     evicted = 0;
     hits = 0;
@@ -61,9 +79,26 @@ let evict_one t =
           Gauge.add t.entries (-1);
           t.evicted <- t.evicted + 1)
 
+(* Copy [frame] into the chunk being filled, opening a new chunk when it
+   does not fit; returns the frame's offset in [t.chunk]. *)
+let copy_in t frame =
+  let len = Bytes.length frame in
+  if t.fill + len > Bytes.length t.chunk then begin
+    let grown =
+      if Bytes.length t.chunk = 0 then len
+      else Int.min max_chunk (2 * Bytes.length t.chunk)
+    in
+    t.chunk <- Bytes.create (Int.max len grown);
+    t.fill <- 0
+  end;
+  let off = t.fill in
+  Bytes.blit frame 0 t.chunk off len;
+  t.fill <- off + len;
+  off
+
 let store t ~seq ~born ?(padding = 0) frame =
-  let entry = { frame; padding; born } in
-  let size = wire_size entry in
+  let len = Bytes.length frame in
+  let size = len + padding in
   t.stored <- t.stored + 1;
   if size > t.capacity then t.evicted <- t.evicted + 1
   else begin
@@ -78,7 +113,8 @@ let store t ~seq ~born ?(padding = 0) frame =
     while Gauge.value t.bytes + size > t.capacity do
       evict_one t
     done;
-    Hashtbl.replace t.frames seq entry;
+    let off = copy_in t frame in
+    Hashtbl.replace t.frames seq { chunk = t.chunk; off; len; padding; born };
     Queue.push seq t.order;
     Gauge.add t.bytes size;
     Gauge.add t.entries 1

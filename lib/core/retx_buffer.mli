@@ -10,14 +10,23 @@
     Every byte count here is a wire size: a frame's materialized bytes
     plus its padding (the virtual payload of {!Mmt_sim.Packet.padding}),
     so a buffer holds as many synthetic frames as it would hold
-    materialized ones. *)
+    materialized ones.
+
+    The buffer copies each frame's materialized bytes into memory it
+    owns: chunks that grow geometrically from the first frame's size to
+    1 MiB each, filled end to end, like the FPGA's one block of memory.
+    A stored frame therefore costs no heap block of its own. *)
 
 open Mmt_util
 
 type t
 
 type entry = {
-  frame : bytes;  (** the frame's materialized bytes *)
+  chunk : bytes;
+      (** the buffer's memory the frame was copied into; read only
+          [\[off, off + len)], and never write it *)
+  off : int;
+  len : int;  (** the frame's materialized length *)
   padding : int;  (** its wire padding, restored on a resend *)
   born : Units.Time.t;
       (** birth time of the original packet, preserved so a
@@ -46,8 +55,9 @@ val store : t -> seq:int -> born:Units.Time.t -> ?padding:int -> bytes -> unit
     [Bytes.length frame + padding] ([padding] defaults to 0); evicts
     oldest entries until the new frame fits.  An overwrite makes [seq]
     the newest entry.  Frames larger than the whole capacity are
-    rejected silently (counted as immediate eviction).  The buffer keeps
-    [frame] itself: the caller hands over a copy it will not reuse. *)
+    rejected silently (counted as immediate eviction).  The buffer
+    copies [frame]'s bytes, so the caller may reuse [frame] as soon as
+    [store] returns. *)
 
 val fetch : t -> seq:int -> entry option
 (** Lookup; counts a hit or a miss. *)

@@ -395,7 +395,14 @@ let run p =
         deadline_budget = None;
       }
   in
-  let payload = Bytes.make (Units.Size.to_bytes p.fragment_size) '\xEE' in
+  (* A header parse reads at most [Header.max_size] bytes from the
+     header's start, whatever feature bits a flip sets, so only that many
+     payload bytes are real: a header grown into the payload reads the
+     same 0xEE bytes as over a whole materialized payload.  The rest
+     travels as wire padding. *)
+  let size = Units.Size.to_bytes p.fragment_size in
+  let prefix = Bytes.make (Int.min size Mmt.Header.max_size) '\xEE' in
+  let padding = size - Bytes.length prefix in
   let gap =
     Units.Rate.transmission_time (Units.Rate.scale rate 0.1) p.fragment_size
   in
@@ -403,7 +410,9 @@ let run p =
     ignore
       (Mmt_sim.Engine.schedule engine
          ~at:(Units.Time.scale gap (float_of_int i))
-         (fun () -> Mmt.Sender.send sender payload))
+         (fun () ->
+           Mmt.Sender.send_with sender ~padding ~length:(Bytes.length prefix)
+             (fun w -> Mmt_wire.Cursor.Writer.bytes w prefix)))
   done;
   (* Watchdog-bounded run: a fault mix that provoked a zero-delay
      event livelock would spin a pure time cap forever; the budget of

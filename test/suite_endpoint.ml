@@ -705,6 +705,26 @@ let test_buffer_host_serves_nak () =
   Alcotest.(check int) "resent" 3 stats.Mmt.Buffer_host.frames_resent;
   Alcotest.(check int) "no escalation" 0 stats.Mmt.Buffer_host.escalated
 
+(* The host keeps its own copy: overwriting the caller's frame after
+   [store] leaves the resend unchanged. *)
+let test_buffer_host_store_copies () =
+  let engine = Mmt_sim.Engine.create () in
+  let env, queue = Mmt_runtime.Env.loopback engine in
+  let host = Mmt.Buffer_host.create ~env ~capacity:(Units.Size.mib 1) () in
+  let frame =
+    Bytes.cat (Mmt.Header.encode (Mmt.Header.mode0 ~experiment)) (Bytes.make 50 'f')
+  in
+  let original = Bytes.copy frame in
+  Mmt.Buffer_host.store host ~seq:0 ~born:Units.Time.zero frame;
+  Bytes.fill frame 0 (Bytes.length frame) '\000';
+  Mmt.Buffer_host.on_packet host
+    (nak_packet ~engine ~requester:(Addr.Ip.of_octets 10 0 3 1) [ (0, 0) ]);
+  match drain_queue queue with
+  | [ resend ] ->
+      Alcotest.(check string) "resent bytes" (Bytes.to_string original)
+        (Bytes.to_string (Mmt_sim.Packet.frame resend))
+  | _ -> Alcotest.fail "expected one resend"
+
 let test_buffer_host_escalates_misses () =
   let engine = Mmt_sim.Engine.create () in
   let env, queue = Mmt_runtime.Env.loopback engine in
@@ -869,6 +889,7 @@ let suite =
     Alcotest.test_case "encap packet writes exactly length" `Quick
       test_encap_packet_exact_length;
     Alcotest.test_case "buffer host serves NAK" `Quick test_buffer_host_serves_nak;
+    Alcotest.test_case "buffer host store copies" `Quick test_buffer_host_store_copies;
     Alcotest.test_case "buffer host escalates" `Quick test_buffer_host_escalates_misses;
     Alcotest.test_case "buffer host unserviceable" `Quick
       test_buffer_host_unserviceable_without_upstream;

@@ -106,6 +106,31 @@ let test_full_roundtrip () =
     (Mmt.Header.size full_header);
   check_roundtrip "full" full_header
 
+(* A header with every feature bit set is the longest a parse can read,
+   whatever bits a corrupted header claims: the bound a real payload
+   prefix must cover (Chaos_run).  A new extension must grow max_size. *)
+let test_max_size () =
+  let every =
+    Mmt.Header.with_checksummed
+      (Mmt.Header.with_int_stack
+         (Mmt.Header.create ~sequence:1
+            ~retransmit_from:(Addr.Ip.of_octets 10 0 1 1)
+            ~timely:(Option.get full_header.Mmt.Header.timely)
+            ~age:(Option.get full_header.Mmt.Header.age)
+            ~pace_mbps:1
+            ~backpressure_to:(Addr.Ip.of_octets 10 0 0 1)
+            ~extra_features:[ Mmt.Feature.Duplicated; Mmt.Feature.Encrypted ]
+            ~experiment ())
+         Mmt.Header.empty_int_stack)
+  in
+  Alcotest.(check bool) "every feature" true
+    (Mmt.Feature.Set.equal every.Mmt.Header.features
+       (Mmt.Feature.Set.of_list Mmt.Feature.all));
+  Alcotest.(check int) "size" Mmt.Header.max_size (Mmt.Header.size every);
+  match Mmt.Header.View.of_frame (Mmt.Header.encode every) with
+  | Ok view -> Alcotest.(check int) "view size" Mmt.Header.max_size (Mmt.Header.View.size view)
+  | Error e -> Alcotest.fail e
+
 let test_each_single_extension () =
   check_roundtrip "seq only" (Mmt.Header.create ~sequence:7 ~experiment ());
   check_roundtrip "timely only"
@@ -360,6 +385,7 @@ let suite =
     Alcotest.test_case "with_slice" `Quick test_with_slice;
     Alcotest.test_case "mode0 roundtrip" `Quick test_mode0_roundtrip;
     Alcotest.test_case "full roundtrip" `Quick test_full_roundtrip;
+    Alcotest.test_case "max_size: every feature" `Quick test_max_size;
     Alcotest.test_case "single extensions" `Quick test_each_single_extension;
     Alcotest.test_case "feature bits match fields" `Quick test_feature_bits_match_fields;
     Alcotest.test_case "extra_features validation" `Quick test_create_rejects_fielded_extra;

@@ -86,7 +86,7 @@ let test_retx_store_fetch () =
   Mmt.Retx_buffer.store buffer ~seq:1 ~born:(Units.Time.us 5.) (frame_of_size 100);
   (match Mmt.Retx_buffer.fetch buffer ~seq:1 with
   | Some entry ->
-      Alcotest.(check int) "frame size" 100 (Bytes.length entry.Mmt.Retx_buffer.frame);
+      Alcotest.(check int) "frame size" 100 entry.Mmt.Retx_buffer.len;
       Alcotest.(check bool) "born preserved" true
         (Units.Time.equal entry.Mmt.Retx_buffer.born (Units.Time.us 5.))
   | None -> Alcotest.fail "expected hit");
@@ -135,11 +135,32 @@ let test_retx_overwrite_same_seq () =
   Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero (frame_of_size 100);
   Mmt.Retx_buffer.store buffer ~seq:5 ~born:Units.Time.zero (frame_of_size 200);
   (match Mmt.Retx_buffer.fetch buffer ~seq:5 with
-  | Some entry -> Alcotest.(check int) "latest wins" 200 (Bytes.length entry.Mmt.Retx_buffer.frame)
+  | Some entry -> Alcotest.(check int) "latest wins" 200 entry.Mmt.Retx_buffer.len
   | None -> Alcotest.fail "expected hit");
   let stats = Mmt.Retx_buffer.stats buffer in
   Alcotest.(check int) "occupancy after overwrite" 200
     (Units.Size.to_bytes stats.Mmt.Retx_buffer.occupancy)
+
+(* The buffer copies what it stores: a caller that reuses its bytes once
+   [store] returns (a ring slot going back to the pool) changes nothing
+   a fetch returns.  Frames of many sizes cross chunk boundaries. *)
+let test_retx_store_copies () =
+  let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.mib 1) in
+  let content seq =
+    Bytes.init (50 + (seq * 37 mod 300)) (fun i -> Char.chr ((seq + i) land 0xFF))
+  in
+  for seq = 0 to 39 do
+    let frame = content seq in
+    Mmt.Retx_buffer.store buffer ~seq ~born:Units.Time.zero frame;
+    Bytes.fill frame 0 (Bytes.length frame) '\000'
+  done;
+  for seq = 0 to 39 do
+    match Mmt.Retx_buffer.fetch buffer ~seq with
+    | Some { Mmt.Retx_buffer.chunk; off; len; _ } ->
+        Alcotest.(check string) (Printf.sprintf "seq %d" seq)
+          (Bytes.to_string (content seq)) (Bytes.sub_string chunk off len)
+    | None -> Alcotest.fail (Printf.sprintf "seq %d missing" seq)
+  done
 
 let test_retx_oversized_frame_rejected () =
   let buffer = Mmt.Retx_buffer.create ~capacity:(Units.Size.bytes 50) in
@@ -175,5 +196,6 @@ let suite =
     Alcotest.test_case "retx eviction after overwrite" `Quick
       test_retx_eviction_after_overwrite;
     Alcotest.test_case "retx oversized" `Quick test_retx_oversized_frame_rejected;
+    Alcotest.test_case "retx store copies" `Quick test_retx_store_copies;
     QCheck_alcotest.to_alcotest qcheck_retx_capacity_invariant;
   ]
